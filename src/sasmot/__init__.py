@@ -12,9 +12,6 @@ ablation and sweep tables.
 
 from .geometry import (
     Box2D,
-    Point2D,
-    center,
-    euclidean_distance,
     iou,
     iou_matrix,
     max_iou_vs_others,
@@ -71,7 +68,6 @@ __all__ = [
     "MemoryPolicy",
     "MetricsReport",
     "MotRow",
-    "Point2D",
     "RunConfig",
     "Scenario",
     "ScenarioConfig",
@@ -83,11 +79,9 @@ __all__ = [
     "TrackerConfig",
     "apply_flat_config",
     "build_cost_matrix",
-    "center",
     "clear_mota",
     "cosine_distance",
     "detections_from_files",
-    "euclidean_distance",
     "evaluate",
     "frames_to_id_boxes",
     "generate_scenario",

@@ -155,11 +155,10 @@ def cmd_track(args: argparse.Namespace) -> int:
     image_size = None
     if args.image_size is not None:
         image_size = parse_image_size(args.image_size)
-    frames = detections_from_files(args.det, args.emb, image_size)
-    parsed = parse_mot_file(args.det, image_size)
+    frames, image_size = detections_from_files(args.det, args.emb, image_size)
     tracker = Tracker(run.tracker, policy=run.policy)
     results = [tracker.step(dets, idx) for idx, dets in enumerate(frames, start=1)]
-    write_mot_file(args.out, results_to_rows(results, parsed.image_size), parsed.image_size)
+    write_mot_file(args.out, results_to_rows(results, image_size), image_size)
     print(f"wrote {args.out}")
     return 0
 

@@ -31,7 +31,6 @@ __all__ = [
     "thread_count",
     "track_scenario",
     "evaluate_tracking",
-    "run_single",
     "run_policy_suite",
     "mean",
     "paired_sign_test",
@@ -88,15 +87,6 @@ def track_scenario(
 def evaluate_tracking(scenario: Scenario, results: Sequence[FrameResult]) -> MetricsReport:
     pred = [list(r.tracks) for r in results]
     return evaluate(SequencePair(gt=scenario.gt, pred=pred))
-
-
-def run_single(
-    scenario_cfg: ScenarioConfig,
-    tracker_cfg: Optional[TrackerConfig],
-    policy: MemoryPolicy,
-) -> MetricsReport:
-    scenario = generate_scenario(scenario_cfg)
-    return evaluate_tracking(scenario, track_scenario(scenario, tracker_cfg, policy))
 
 
 def _map_seeds(fn: Callable[[int], object], seeds: Sequence[int]) -> List[object]:

@@ -1,4 +1,4 @@
-"""Box, center, distance, and IoU primitives.
+"""Box and IoU primitives.
 
 All coordinates are normalized image units: x is divided by image width and
 y by image height at ingest, so thresholds expressed as a fraction of the
@@ -9,32 +9,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "Box2D",
-    "Point2D",
-    "center",
-    "euclidean_distance",
     "iou",
     "iou_matrix",
     "boxes_to_corners",
     "max_iou_vs_others",
 ]
-
-
-@dataclass(frozen=True)
-class Point2D:
-    """A point in normalized image coordinates."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite point ({self.x}, {self.y})")
 
 
 @dataclass(frozen=True)
@@ -62,16 +47,6 @@ class Box2D:
     @property
     def area(self) -> float:
         return self.w * self.h
-
-
-def center(b: Box2D) -> Point2D:
-    """Center of a box as a point."""
-    return Point2D(b.cx, b.cy)
-
-
-def euclidean_distance(a: Point2D, b: Point2D) -> float:
-    """L2 distance between two points."""
-    return math.hypot(a.x - b.x, a.y - b.y)
 
 
 def iou(a: Box2D, b: Box2D) -> float:
@@ -114,16 +89,18 @@ def iou_matrix(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarray:
     return np.clip(np.where(inter > 0.0, inter / union, 0.0), 0.0, 1.0)
 
 
-def max_iou_vs_others(idx: int, boxes: Sequence[Box2D]) -> float:
-    """Largest IoU between boxes[idx] and any other box; 0.0 for a singleton."""
-    if not 0 <= idx < len(boxes):
-        raise IndexError(f"box index {idx} out of range for {len(boxes)} boxes")
-    best = 0.0
-    ref = boxes[idx]
-    for j, other in enumerate(boxes):
-        if j == idx:
-            continue
-        v = iou(ref, other)
-        if v > best:
-            best = v
-    return best
+def max_iou_vs_others(corners: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each box's largest IoU with any other box of an (N, 4) corner array.
+
+    Returns ``(best, who)``: ``best[i]`` is that IoU (0.0 for a box that
+    overlaps nothing) and ``who[i]`` the index of the other box, the first
+    one on ties and -1 when ``best[i]`` is 0.
+    """
+    n = corners.shape[0]
+    if n == 0:
+        return np.zeros(0, dtype=float), np.zeros(0, dtype=int)
+    ious = iou_matrix(corners, corners)
+    np.fill_diagonal(ious, 0.0)
+    who = np.argmax(ious, axis=1)
+    best = ious[np.arange(n), who]
+    return best, np.where(best > 0.0, who, -1)

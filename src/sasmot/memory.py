@@ -28,17 +28,16 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Deque, Optional
+from typing import Deque, Optional, Tuple
 
 import numpy as np
 
-from .geometry import Box2D, Point2D, center, euclidean_distance
+from .geometry import Box2D
 
 __all__ = [
     "MemoryPolicy",
     "MemoryConfig",
     "MemoryEntry",
-    "OfsCandidate",
     "TrackMemory",
 ]
 
@@ -63,7 +62,6 @@ class MemoryConfig:
         m_max: feature capacity per track; oldest entries are evicted first.
         alpha: fusion weight on the current embedding; the remaining
             1 - alpha is spread uniformly over stored entries.
-        embedding_dim: dimensionality D of appearance embeddings.
         delay_overlap_threshold: overlap gate used only by the DELAYING
             policy; a pending commit waits for a frame at or below it.
     """
@@ -71,7 +69,6 @@ class MemoryConfig:
     epsilon: float = 0.1
     m_max: int = 10
     alpha: float = 0.5
-    embedding_dim: int = 16
     delay_overlap_threshold: float = 0.2
 
     def __post_init__(self):
@@ -81,8 +78,6 @@ class MemoryConfig:
             raise ValueError(f"m_max must be >= 1, got {self.m_max}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.embedding_dim < 1:
-            raise ValueError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
         if not 0.0 <= self.delay_overlap_threshold <= 1.0:
             raise ValueError(
                 f"delay_overlap_threshold must be in [0, 1], got {self.delay_overlap_threshold}"
@@ -98,22 +93,15 @@ class MemoryEntry:
     overlap_at_store: float
 
 
-@dataclass(eq=False)
-class OfsCandidate:
-    """The best commit candidate seen since the last store (minimum overlap)."""
-
-    embedding: np.ndarray
-    frame_idx: int
-    overlap: float
-
-
 class TrackMemory:
     """Mutable per-track memory driven by :meth:`observe`, one instance per track.
 
     The three public operations are ``observe`` (feed one frame's box,
     embedding, and overlap; returns whether a feature was stored),
     ``fused_query`` (blend a current embedding with the memory mean), and
-    ``commit_store`` (normally invoked internally by ``observe``).
+    ``commit_store`` (normally invoked internally by ``observe``). The
+    embedding size D is taken from the first observed embedding; every later
+    one must match it.
     """
 
     def __init__(self, cfg: MemoryConfig, policy: MemoryPolicy = MemoryPolicy.SPARSE_OFS):
@@ -121,17 +109,24 @@ class TrackMemory:
         self.policy = policy
         self.entries: Deque[MemoryEntry] = deque(maxlen=cfg.m_max)
         self.accumulator: float = 0.0
-        self.last_center: Optional[Point2D] = None
-        self.candidate: Optional[OfsCandidate] = None
+        self.last_center: Optional[Tuple[float, float]] = None
+        # The pending commit: for SPARSE_OFS the least-overlapped frame since
+        # the last store, otherwise the latest frame.
+        self.candidate: Optional[MemoryEntry] = None
+        self.dim: Optional[int] = None
         self._last_frame: Optional[int] = None
+
+    def _checked(self, embedding: np.ndarray) -> np.ndarray:
+        emb = np.asarray(embedding, dtype=float)
+        if emb.ndim != 1:
+            raise ValueError(f"embedding must be 1-D, got shape {emb.shape}")
+        if self.dim is not None and emb.size != self.dim:
+            raise ValueError(f"embedding shape {emb.shape} does not match dim {self.dim}")
+        return emb
 
     def observe(self, box: Box2D, embedding: np.ndarray, overlap: float, frame_idx: int) -> bool:
         """Feed one observed frame; returns True when a feature was stored."""
-        emb = np.asarray(embedding, dtype=float)
-        if emb.shape != (self.cfg.embedding_dim,):
-            raise ValueError(
-                f"embedding shape {emb.shape} does not match dim {self.cfg.embedding_dim}"
-            )
+        emb = self._checked(embedding)
         if not 0.0 <= overlap <= 1.0:
             raise ValueError(f"overlap must be in [0, 1], got {overlap}")
         if self._last_frame is not None and frame_idx <= self._last_frame:
@@ -139,22 +134,23 @@ class TrackMemory:
                 f"frame_idx must increase: got {frame_idx} after {self._last_frame}"
             )
         self._last_frame = frame_idx
+        self.dim = emb.size
 
         if self.policy is MemoryPolicy.NONE:
             return False
 
-        c = center(box)
         if self.last_center is not None:
-            self.accumulator += euclidean_distance(c, self.last_center)
-        self.last_center = c
+            lx, ly = self.last_center
+            self.accumulator += math.hypot(box.cx - lx, box.cy - ly)
+        self.last_center = (box.cx, box.cy)
 
         if self.policy is MemoryPolicy.SPARSE_OFS:
             # Keep the least-overlapped frame in the window; ties keep the
             # earlier frame.
-            if self.candidate is None or overlap < self.candidate.overlap:
-                self.candidate = OfsCandidate(emb, frame_idx, overlap)
+            if self.candidate is None or overlap < self.candidate.overlap_at_store:
+                self.candidate = MemoryEntry(emb, frame_idx, overlap)
         else:
-            self.candidate = OfsCandidate(emb, frame_idx, overlap)
+            self.candidate = MemoryEntry(emb, frame_idx, overlap)
 
         if self.policy is MemoryPolicy.DENSE:
             self.commit_store()
@@ -174,8 +170,7 @@ class TrackMemory:
         """Push the pending candidate into the ring and reset the gate."""
         if self.candidate is None:
             raise ValueError("commit_store called with no pending candidate")
-        cand = self.candidate
-        self.entries.append(MemoryEntry(cand.embedding, cand.frame_idx, cand.overlap))
+        self.entries.append(self.candidate)
         self.accumulator = 0.0
         self.candidate = None
 
@@ -185,11 +180,7 @@ class TrackMemory:
         Returns ``alpha * current + (1 - alpha) * mean(entries)``; with an
         empty memory the current embedding is returned unchanged.
         """
-        cur = np.asarray(current, dtype=float)
-        if cur.shape != (self.cfg.embedding_dim,):
-            raise ValueError(
-                f"embedding shape {cur.shape} does not match dim {self.cfg.embedding_dim}"
-            )
+        cur = self._checked(current)
         m = len(self.entries)
         if m == 0:
             return cur

@@ -228,28 +228,31 @@ def write_embeddings_csv(path: Path | str, scenario: Scenario) -> None:
 
 
 def read_embeddings_csv(path: Path | str) -> Dict[Tuple[int, int], np.ndarray]:
-    """Sidecar rows keyed by (frame, det_index)."""
+    """Sidecar rows keyed by (frame, det_index); every row has the same size D."""
     out: Dict[Tuple[int, int], np.ndarray] = {}
     dim: Optional[int] = None
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"{path}: line {lineno}"
         parts = line.split(",")
         if len(parts) < 3:
-            raise ValueError(f"line {lineno}: embedding row needs frame,det_index,values")
+            raise ValueError(f"{where}: embedding row needs frame,det_index,values")
         try:
             frame = int(parts[0])
             det_index = int(parts[1])
             values = np.array([float(p) for p in parts[2:]], dtype=float)
         except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric field in embeddings file") from None
+            raise ValueError(f"{where}: non-numeric field in embeddings file") from None
         if dim is None:
             dim = values.size
         elif values.size != dim:
-            raise ValueError(f"line {lineno}: embedding dim {values.size} != {dim}")
+            raise ValueError(f"{where}: embedding dim {values.size} != {dim}")
+        if not np.any(values):
+            raise ValueError(f"{where}: zero-norm embedding")
         if (frame, det_index) in out:
-            raise ValueError(f"line {lineno}: duplicate key ({frame}, {det_index})")
+            raise ValueError(f"{where}: duplicate key ({frame}, {det_index})")
         out[(frame, det_index)] = values
     return out
 
@@ -258,21 +261,32 @@ def detections_from_files(
     det_path: Path | str,
     emb_path: Path | str,
     image_size: Optional[Tuple[int, int]] = None,
-) -> List[List[Detection]]:
-    """Join a detection file with its embedding sidecar, per frame 1..max."""
+) -> Tuple[List[List[Detection]], Tuple[int, int]]:
+    """Join a detection file with its embedding sidecar.
+
+    Returns the detections of frames 1..max and the resolved image size.
+    Every detection needs a sidecar row and every sidecar row a detection.
+    """
     parsed = parse_mot_file(det_path, image_size)
     embeddings = read_embeddings_csv(emb_path)
     frames: List[List[Detection]] = []
     for frame in range(1, parsed.max_frame + 1):
         dets = []
         for det_index, row in enumerate(parsed.frames.get(frame, [])):
-            key = (frame, det_index)
-            if key not in embeddings:
-                raise ValueError(f"missing embedding for frame {frame} detection {det_index}")
+            embedding = embeddings.pop((frame, det_index), None)
+            if embedding is None:
+                raise ValueError(
+                    f"{emb_path}: missing embedding for frame {frame} detection {det_index}"
+                )
             box = mot_row_to_box(row, parsed.image_size)
-            dets.append(Detection(box, embeddings[key], row.conf))
+            dets.append(Detection(box, embedding, row.conf))
         frames.append(dets)
-    return frames
+    if embeddings:
+        frame, det_index = next(iter(embeddings))
+        raise ValueError(
+            f"{emb_path}: embedding for frame {frame} detection {det_index} matches no detection"
+        )
+    return frames, parsed.image_size
 
 
 def write_scenario(
@@ -319,30 +333,13 @@ def parse_flat_config(text: str) -> Dict[str, str]:
     return items
 
 
-_BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
-
-
-def _coerce(value: str, target_type: type, key: str):
-    if target_type is bool:
-        lowered = value.lower()
-        if lowered not in _BOOL_VALUES:
-            raise ValueError(f"{key}: expected a boolean, got {value!r}")
-        return _BOOL_VALUES[lowered]
-    if target_type is int:
-        return int(value)
-    if target_type is float:
-        return float(value)
-    return value
-
-
 def _apply_to_dataclass(obj, dotted: str, key: str, value: str):
     field_types = {f.name: f.type for f in dataclasses.fields(obj)}
     if key not in field_types:
         raise ValueError(f"unknown config key {dotted!r}")
-    current = getattr(obj, key)
-    target_type = type(current) if current is not None else str
+    # Every settable field holds an int or a float.
     try:
-        coerced = _coerce(value, target_type, dotted)
+        coerced = type(getattr(obj, key))(value)
     except ValueError as exc:
         raise ValueError(f"{dotted}: {exc}") from None
     return dataclasses.replace(obj, **{key: coerced})

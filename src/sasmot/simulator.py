@@ -32,13 +32,11 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .geometry import Box2D, iou
+from .geometry import Box2D, boxes_to_corners, max_iou_vs_others
 from .rng import SplitMix64
 from .tracker import Detection
 
-__all__ = ["MOTION_MODEL", "ScenarioConfig", "Scenario", "generate_scenario"]
-
-MOTION_MODEL = "constant-velocity-with-turns"
+__all__ = ["ScenarioConfig", "Scenario", "generate_scenario"]
 
 
 @dataclass
@@ -55,7 +53,6 @@ class ScenarioConfig:
     noise_sigma: float = 0.03  # per-component gaussian on embeddings
     miss_prob_base: float = 0.05
     miss_prob_occluded: float = 0.35  # applies when max overlap > 0.5
-    motion_model: str = MOTION_MODEL
     seed: int = 1
     # Motion/observation details of the constant-velocity-with-turns model.
     speed: float = 0.012  # per-frame center displacement
@@ -72,8 +69,6 @@ class ScenarioConfig:
             raise ValueError(f"n_frames must be >= 1, got {self.n_frames}")
         if self.embedding_dim < 2:
             raise ValueError(f"embedding_dim must be >= 2, got {self.embedding_dim}")
-        if self.motion_model != MOTION_MODEL:
-            raise ValueError(f"unknown motion_model {self.motion_model!r}")
         if self.drift_rate < 0 or self.noise_sigma < 0:
             raise ValueError("drift_rate and noise_sigma must be >= 0")
         for name, value in (
@@ -193,18 +188,8 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
             for i in range(n)
         ]
 
-        overlaps: List[float] = []
-        occluders: List[int] = []
-        for i in range(n):
-            best, who = 0.0, -1
-            for j in range(n):
-                if j == i:
-                    continue
-                v = iou(boxes[i], boxes[j])
-                if v > best:
-                    best, who = v, j
-            overlaps.append(best)
-            occluders.append(who)
+        best, who = max_iou_vs_others(boxes_to_corners(boxes))
+        overlaps, occluders = best.tolist(), who.tolist()
 
         dets: List[Detection] = []
         for i in range(n):

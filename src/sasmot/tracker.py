@@ -10,14 +10,13 @@ unmatched tracks coast with frozen memory until they exceed ``max_misses``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import Box2D, iou, max_iou_vs_others
+from .geometry import Box2D, boxes_to_corners, iou_matrix, max_iou_vs_others
 from .memory import MemoryConfig, MemoryPolicy, TrackMemory
 
 __all__ = [
@@ -52,6 +51,8 @@ class Detection:
             raise ValueError(f"embedding must be 1-D, got shape {self.embedding.shape}")
         if not np.all(np.isfinite(self.embedding)):
             raise ValueError("embedding contains non-finite values")
+        if not np.any(self.embedding):
+            raise ValueError("embedding is all zeros")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
 
@@ -88,14 +89,13 @@ class TrackerConfig:
 
 @dataclass(eq=False)
 class TrackState:
-    """A live track: identity, fused query, memory, last box, lifecycle counters."""
+    """A live track: identity, fused query, memory, last box, miss counter."""
 
     track_id: int
     query: np.ndarray
     memory: TrackMemory
     last_box: Box2D
     misses: int = 0
-    age: int = 1
 
 
 @dataclass(eq=False)
@@ -106,33 +106,40 @@ class FrameResult:
     tracks: List[Tuple[int, Box2D]]
 
 
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - cos(a, b), in [0, 2]. Zero-norm inputs signal corrupt embeddings."""
+def cosine_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise 1 - cos for the rows of (T, D) ``a`` and (N, D) ``b``; (T, N) in [0, 2].
+
+    A zero-norm row has no direction; detections reject one at ingest, but
+    a fused track query can still cancel out to zero.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = math.sqrt(float(np.dot(a, a)))
-    nb = math.sqrt(float(np.dot(b, b)))
-    if na == 0.0 or nb == 0.0:
+    na = np.sqrt(np.einsum("ij,ij->i", a, a))
+    nb = np.sqrt(np.einsum("ij,ij->i", b, b))
+    if not (np.all(na > 0.0) and np.all(nb > 0.0)):
         raise ValueError("zero-norm embedding in cosine_distance")
-    d = 1.0 - float(np.dot(a, b)) / (na * nb)
-    return min(2.0, max(0.0, d))
+    return np.clip(1.0 - (a @ b.T) / np.outer(na, nb), 0.0, 2.0)
 
 
 def build_cost_matrix(
     tracks: Sequence[TrackState], dets: Sequence[Detection], cfg: TrackerConfig
 ) -> np.ndarray:
     """Blended appearance/spatial cost, with gated-out pairs set to FORBIDDEN_COST."""
+    if not tracks or not dets:
+        return np.zeros((len(tracks), len(dets)), dtype=float)
     lam = cfg.cost_blend
-    cost = np.zeros((len(tracks), len(dets)), dtype=float)
-    for ti, track in enumerate(tracks):
-        for di, det in enumerate(dets):
-            ov = iou(track.last_box, det.box)
-            c = lam * cosine_distance(track.query, det.embedding) / 2.0 + (1.0 - lam) * (1.0 - ov)
-            if (cfg.iou_gate > 0.0 and ov < cfg.iou_gate) or c > cfg.match_threshold:
-                c = FORBIDDEN_COST
-            cost[ti, di] = c
+    appearance = cosine_distance(
+        np.stack([t.query for t in tracks]), np.stack([d.embedding for d in dets])
+    )
+    ov = iou_matrix(
+        boxes_to_corners([t.last_box for t in tracks]), boxes_to_corners([d.box for d in dets])
+    )
+    cost = lam * appearance / 2.0 + (1.0 - lam) * (1.0 - ov)
+    # IoU is never below 0, so a disabled gate (0.0) forbids nothing.
+    forbidden = (ov < cfg.iou_gate) | (cost > cfg.match_threshold)
+    cost[forbidden] = FORBIDDEN_COST
     return cost
 
 
@@ -174,14 +181,11 @@ class Tracker:
         self._last_frame = frame_idx
 
         dets = [d for d in detections if d.score >= self.cfg.min_score]
-        for track in self.tracks:
-            track.age += 1
 
         cost = build_cost_matrix(self.tracks, dets, self.cfg)
         pairs = hungarian_assign(cost)
 
-        det_boxes = [d.box for d in dets]
-        overlaps = [max_iou_vs_others(i, det_boxes) for i in range(len(dets))]
+        overlaps = max_iou_vs_others(boxes_to_corners([d.box for d in dets]))[0].tolist()
 
         emitted: List[Tuple[int, Box2D]] = []
         matched_tracks = set()

@@ -65,7 +65,7 @@ def test_criterion_1_equations_and_storage_choice_oracle():
         t0 = time.perf_counter()
 
         # Accumulated displacement is the summed center-to-center distance.
-        mem = TrackMemory(MemoryConfig(epsilon=math.inf, embedding_dim=2), MemoryPolicy.SPARSE)
+        mem = TrackMemory(MemoryConfig(epsilon=math.inf), MemoryPolicy.SPARSE)
         points = [(0.10, 0.20), (0.15, 0.26), (0.40, 0.10), (0.42, 0.12)]
         for frame, (x, y) in enumerate(points):
             mem.observe(_box(x, y), np.array([1.0, 0.0]), 0.0, frame)
@@ -76,7 +76,7 @@ def test_criterion_1_equations_and_storage_choice_oracle():
         assert mem.accumulator == pytest.approx(expected, abs=1e-12)
 
         # Fusion: alpha=1 keeps the current embedding untouched.
-        mem = TrackMemory(MemoryConfig(epsilon=0.01, alpha=1.0, embedding_dim=2))
+        mem = TrackMemory(MemoryConfig(epsilon=0.01, alpha=1.0))
         mem.observe(_box(0.1, 0.5), np.array([1.0, 0.0]), 0.0, 0)
         mem.observe(_box(0.3, 0.5), np.array([0.0, 1.0]), 0.0, 1)
         assert len(mem.entries) == 1
@@ -84,19 +84,19 @@ def test_criterion_1_equations_and_storage_choice_oracle():
         assert np.array_equal(mem.fused_query(cur), cur)
 
         # Fusion: empty memory is the identity for any alpha.
-        empty = TrackMemory(MemoryConfig(embedding_dim=2))
+        empty = TrackMemory(MemoryConfig())
         assert np.array_equal(empty.fused_query(cur), cur)
 
         # Fusion: a memory holding exactly the current embedding is a fixed
         # point at alpha=0.5 (both halves are exact binary fractions).
         v = np.array([0.375, -2.0])
-        mem = TrackMemory(MemoryConfig(epsilon=0.01, alpha=0.5, embedding_dim=2))
+        mem = TrackMemory(MemoryConfig(epsilon=0.01, alpha=0.5))
         mem.observe(_box(0.1, 0.5), v, 0.0, 0)
         mem.observe(_box(0.3, 0.5), v, 0.0, 1)
         assert np.array_equal(mem.fused_query(v), v)
 
         # Fusion: analytic two-entry case at alpha=0.5.
-        mem = TrackMemory(MemoryConfig(epsilon=0.01, alpha=0.5, embedding_dim=2))
+        mem = TrackMemory(MemoryConfig(epsilon=0.01, alpha=0.5))
         mem.observe(_box(0.1, 0.5), np.array([1.0, 0.0]), 0.0, 0)
         mem.observe(_box(0.3, 0.5), np.array([1.0, 0.0]), 0.0, 1)
         mem.observe(_box(0.5, 0.5), np.array([0.0, 1.0]), 0.0, 2)
@@ -115,14 +115,14 @@ def test_criterion_1_equations_and_storage_choice_oracle():
 def test_criterion_2_accumulation_semantics():
     with _verdict(2, "motion-gated commit semantics"):
         # A stationary object never commits, no matter how long it sits.
-        mem = TrackMemory(MemoryConfig(embedding_dim=2), MemoryPolicy.SPARSE)
+        mem = TrackMemory(MemoryConfig(), MemoryPolicy.SPARSE)
         for frame in range(200):
             stored = mem.observe(_box(0.4, 0.6), np.array([1.0, 0.0]), 0.0, frame)
             assert not stored
         assert len(mem.entries) == 0
 
         # Steps of 0.04 against a 0.1 gate: 0.12 of travel at frame 3.
-        mem = TrackMemory(MemoryConfig(epsilon=0.1, embedding_dim=2), MemoryPolicy.SPARSE)
+        mem = TrackMemory(MemoryConfig(epsilon=0.1), MemoryPolicy.SPARSE)
         commits = [
             frame
             for frame in range(6)
@@ -141,14 +141,8 @@ def test_criterion_2_accumulation_semantics():
                 ScenarioConfig(n_objects=6, n_frames=n_frames, speed=speed, seed=seed)
             )
             for obj in range(scenario.config.n_objects):
-                sparse = TrackMemory(
-                    MemoryConfig(epsilon=0.1, embedding_dim=scenario.config.embedding_dim),
-                    MemoryPolicy.SPARSE,
-                )
-                dense = TrackMemory(
-                    MemoryConfig(epsilon=0.1, embedding_dim=scenario.config.embedding_dim),
-                    MemoryPolicy.DENSE,
-                )
+                sparse = TrackMemory(MemoryConfig(epsilon=0.1), MemoryPolicy.SPARSE)
+                dense = TrackMemory(MemoryConfig(epsilon=0.1), MemoryPolicy.DENSE)
                 n_sparse = n_dense = 0
                 for frame, entries in enumerate(scenario.gt):
                     box = entries[obj][1]

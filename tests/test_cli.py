@@ -112,6 +112,46 @@ def test_missing_input_file_exits_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _track(run: Path) -> int:
+    return main([
+        "track",
+        "--det", str(run / "det.txt"),
+        "--emb", str(run / "embeddings.csv"),
+        "--out", str(run / "pred.txt"),
+    ])
+
+
+def test_track_reads_embedding_size_from_sidecar(tmp_path):
+    run = tmp_path / "run"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario.embedding_dim = 32\n")
+    _simulate(run, n_objects=3, n_frames=20, seed=2, config=cfg)
+    assert len((run / "embeddings.csv").read_text().splitlines()[0].split(",")) == 2 + 32
+    assert _track(run) == 0
+    assert (run / "pred.txt").read_text().count("\n") > 1
+
+
+def test_track_rejects_zero_norm_sidecar_row_with_its_line(tmp_path, capsys):
+    run = tmp_path / "run"
+    _simulate(run, n_objects=3, n_frames=10, seed=2)
+    lines = (run / "embeddings.csv").read_text().splitlines()
+    frame, det_index, *values = lines[4].split(",")
+    lines[4] = ",".join([frame, det_index] + ["0"] * len(values))
+    (run / "embeddings.csv").write_text("\n".join(lines) + "\n")
+    assert _track(run) == 1
+    assert "embeddings.csv: line 5: zero-norm embedding" in capsys.readouterr().err
+
+
+def test_track_rejects_sidecar_row_without_detection(tmp_path, capsys):
+    run = tmp_path / "run"
+    _simulate(run, n_objects=3, n_frames=10, seed=2)
+    first = (run / "embeddings.csv").read_text().splitlines()[0]
+    with open(run / "embeddings.csv", "a") as fh:
+        fh.write("999,0," + first.split(",", 2)[2] + "\n")
+    assert _track(run) == 1
+    assert "frame 999 detection 0 matches no detection" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("bogus_knob = 3\n")

@@ -8,10 +8,7 @@ from hypothesis import given, strategies as st
 
 from sasmot.geometry import (
     Box2D,
-    Point2D,
     boxes_to_corners,
-    center,
-    euclidean_distance,
     iou,
     iou_matrix,
     max_iou_vs_others,
@@ -85,20 +82,6 @@ def test_self_iou_is_one(b):
     assert iou(b, b) == 1.0
 
 
-def test_center_and_distance():
-    b = Box2D(0.25, 0.75, 0.1, 0.1)
-    assert center(b) == Point2D(0.25, 0.75)
-    assert euclidean_distance(Point2D(0.0, 0.0), Point2D(3.0, 4.0)) == 5.0
-
-
-@given(finite, finite, finite, finite, finite, finite)
-def test_distance_triangle_inequality(ax, ay, bx, by, cx, cy):
-    a, b, c = Point2D(ax, ay), Point2D(bx, by), Point2D(cx, cy)
-    assert euclidean_distance(a, c) <= (
-        euclidean_distance(a, b) + euclidean_distance(b, c) + 1e-9
-    )
-
-
 @given(st.lists(boxes(), min_size=1, max_size=6), st.lists(boxes(), min_size=1, max_size=6))
 def test_iou_matrix_matches_scalar(lhs, rhs):
     mat = iou_matrix(boxes_to_corners(lhs), boxes_to_corners(rhs))
@@ -116,7 +99,10 @@ def test_iou_matrix_empty_sides():
 
 
 def test_max_iou_vs_others_singleton_is_zero():
-    assert max_iou_vs_others(0, [Box2D(0, 0, 1, 1)]) == 0.0
+    best, who = max_iou_vs_others(boxes_to_corners([Box2D(0, 0, 1, 1)]))
+    assert best.tolist() == [0.0] and who.tolist() == [-1]
+    best, who = max_iou_vs_others(boxes_to_corners([]))
+    assert best.shape == who.shape == (0,)
 
 
 def test_max_iou_vs_others_picks_largest_overlap():
@@ -126,13 +112,33 @@ def test_max_iou_vs_others_picks_largest_overlap():
         Box2D(0.9, 0.0, 1.0, 1.0),  # iou 1/19 with first
         Box2D(5.0, 5.0, 1.0, 1.0),  # disjoint
     ]
-    assert math.isclose(max_iou_vs_others(0, group), 1.0 / 3.0, abs_tol=1e-12)
-    assert max_iou_vs_others(3, group) == 0.0
+    best, who = max_iou_vs_others(boxes_to_corners(group))
+    assert math.isclose(best[0], 1.0 / 3.0, abs_tol=1e-12)
+    assert who.tolist() == [1, 2, 1, -1]
+    assert best[3] == 0.0
 
 
-def test_max_iou_vs_others_rejects_bad_index():
-    with pytest.raises(IndexError):
-        max_iou_vs_others(2, [Box2D(0, 0, 1, 1)])
+# Centers on a coarse grid with a few sizes, so equal overlaps (ties) and
+# disjoint boxes come up often.
+grid_boxes = st.builds(
+    Box2D,
+    cx=st.integers(0, 6).map(lambda k: k / 4),
+    cy=st.integers(0, 2).map(lambda k: k / 4),
+    w=st.sampled_from([0.5, 1.0]),
+    h=st.sampled_from([0.5, 1.0]),
+)
+
+
+@given(st.lists(st.one_of(grid_boxes, boxes()), max_size=8))
+def test_max_iou_vs_others_matches_scalar_scan(group):
+    best, who = max_iou_vs_others(boxes_to_corners(group))
+    for i, a in enumerate(group):
+        want, want_who = 0.0, -1
+        for j, b in enumerate(group):
+            if j != i and iou(a, b) > want:  # strict: the first index wins ties
+                want, want_who = iou(a, b), j
+        assert best[i] == want
+        assert who[i] == want_who
 
 
 def test_box_validation():

@@ -31,7 +31,7 @@ def _walk(memory, positions, dim=4, overlaps=None, start_frame=0):
 
 
 def test_stationary_object_never_commits():
-    mem = TrackMemory(MemoryConfig(epsilon=0.1, embedding_dim=4), MemoryPolicy.SPARSE)
+    mem = TrackMemory(MemoryConfig(epsilon=0.1), MemoryPolicy.SPARSE)
     commits = _walk(mem, [(0.5, 0.5)] * 200)
     assert commits == []
     assert len(mem.entries) == 0
@@ -41,14 +41,14 @@ def test_first_commit_at_frame_three_for_crossing_threshold():
     # First observation at frame 0 seeds the center; 0.04 per frame after
     # that gives accumulated distance 0.04, 0.08, 0.12 at frames 1..3 and
     # 0.12 > 0.1 is the first strict crossing.
-    mem = TrackMemory(MemoryConfig(epsilon=0.1, embedding_dim=4), MemoryPolicy.SPARSE)
+    mem = TrackMemory(MemoryConfig(epsilon=0.1), MemoryPolicy.SPARSE)
     positions = [(0.1 + 0.04 * i, 0.5) for i in range(6)]
     commits = _walk(mem, positions)
     assert commits[0] == 3
 
 
 def test_accumulator_resets_after_commit():
-    mem = TrackMemory(MemoryConfig(epsilon=0.1, embedding_dim=4), MemoryPolicy.SPARSE)
+    mem = TrackMemory(MemoryConfig(epsilon=0.1), MemoryPolicy.SPARSE)
     positions = [(0.1 + 0.04 * i, 0.5) for i in range(12)]
     commits = _walk(mem, positions)
     # After the frame-3 commit the accumulator restarts from zero, so the
@@ -57,7 +57,7 @@ def test_accumulator_resets_after_commit():
 
 
 def test_exact_threshold_does_not_commit():
-    mem = TrackMemory(MemoryConfig(epsilon=0.1, embedding_dim=4), MemoryPolicy.SPARSE)
+    mem = TrackMemory(MemoryConfig(epsilon=0.1), MemoryPolicy.SPARSE)
     commits = _walk(mem, [(0.1, 0.5), (0.15, 0.5), (0.2, 0.5)])
     assert commits == []
     assert mem.accumulator == pytest.approx(0.1)
@@ -65,14 +65,14 @@ def test_exact_threshold_does_not_commit():
 
 def test_infinite_epsilon_never_commits():
     mem = TrackMemory(
-        MemoryConfig(epsilon=float("inf"), embedding_dim=4), MemoryPolicy.SPARSE
+        MemoryConfig(epsilon=float("inf")), MemoryPolicy.SPARSE
     )
     positions = [(0.01 * i, 0.5) for i in range(80)]
     assert _walk(mem, positions) == []
 
 
 def test_none_policy_stores_nothing():
-    mem = TrackMemory(MemoryConfig(embedding_dim=4), MemoryPolicy.NONE)
+    mem = TrackMemory(MemoryConfig(), MemoryPolicy.NONE)
     _walk(mem, [(0.1 * i, 0.5) for i in range(9)])
     assert len(mem.entries) == 0
     cur = _emb(4, 5.0)
@@ -80,7 +80,7 @@ def test_none_policy_stores_nothing():
 
 
 def test_dense_commits_every_frame_including_birth():
-    mem = TrackMemory(MemoryConfig(embedding_dim=4, m_max=100), MemoryPolicy.DENSE)
+    mem = TrackMemory(MemoryConfig(m_max=100), MemoryPolicy.DENSE)
     commits = _walk(mem, [(0.5, 0.5)] * 7)
     assert commits == [0, 1, 2, 3, 4, 5, 6]
     assert len(mem.entries) == 7
@@ -90,7 +90,7 @@ def test_ofs_stores_minimum_overlap_frame_in_window():
     # Steps of 0.04 put the strict threshold crossing at frame 8, but the
     # frame-7 snapshot (overlap 0.1) is the cleanest in the window and
     # must be the one stored.
-    mem = TrackMemory(MemoryConfig(epsilon=0.1, embedding_dim=4), MemoryPolicy.SPARSE_OFS)
+    mem = TrackMemory(MemoryConfig(epsilon=0.1), MemoryPolicy.SPARSE_OFS)
     mem.observe(_box(0.10, 0.5), _emb(4, 1.0), 0.3, 5)
     mem.observe(_box(0.14, 0.5), _emb(4, 2.0), 0.2, 6)
     mem.observe(_box(0.18, 0.5), _emb(4, 3.0), 0.1, 7)
@@ -103,7 +103,7 @@ def test_ofs_stores_minimum_overlap_frame_in_window():
 
 
 def test_ofs_tie_keeps_earlier_frame():
-    mem = TrackMemory(MemoryConfig(epsilon=0.1, embedding_dim=4), MemoryPolicy.SPARSE_OFS)
+    mem = TrackMemory(MemoryConfig(epsilon=0.1), MemoryPolicy.SPARSE_OFS)
     mem.observe(_box(0.10, 0.5), _emb(4, 1.0), 0.0, 0)
     mem.observe(_box(0.18, 0.5), _emb(4, 2.0), 0.0, 1)
     committed = mem.observe(_box(0.26, 0.5), _emb(4, 3.0), 0.0, 2)
@@ -112,7 +112,7 @@ def test_ofs_tie_keeps_earlier_frame():
 
 
 def test_plain_sparse_stores_commit_frame():
-    mem = TrackMemory(MemoryConfig(epsilon=0.1, embedding_dim=4), MemoryPolicy.SPARSE)
+    mem = TrackMemory(MemoryConfig(epsilon=0.1), MemoryPolicy.SPARSE)
     mem.observe(_box(0.10, 0.5), _emb(4, 1.0), 0.0, 0)
     mem.observe(_box(0.18, 0.5), _emb(4, 2.0), 0.9, 1)
     committed = mem.observe(_box(0.26, 0.5), _emb(4, 3.0), 0.7, 2)
@@ -122,7 +122,7 @@ def test_plain_sparse_stores_commit_frame():
 
 
 def test_delaying_waits_for_low_overlap():
-    cfg = MemoryConfig(epsilon=0.1, embedding_dim=4, delay_overlap_threshold=0.2)
+    cfg = MemoryConfig(epsilon=0.1, delay_overlap_threshold=0.2)
     mem = TrackMemory(cfg, MemoryPolicy.DELAYING)
     mem.observe(_box(0.10, 0.5), _emb(4, 1.0), 0.0, 0)
     # Threshold crossed here, but the object is still overlapped.
@@ -134,7 +134,7 @@ def test_delaying_waits_for_low_overlap():
 
 
 def test_capacity_evicts_oldest():
-    cfg = MemoryConfig(epsilon=0.05, m_max=3, embedding_dim=4)
+    cfg = MemoryConfig(epsilon=0.05, m_max=3)
     mem = TrackMemory(cfg, MemoryPolicy.SPARSE)
     commits = _walk(mem, [(0.06 * i, 0.5) for i in range(12)])
     assert len(commits) > 3
@@ -144,7 +144,7 @@ def test_capacity_evicts_oldest():
 
 
 def test_fused_query_analytic_half_alpha():
-    cfg = MemoryConfig(epsilon=0.01, m_max=10, alpha=0.5, embedding_dim=2)
+    cfg = MemoryConfig(epsilon=0.01, m_max=10, alpha=0.5)
     mem = TrackMemory(cfg, MemoryPolicy.SPARSE)
     mem.observe(_box(0.1, 0.5), np.array([0.0, 2.0]), 0.0, 0)
     mem.observe(_box(0.2, 0.5), np.array([0.0, 2.0]), 0.0, 1)  # commits (0, 2)
@@ -155,7 +155,7 @@ def test_fused_query_analytic_half_alpha():
 
 
 def test_fused_query_alpha_one_is_identity():
-    cfg = MemoryConfig(epsilon=0.01, alpha=1.0, embedding_dim=3)
+    cfg = MemoryConfig(epsilon=0.01, alpha=1.0)
     mem = TrackMemory(cfg, MemoryPolicy.SPARSE)
     _walk(mem, [(0.05 * i, 0.5) for i in range(10)], dim=3)
     assert len(mem.entries) > 0
@@ -164,7 +164,7 @@ def test_fused_query_alpha_one_is_identity():
 
 
 def test_fused_query_empty_memory_is_identity_exactly():
-    mem = TrackMemory(MemoryConfig(embedding_dim=3), MemoryPolicy.SPARSE)
+    mem = TrackMemory(MemoryConfig(), MemoryPolicy.SPARSE)
     cur = np.array([0.3, -0.4, 0.5])
     out = mem.fused_query(cur)
     assert np.array_equal(out, cur)
@@ -172,7 +172,7 @@ def test_fused_query_empty_memory_is_identity_exactly():
 
 def test_fused_query_fixed_point():
     # If every stored entry equals the current embedding, fusion returns it.
-    cfg = MemoryConfig(epsilon=0.01, alpha=0.5, embedding_dim=3)
+    cfg = MemoryConfig(epsilon=0.01, alpha=0.5)
     mem = TrackMemory(cfg, MemoryPolicy.SPARSE)
     e = np.array([0.6, 0.0, 0.8])
     for i in range(6):
@@ -190,7 +190,7 @@ def test_fused_query_order_invariance(seed):
     cur = np.array([rng.gauss() for _ in range(dim)])
 
     def fuse(order):
-        cfg = MemoryConfig(epsilon=0.01, m_max=10, embedding_dim=dim)
+        cfg = MemoryConfig(epsilon=0.01, m_max=10)
         mem = TrackMemory(cfg, MemoryPolicy.SPARSE)
         mem.observe(_box(0.0, 0.5), np.zeros(dim), 0.0, 0)
         for i, e in enumerate(order):
@@ -207,7 +207,7 @@ def ofs_oracle_stream(seed, n_frames=60):
     """Drive one random stream and check every commit against a brute-force
     argmin over the frames observed since the previous commit."""
     rng = SplitMix64(seed)
-    cfg = MemoryConfig(epsilon=0.1, m_max=8, embedding_dim=3)
+    cfg = MemoryConfig(epsilon=0.1, m_max=8)
     mem = TrackMemory(cfg, MemoryPolicy.SPARSE_OFS)
     x = 0.5
     window = []
@@ -240,8 +240,8 @@ def test_sparse_commits_at_most_dense(seed):
         x += (rng.uniform() - 0.5) * 0.08
         y += (rng.uniform() - 0.5) * 0.08
         positions.append((x, y))
-    sparse = TrackMemory(MemoryConfig(embedding_dim=4, m_max=1000), MemoryPolicy.SPARSE)
-    dense = TrackMemory(MemoryConfig(embedding_dim=4, m_max=1000), MemoryPolicy.DENSE)
+    sparse = TrackMemory(MemoryConfig(m_max=1000), MemoryPolicy.SPARSE)
+    dense = TrackMemory(MemoryConfig(m_max=1000), MemoryPolicy.DENSE)
     ns = len(_walk(sparse, positions))
     nd = len(_walk(dense, positions))
     assert ns < nd
@@ -250,7 +250,7 @@ def test_sparse_commits_at_most_dense(seed):
 
 
 def test_dump_lines_format():
-    cfg = MemoryConfig(epsilon=0.01, embedding_dim=2)
+    cfg = MemoryConfig(epsilon=0.01)
     mem = TrackMemory(cfg, MemoryPolicy.SPARSE)
     mem.observe(_box(0.1, 0.5), np.array([1.0, 2.0]), 0.0, 0)
     mem.observe(_box(0.2, 0.5), np.array([0.5, -1.5]), 0.25, 1)
@@ -259,7 +259,7 @@ def test_dump_lines_format():
 
 
 def test_observe_validation():
-    mem = TrackMemory(MemoryConfig(embedding_dim=4), MemoryPolicy.SPARSE)
+    mem = TrackMemory(MemoryConfig(), MemoryPolicy.SPARSE)
     mem.observe(_box(0.1, 0.5), _emb(4), 0.0, 3)
     with pytest.raises(ValueError):
         mem.observe(_box(0.1, 0.5), _emb(3), 0.0, 4)  # wrong dim
@@ -270,7 +270,7 @@ def test_observe_validation():
 
 
 def test_commit_store_requires_candidate():
-    mem = TrackMemory(MemoryConfig(embedding_dim=4), MemoryPolicy.SPARSE)
+    mem = TrackMemory(MemoryConfig(), MemoryPolicy.SPARSE)
     with pytest.raises(ValueError):
         mem.commit_store()
 
@@ -284,5 +284,3 @@ def test_config_validation():
         MemoryConfig(m_max=0)
     with pytest.raises(ValueError):
         MemoryConfig(alpha=1.5)
-    with pytest.raises(ValueError):
-        MemoryConfig(embedding_dim=0)

@@ -132,7 +132,8 @@ def test_scenario_files_round_trip(tmp_path):
     gt_path, det_path, emb_path = write_scenario(scenario, tmp_path, (1920, 1080))
     assert gt_path.exists() and det_path.exists() and emb_path.exists()
 
-    frames = detections_from_files(det_path, emb_path)
+    frames, image_size = detections_from_files(det_path, emb_path)
+    assert image_size == (1920, 1080)
     assert len(frames) == sum(1 for d in scenario.detections if d) or len(frames) >= 1
     # Every written detection comes back with its embedding attached.
     total_in = sum(len(d) for d in scenario.detections)
@@ -165,6 +166,9 @@ def test_embeddings_sidecar_errors(tmp_path):
     path.write_text("1,0,0.5,0.5\n1,0,0.1,0.2\n")
     with pytest.raises(ValueError, match="duplicate"):
         read_embeddings_csv(path)
+    path.write_text("1,0,0.5,0.5\n1,1,0,0.0\n")
+    with pytest.raises(ValueError, match="emb.csv: line 2: zero-norm"):
+        read_embeddings_csv(path)
 
 
 def test_missing_embedding_for_detection(tmp_path):
@@ -173,6 +177,15 @@ def test_missing_embedding_for_detection(tmp_path):
     lines = emb_path.read_text().splitlines()
     emb_path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ValueError, match="missing embedding"):
+        detections_from_files(det_path, emb_path)
+
+
+def test_sidecar_row_without_detection(tmp_path):
+    scenario = generate_scenario(ScenarioConfig(n_objects=2, n_frames=3, seed=2))
+    _, det_path, emb_path = write_scenario(scenario, tmp_path, (100, 100))
+    with open(emb_path, "a") as fh:
+        fh.write("2,7,0.5,0.5" + ",0" * (scenario.config.embedding_dim - 2) + "\n")
+    with pytest.raises(ValueError, match="frame 2 detection 7 matches no detection"):
         detections_from_files(det_path, emb_path)
 
 

@@ -176,5 +176,3 @@ def test_config_validation():
         ScenarioConfig(size_min=0.3, size_max=0.2)
     with pytest.raises(ValueError):
         ScenarioConfig(speed=0.0)
-    with pytest.raises(ValueError):
-        ScenarioConfig(motion_model="brownian")

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sasmot.geometry import Box2D, iou
-from sasmot.memory import MemoryConfig, MemoryPolicy
+from sasmot.memory import MemoryConfig, MemoryPolicy, TrackMemory
 from sasmot.rng import SplitMix64
 from sasmot.simulator import ScenarioConfig, generate_scenario
 from sasmot.tracker import (
@@ -15,6 +16,7 @@ from sasmot.tracker import (
     Detection,
     Tracker,
     TrackerConfig,
+    TrackState,
     build_cost_matrix,
     cosine_distance,
     hungarian_assign,
@@ -30,32 +32,84 @@ E2 = [0.0, 1.0, 0.0]
 E3 = [0.0, 0.0, 1.0]
 
 
-def _cfg3(**kw):
-    """Tracker config sized for the 3-dim test embeddings."""
-    kw.setdefault("memory", MemoryConfig(embedding_dim=3))
-    return TrackerConfig(**kw)
-
-
 def test_cosine_distance_analytic():
-    assert cosine_distance([1, 0], [1, 0]) == 0.0
-    assert cosine_distance([1, 0], [0, 1]) == 1.0
-    assert cosine_distance([1, 0], [-1, 0]) == 2.0
-    assert cosine_distance([2, 0], [5, 0]) == 0.0  # scale invariant
-    d = cosine_distance([1.0, 0.0], [1.0, 1.0])
-    assert math.isclose(d, 1.0 - math.sqrt(0.5), rel_tol=1e-12)
+    d = cosine_distance([[1, 0], [2, 0]], [[1, 0], [0, 1], [-1, 0], [5, 0], [1, 1]])
+    assert d.shape == (2, 5)
+    for row in d:  # the second row checks scale invariance
+        assert row[:4].tolist() == [0.0, 1.0, 2.0, 0.0]
+        assert math.isclose(row[4], 1.0 - math.sqrt(0.5), rel_tol=1e-12)
 
 
 def test_cosine_distance_rejects_zero_norm_and_mismatch():
     with pytest.raises(ValueError):
-        cosine_distance([0.0, 0.0], [1.0, 0.0])
+        cosine_distance([[0.0, 0.0]], [[1.0, 0.0]])
     with pytest.raises(ValueError):
-        cosine_distance([1.0, 0.0], [1.0, 0.0, 0.0])
+        cosine_distance([[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError):
+        cosine_distance([[1.0, 0.0]], [[1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError):
+        cosine_distance([1.0, 0.0], [1.0, 0.0])  # rows, not single vectors
+
+
+def _scalar_cosine(a, b):
+    na = math.sqrt(float(np.dot(a, a)))
+    nb = math.sqrt(float(np.dot(b, b)))
+    return min(2.0, max(0.0, 1.0 - float(np.dot(a, b)) / (na * nb)))
+
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+embeddings = st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=3, max_size=3).filter(
+    lambda e: np.linalg.norm(e) > 1e-3
+)
+# Centres in the middle half of the image, so boxes overlap about as often
+# as not and the IoU gate has cells on both sides.
+middle = st.floats(min_value=0.25, max_value=0.75)
+track_or_det = st.tuples(
+    embeddings,
+    st.builds(Box2D, cx=middle, cy=middle, w=st.floats(0.05, 0.5), h=st.floats(0.05, 0.5)),
+)
+
+
+@given(
+    st.lists(track_or_det, min_size=1, max_size=5),
+    st.lists(track_or_det, min_size=1, max_size=5),
+    unit,
+    unit,
+    st.one_of(st.just(0.0), unit),
+)
+def test_cost_matrix_matches_scalar_blend(tracks, dets, blend, threshold, gate):
+    cfg = TrackerConfig(cost_blend=blend, match_threshold=threshold, iou_gate=gate)
+    states = [
+        TrackState(k, np.array(e), TrackMemory(cfg.memory), box)
+        for k, (e, box) in enumerate(tracks)
+    ]
+    detections = [Detection(box, np.array(e), 1.0) for e, box in dets]
+    cost = build_cost_matrix(states, detections, cfg)
+    assert cost.shape == (len(tracks), len(dets))
+    for i, (q, tbox) in enumerate(tracks):
+        for j, (e, dbox) in enumerate(dets):
+            ov = iou(tbox, dbox)
+            want = blend * _scalar_cosine(q, e) / 2.0 + (1.0 - blend) * (1.0 - ov)
+            if abs(want - threshold) <= 1e-12:
+                continue  # a last-digit difference may fall on either side
+            if (gate > 0.0 and ov < gate) or want > threshold:
+                assert cost[i, j] == FORBIDDEN_COST
+            else:
+                assert abs(cost[i, j] - want) <= 1e-12
+
+
+def test_cost_matrix_rejects_embedding_size_mismatch():
+    tracker = Tracker()
+    tracker.step([_det(0.5, 0.5, E1)], 1)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        build_cost_matrix(tracker.tracks, [_det(0.5, 0.5, [1.0, 0.0])], tracker.cfg)
+    assert build_cost_matrix([], [_det(0.5, 0.5, [1.0, 0.0])], tracker.cfg).shape == (0, 1)
 
 
 def test_cost_blend_formula():
     # Same box (IoU 1) with a 45-degree appearance angle isolates the
     # appearance term: 0.7 * (1 - cos45) / 2.
-    tracker = Tracker(_cfg3())
+    tracker = Tracker(TrackerConfig())
     tracker.step([_det(0.5, 0.5, E1)], 1)
     track = tracker.tracks[0]
     det = _det(0.5, 0.5, [1.0, 1.0, 0.0])
@@ -66,7 +120,7 @@ def test_cost_blend_formula():
 
 def test_orthogonal_disjoint_pair_is_forbidden():
     # Appearance 0.7 * 1/2 = 0.35 plus spatial 0.3 * 1 = 0.65 > 0.4.
-    tracker = Tracker(_cfg3())
+    tracker = Tracker(TrackerConfig())
     tracker.step([_det(0.1, 0.1, E1)], 1)
     det = _det(0.9, 0.9, E2)
     cost = build_cost_matrix(tracker.tracks, [det], tracker.cfg)
@@ -74,7 +128,7 @@ def test_orthogonal_disjoint_pair_is_forbidden():
 
 
 def test_iou_gate_forbids_non_overlapping():
-    cfg = _cfg3(iou_gate=0.5, match_threshold=2.0)
+    cfg = TrackerConfig(iou_gate=0.5, match_threshold=2.0)
     tracker = Tracker(cfg)
     tracker.step([_det(0.1, 0.1, E1)], 1)
     near = _det(0.11, 0.1, E1)  # IoU well above 0.5
@@ -121,7 +175,7 @@ def test_hungarian_empty_and_forbidden():
 
 
 def test_ids_stable_on_two_separated_objects():
-    tracker = Tracker(_cfg3())
+    tracker = Tracker(TrackerConfig())
     for frame in range(1, 8):
         x = 0.1 + 0.01 * frame
         result = tracker.step(
@@ -132,14 +186,14 @@ def test_ids_stable_on_two_separated_objects():
 
 
 def test_birth_query_is_detection_embedding():
-    tracker = Tracker(_cfg3())
+    tracker = Tracker(TrackerConfig())
     det = _det(0.5, 0.5, E1)
     tracker.step([det], 1)
     assert np.array_equal(tracker.tracks[0].query, det.embedding)
 
 
 def test_low_score_detections_are_ignored():
-    tracker = Tracker(_cfg3())
+    tracker = Tracker(TrackerConfig())
     result = tracker.step([_det(0.5, 0.5, E1, score=0.49)], 1)
     assert result.tracks == []
     assert tracker.tracks == []
@@ -148,7 +202,7 @@ def test_low_score_detections_are_ignored():
 
 
 def test_track_dies_after_max_misses():
-    cfg = _cfg3(max_misses=2)
+    cfg = TrackerConfig(max_misses=2)
     tracker = Tracker(cfg)
     tracker.step([_det(0.5, 0.5, E1)], 1)
     for frame in (2, 3):
@@ -163,7 +217,7 @@ def test_track_dies_after_max_misses():
 
 
 def test_coasting_track_rematches_by_appearance():
-    tracker = Tracker(_cfg3())
+    tracker = Tracker(TrackerConfig())
     tracker.step([_det(0.5, 0.5, E1)], 1)
     tracker.step([], 2)
     result = tracker.step([_det(0.52, 0.5, E1)], 3)
@@ -174,7 +228,7 @@ def test_coasting_track_rematches_by_appearance():
 def test_crossing_objects_keep_ids_via_appearance():
     # Two objects swap x positions; boxes coincide mid-crossing, so only
     # appearance can keep the identities straight.
-    tracker = Tracker(_cfg3())
+    tracker = Tracker(TrackerConfig())
     n = 11
     for frame in range(1, n + 1):
         t = (frame - 1) / (n - 1)
@@ -188,7 +242,7 @@ def test_crossing_objects_keep_ids_via_appearance():
 
 
 def test_antiparallel_embedding_spawns_new_track():
-    tracker = Tracker(_cfg3())
+    tracker = Tracker(TrackerConfig())
     tracker.step([_det(0.5, 0.5, E1)], 1)
     # Same spot, opposite appearance: cost 0.7 > threshold, no match.
     result = tracker.step([_det(0.5, 0.5, [-1.0, 0.0, 0.0])], 2)
@@ -198,8 +252,7 @@ def test_antiparallel_embedding_spawns_new_track():
 def test_overlap_recorded_from_other_detections():
     # Two overlapping detections in one frame; under the dense policy the
     # birth commit records each one's IoU against the other.
-    cfg = TrackerConfig(memory=MemoryConfig(embedding_dim=3))
-    tracker = Tracker(cfg, policy=MemoryPolicy.DENSE)
+    tracker = Tracker(TrackerConfig(), policy=MemoryPolicy.DENSE)
     a = _det(0.0, 0.0, E1, w=1.0, h=1.0)
     b = _det(0.5, 0.0, E2, w=1.0, h=1.0)
     tracker.step([a, b], 1)
@@ -209,7 +262,7 @@ def test_overlap_recorded_from_other_detections():
 
 
 def test_frame_indices_must_increase():
-    tracker = Tracker(_cfg3())
+    tracker = Tracker(TrackerConfig())
     tracker.step([_det(0.5, 0.5, E1)], 1)
     with pytest.raises(ValueError):
         tracker.step([_det(0.5, 0.5, E1)], 1)
@@ -235,6 +288,34 @@ def test_memoryless_settings_reduce_to_no_memory_policy():
     assert baseline == reduced
 
 
+@given(
+    st.integers(1, 6),
+    st.integers(1, 40),
+    st.integers(0, 2**32),
+    st.sampled_from(list(MemoryPolicy)),
+    st.integers(0, 4),
+)
+@settings(max_examples=40, deadline=None)
+def test_tracker_invariants_on_simulated_scenes(n_objects, n_frames, seed, policy, max_misses):
+    scenario = generate_scenario(ScenarioConfig(n_objects=n_objects, n_frames=n_frames, seed=seed))
+    tracker = Tracker(TrackerConfig(max_misses=max_misses), policy=policy)
+    last_seen = {}  # id -> frame it was last emitted
+    for frame_idx, dets in enumerate(scenario.detections, start=1):
+        live_before = {t.track_id for t in tracker.tracks}
+        result = tracker.step(dets, frame_idx)
+        ids = [track_id for track_id, _ in result.tracks]
+        assert len(set(ids)) == len(ids)
+        inputs = {id(d.box) for d in dets}
+        assert all(id(box) in inputs for _, box in result.tracks)
+        for track_id in ids:
+            # An id is either carried by a live track or brand new.
+            assert track_id in live_before or track_id not in last_seen
+            last_seen[track_id] = frame_idx
+        for track in tracker.tracks:
+            assert track.misses <= max_misses
+            assert track.misses == frame_idx - last_seen[track.track_id]
+
+
 def test_tracker_is_deterministic():
     scenario = generate_scenario(ScenarioConfig(n_objects=4, n_frames=60, seed=5))
     a = _run(scenario, TrackerConfig(), MemoryPolicy.SPARSE_OFS)
@@ -255,3 +336,5 @@ def test_config_validation():
         Detection(Box2D(0, 0, 1, 1), np.array([1.0, float("nan")]), 1.0)
     with pytest.raises(ValueError):
         Detection(Box2D(0, 0, 1, 1), np.array([1.0, 0.0]), 1.5)
+    with pytest.raises(ValueError, match="all zeros"):
+        Detection(Box2D(0, 0, 1, 1), np.zeros(3), 1.0)
