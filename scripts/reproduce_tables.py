@@ -7,7 +7,7 @@ Produces, under the output directory:
 * design.md / design.csv       dense vs sparse vs delaying vs sparse+ofs
 * sweep.md / sweep.csv         one-at-a-time epsilon and capacity sweep
 
-Takes a few minutes single-threaded; set SASM_THREADS=4 to fan seeds out.
+Takes a few minutes; seeds run one after another.
 """
 
 import argparse

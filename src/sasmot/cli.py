@@ -11,7 +11,7 @@ Subcommands:
 
 Options may come from a flat ``key = value`` config file (``--config``);
 explicit flags always win over the file. All outputs are deterministic
-for a given configuration, including under ``SASM_THREADS`` parallelism.
+for a given configuration.
 """
 
 from __future__ import annotations

@@ -3,20 +3,15 @@
 Every experiment follows the same shape: generate one scenario per seed,
 run each memory policy on the *same* scenario, evaluate, and aggregate
 means across seeds. Sharing the scenario across policies makes the
-comparisons paired, which is what the sign test assumes.
-
-Parallelism is opt-in via the ``SASM_THREADS`` environment variable
-(default 1). Seeds fan out over a thread pool and results are collected
-in submission order, so output bytes do not depend on the thread count.
+comparisons paired, which is what the sign test assumes. Seeds run one
+after another, in the order given.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .memory import MemoryPolicy
 from .metrics import MetricsReport, SequencePair, evaluate
@@ -28,7 +23,6 @@ __all__ = [
     "MEMORY_GRID",
     "ABLATION_ROWS",
     "DESIGN_ROWS",
-    "thread_count",
     "track_scenario",
     "evaluate_tracking",
     "run_policy_suite",
@@ -61,16 +55,6 @@ DESIGN_ROWS: Tuple[Tuple[str, MemoryPolicy], ...] = (
 _METRIC_FIELDS = ("hota", "deta", "assa", "mota", "idf1")
 
 
-def thread_count() -> int:
-    """Worker count from SASM_THREADS; invalid or missing means 1."""
-    raw = os.environ.get("SASM_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 def track_scenario(
     scenario: Scenario,
     tracker_cfg: Optional[TrackerConfig] = None,
@@ -89,15 +73,6 @@ def evaluate_tracking(scenario: Scenario, results: Sequence[FrameResult]) -> Met
     return evaluate(SequencePair(gt=scenario.gt, pred=pred))
 
 
-def _map_seeds(fn: Callable[[int], object], seeds: Sequence[int]) -> List[object]:
-    """Apply fn to each seed, preserving seed order regardless of thread count."""
-    workers = thread_count()
-    if workers == 1 or len(seeds) <= 1:
-        return [fn(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seeds))
-
-
 def run_policy_suite(
     base_cfg: ScenarioConfig,
     tracker_cfg: Optional[TrackerConfig],
@@ -105,20 +80,14 @@ def run_policy_suite(
     seeds: Sequence[int],
 ) -> Dict[MemoryPolicy, List[MetricsReport]]:
     """Per-policy reports over seeds; each seed's scenario is shared by all policies."""
-    policy_order = list(policies)
-
-    def one_seed(seed: int) -> List[MetricsReport]:
+    suite: Dict[MemoryPolicy, List[MetricsReport]] = {policy: [] for policy in policies}
+    for seed in seeds:
         scenario = generate_scenario(dataclasses.replace(base_cfg, seed=seed))
-        return [
-            evaluate_tracking(scenario, track_scenario(scenario, tracker_cfg, policy))
-            for policy in policy_order
-        ]
-
-    per_seed = _map_seeds(one_seed, seeds)
-    return {
-        policy: [reports[i] for reports in per_seed]
-        for i, policy in enumerate(policy_order)
-    }
+        for policy, reports in suite.items():
+            reports.append(
+                evaluate_tracking(scenario, track_scenario(scenario, tracker_cfg, policy))
+            )
+    return suite
 
 
 def mean(values: Iterable[float]) -> float:
@@ -207,24 +176,22 @@ def sweep_table(
     for m in MEMORY_GRID:
         cells.append(("memory_len", cfg.memory.epsilon, m))
 
-    def one_seed(seed: int) -> List[MetricsReport]:
+    per_cell: List[List[MetricsReport]] = [[] for _ in cells]
+    for seed in seeds:
         scenario = generate_scenario(dataclasses.replace(base_cfg, seed=seed))
-        reports = []
-        for _, eps, m in cells:
+        for (_, eps, m), reports in zip(cells, per_cell):
             memory = dataclasses.replace(cfg.memory, epsilon=eps, m_max=m)
             cell_cfg = dataclasses.replace(cfg, memory=memory)
             reports.append(evaluate_tracking(scenario, track_scenario(scenario, cell_cfg, policy)))
-        return reports
 
-    per_seed = _map_seeds(one_seed, seeds)
     table = []
-    for i, (kind, eps, m) in enumerate(cells):
+    for (kind, eps, m), reports in zip(cells, per_cell):
         entry: Dict[str, object] = {
             "sweep": kind,
             "epsilon": eps,
             "memory_len": m,
         }
-        entry.update(summarize([reports[i] for reports in per_seed]))
+        entry.update(summarize(reports))
         table.append(entry)
     return table
 

@@ -21,11 +21,18 @@ Three evaluators over a ground-truth/prediction sequence pair:
 * ``idf1``: a single global bijection between ground-truth and predicted
   trajectories chosen to maximize the number of frame-level overlaps at
   IoU 0.5; IDF1 = 2*IDTP / (2*IDTP + IDFP + IDFN).
+
+All three read :attr:`SequencePair.frames`, each frame's ids and gt × pred
+IoU matrix, computed once per pair. One IoU-maximal frame matcher serves
+``match_frame``, HOTA (unfiltered, since the assignment does not depend on
+alpha) and CLEAR (over the boxes left after carry-over).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -55,7 +62,11 @@ CLEAR_IOU_THRESHOLD = 0.5
 
 @dataclass(eq=False)
 class SequencePair:
-    """Frame-aligned ground truth and predictions: per-frame (id, box) lists."""
+    """Frame-aligned ground truth and predictions: per-frame (id, box) lists.
+
+    Scoring caches per-frame overlaps on the pair, so do not modify ``gt``
+    or ``pred`` after the first metric has read them.
+    """
 
     gt: List[FrameEntries]
     pred: List[FrameEntries]
@@ -81,6 +92,21 @@ class SequencePair:
     def total_pred(self) -> int:
         return sum(len(f) for f in self.pred)
 
+    @cached_property
+    def frames(self) -> List[Tuple[List[int], List[int], np.ndarray]]:
+        """Per frame: (gt ids, pred ids, gt × pred IoU matrix)."""
+        return [
+            (
+                [gid for gid, _ in gt_entries],
+                [pid for pid, _ in pred_entries],
+                iou_matrix(
+                    boxes_to_corners([box for _, box in gt_entries]),
+                    boxes_to_corners([box for _, box in pred_entries]),
+                ),
+            )
+            for gt_entries, pred_entries in zip(self.gt, self.pred)
+        ]
+
 
 @dataclass
 class MetricsReport:
@@ -97,6 +123,11 @@ class MetricsReport:
     fn: int
 
 
+def _assign(ious: np.ndarray) -> List[Tuple[int, int]]:
+    """IoU-maximal one-to-one (row, col) pairs, sorted by row, unfiltered."""
+    return hungarian_assign(1.0 - ious) if ious.size else []
+
+
 def match_frame(
     gt_boxes: Sequence[Box2D], pred_boxes: Sequence[Box2D], iou_threshold: float
 ) -> Tuple[List[Tuple[int, int]], List[int], List[int]]:
@@ -108,19 +139,12 @@ def match_frame(
     if not 0.0 < iou_threshold < 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
     ious = iou_matrix(boxes_to_corners(gt_boxes), boxes_to_corners(pred_boxes))
-    pairs = hungarian_assign(1.0 - ious) if ious.size else []
-    tp_pairs = [(g, p) for g, p in pairs if ious[g, p] >= iou_threshold]
+    tp_pairs = [(g, p) for g, p in _assign(ious) if ious[g, p] >= iou_threshold]
     matched_gt = {g for g, _ in tp_pairs}
     matched_pred = {p for _, p in tp_pairs}
     fp = [p for p in range(len(pred_boxes)) if p not in matched_pred]
     fn = [g for g in range(len(gt_boxes)) if g not in matched_gt]
     return tp_pairs, fp, fn
-
-
-def _frame_parts(entries: FrameEntries) -> Tuple[List[int], List[Box2D]]:
-    ids = [obj_id for obj_id, _ in entries]
-    boxes = [box for _, box in entries]
-    return ids, boxes
 
 
 def clear_mota(pair: SequencePair) -> Tuple[float, int, int, int]:
@@ -131,37 +155,28 @@ def clear_mota(pair: SequencePair) -> Tuple[float, int, int, int]:
 
     last_pred: Dict[int, int] = {}
     idsw = fp = fn = 0
-    for gt_entries, pred_entries in zip(pair.gt, pair.pred):
-        gids, gboxes = _frame_parts(gt_entries)
-        pids, pboxes = _frame_parts(pred_entries)
-        ious = iou_matrix(boxes_to_corners(gboxes), boxes_to_corners(pboxes))
-
+    for gids, pids, ious in pair.frames:
         bound: List[Tuple[int, int]] = []
         claimed_pred = set()
         # Carry-over: a gt identity keeps its most recent prediction while
         # the pair still overlaps enough.
-        pid_to_idx = {}
+        pid_to_idx: Dict[int, int] = {}
         for pj, pid in enumerate(pids):
-            if pid not in pid_to_idx:
-                pid_to_idx[pid] = pj
+            pid_to_idx.setdefault(pid, pj)
         bound_gt = set()
         for gi, gid in enumerate(gids):
-            prev = last_pred.get(gid)
-            if prev is None or prev not in pid_to_idx:
-                continue
-            pj = pid_to_idx[prev]
-            if pj in claimed_pred:
+            pj = pid_to_idx.get(last_pred.get(gid))
+            if pj is None or pj in claimed_pred:
                 continue
             if ious[gi, pj] >= CLEAR_IOU_THRESHOLD:
                 bound.append((gi, pj))
                 bound_gt.add(gi)
                 claimed_pred.add(pj)
-        # Hungarian over whatever remains.
+        # IoU-maximal matching over whatever remains.
         rest_g = [gi for gi in range(len(gids)) if gi not in bound_gt]
         rest_p = [pj for pj in range(len(pids)) if pj not in claimed_pred]
         if rest_g and rest_p:
-            sub = 1.0 - ious[np.ix_(rest_g, rest_p)]
-            for r, c in hungarian_assign(sub):
+            for r, c in _assign(ious[np.ix_(rest_g, rest_p)]):
                 gi, pj = rest_g[r], rest_p[c]
                 if ious[gi, pj] >= CLEAR_IOU_THRESHOLD:
                     bound.append((gi, pj))
@@ -187,46 +202,23 @@ def idf1(pair: SequencePair) -> float:
         return 1.0
 
     # Frame-level overlap counts per (gt id, pred id); pairwise, not assigned.
-    counts: Dict[Tuple[int, int], int] = {}
-    for gt_entries, pred_entries in zip(pair.gt, pair.pred):
-        gids, gboxes = _frame_parts(gt_entries)
-        pids, pboxes = _frame_parts(pred_entries)
-        ious = iou_matrix(boxes_to_corners(gboxes), boxes_to_corners(pboxes))
-        for gi, gid in enumerate(gids):
-            for pj, pid in enumerate(pids):
-                if ious[gi, pj] >= CLEAR_IOU_THRESHOLD:
-                    counts[(gid, pid)] = counts.get((gid, pid), 0) + 1
+    counts: Counter = Counter()
+    for gids, pids, ious in pair.frames:
+        for gi, pj in zip(*np.nonzero(ious >= CLEAR_IOU_THRESHOLD)):
+            counts[(gids[gi], pids[pj])] += 1
 
     idtp = 0
     if counts:
-        gt_ids = sorted({g for g, _ in counts})
-        pred_ids = sorted({p for _, p in counts})
-        mat = np.zeros((len(gt_ids), len(pred_ids)), dtype=float)
+        gt_row = {g: i for i, g in enumerate(sorted({g for g, _ in counts}))}
+        pred_col = {p: j for j, p in enumerate(sorted({p for _, p in counts}))}
+        mat = np.zeros((len(gt_row), len(pred_col)), dtype=float)
         for (g, p), c in counts.items():
-            mat[gt_ids.index(g), pred_ids.index(p)] = c
-        rows, cols = zip(*hungarian_assign(-mat)) if mat.size else ((), ())
-        idtp = int(sum(mat[r, c] for r, c in zip(rows, cols)))
+            mat[gt_row[g], pred_col[p]] = c
+        idtp = int(sum(mat[r, c] for r, c in hungarian_assign(-mat)))
 
     idfp = total_pred - idtp
     idfn = total_gt - idtp
     return 2.0 * idtp / (2.0 * idtp + idfp + idfn)
-
-
-def _cached_frame_matches(pair: SequencePair):
-    """Per frame: (gt ids, pred ids, assignment pairs with IoUs).
-
-    The IoU-maximal assignment does not depend on the threshold, so it is
-    computed once and filtered per alpha.
-    """
-    cached = []
-    for gt_entries, pred_entries in zip(pair.gt, pair.pred):
-        gids, gboxes = _frame_parts(gt_entries)
-        pids, pboxes = _frame_parts(pred_entries)
-        ious = iou_matrix(boxes_to_corners(gboxes), boxes_to_corners(pboxes))
-        pairs = hungarian_assign(1.0 - ious) if ious.size else []
-        matches = [(gids[g], pids[p], ious[g, p]) for g, p in pairs]
-        cached.append((len(gids), len(pids), matches))
-    return cached
 
 
 def hota(pair: SequencePair) -> Tuple[float, float, float]:
@@ -234,35 +226,30 @@ def hota(pair: SequencePair) -> Tuple[float, float, float]:
     total_gt = pair.total_gt()
     if total_gt == 0:
         raise ValueError("HOTA undefined: sequence has no ground-truth detections")
+    total_pred = pair.total_pred()
 
-    gt_appearances: Dict[int, int] = {}
-    pred_appearances: Dict[int, int] = {}
-    for entries in pair.gt:
-        for gid, _ in entries:
-            gt_appearances[gid] = gt_appearances.get(gid, 0) + 1
-    for entries in pair.pred:
-        for pid, _ in entries:
-            pred_appearances[pid] = pred_appearances.get(pid, 0) + 1
+    gt_appearances = Counter(gid for entries in pair.gt for gid, _ in entries)
+    pred_appearances = Counter(pid for entries in pair.pred for pid, _ in entries)
 
-    cached = _cached_frame_matches(pair)
+    # Matched (gt id, pred id, IoU) events in frame order; each alpha keeps
+    # the events at or above it.
+    events = [
+        (gids[g], pids[p], ious[g, p])
+        for gids, pids, ious in pair.frames
+        for g, p in _assign(ious)
+    ]
 
     deta_sum = assa_sum = hota_sum = 0.0
     for alpha in ALPHA_GRID:
-        tp = fp = fn = 0
-        pair_counts: Dict[Tuple[int, int], int] = {}
-        tp_events: List[Tuple[int, int]] = []
-        for n_gt, n_pred, matches in cached:
-            kept = [(g, p) for g, p, v in matches if v >= alpha]
-            tp += len(kept)
-            fn += n_gt - len(kept)
-            fp += n_pred - len(kept)
-            for g, p in kept:
-                pair_counts[(g, p)] = pair_counts.get((g, p), 0) + 1
-                tp_events.append((g, p))
+        kept = [(g, p) for g, p, v in events if v >= alpha]
+        tp = len(kept)
+        fn = total_gt - tp
+        fp = total_pred - tp
         deta = tp / (tp + fn + fp)
         if tp:
+            pair_counts = Counter(kept)
             ass = 0.0
-            for g, p in tp_events:
+            for g, p in kept:
                 tpa = pair_counts[(g, p)]
                 ass += tpa / (gt_appearances[g] + pred_appearances[p] - tpa)
             assa = ass / tp

@@ -4,7 +4,9 @@ Row format is the comma-separated MOTChallenge convention::
 
     frame,id,bb_left,bb_top,bb_width,bb_height,conf,-1,-1,-1
 
-with pixel coordinates. Files written here carry a ``# image_size=WxH``
+with pixel coordinates; the 9-field ground-truth layout of MOT17 and
+DanceTrack (``...,conf,class,visibility``) is read too, and fields after
+``conf`` are ignored. Files written here carry a ``# image_size=WxH``
 header so they can be normalized back to unit coordinates without external
 context; a caller-supplied image size overrides the header. Embeddings ride
 in a sidecar CSV (``frame,det_index,e_1,...,e_D``, 9 significant digits)
@@ -112,8 +114,8 @@ def parse_mot_text(text: str, image_size: Optional[Tuple[int, int]] = None) -> P
                 header_size = parse_image_size(value.strip())
             continue
         parts = line.split(",")
-        if len(parts) != 10:
-            raise ValueError(f"line {lineno}: expected 10 fields, got {len(parts)}")
+        if len(parts) not in (9, 10):
+            raise ValueError(f"line {lineno}: expected 9 or 10 fields, got {len(parts)}")
         try:
             frame = int(parts[0])
             track_id = int(parts[1])
@@ -133,7 +135,12 @@ def parse_mot_text(text: str, image_size: Optional[Tuple[int, int]] = None) -> P
 
 
 def parse_mot_file(path: Path | str, image_size: Optional[Tuple[int, int]] = None) -> ParsedMot:
-    return parse_mot_text(Path(path).read_text(), image_size)
+    """Parse a MOT file; every parse error starts with the path."""
+    text = Path(path).read_text()
+    try:
+        return parse_mot_text(text, image_size)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def mot_row_to_box(row: MotRow, image_size: Tuple[int, int]) -> Box2D:

@@ -112,6 +112,21 @@ def test_missing_input_file_exits_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_error_names_the_bad_file(tmp_path, capsys):
+    run = tmp_path / "run"
+    _simulate(run, n_objects=3, n_frames=10, seed=5)
+    lines = (run / "gt.txt").read_text().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:8])
+    bad = tmp_path / "bad_gt.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    code = main([
+        "eval", "--gt", str(bad), "--pred", str(run / "gt.txt"),
+        "--out", str(run / "report.csv"),
+    ])
+    assert code == 1
+    assert f"error: {bad}: line 3: expected 9 or 10 fields, got 8" in capsys.readouterr().err
+
+
 def _track(run: Path) -> int:
     return main([
         "track",

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+import sasmot.metrics
 from sasmot.geometry import Box2D, iou
 from sasmot.metrics import (
     ALPHA_GRID,
@@ -39,6 +40,20 @@ def test_perfect_tracking_scores_one_everywhere():
     assert report.idf1 == 1.0
     assert report.idsw == 0
     assert report.fp == 0 and report.fn == 0 and report.tp == 20
+
+
+def test_evaluate_computes_each_frame_iou_once(monkeypatch):
+    calls = []
+    real = sasmot.metrics.iou_matrix
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(sasmot.metrics, "iou_matrix", counting)
+    pair = _perfect_pair(n_frames=7)
+    evaluate(pair)
+    assert len(calls) == pair.n_frames
 
 
 def test_midpoint_id_swap_canonical_values():
@@ -245,6 +260,30 @@ def random_small_pair(seed):
     return SequencePair(gt=gt, pred=pred)
 
 
+def random_crowded_pair(seed):
+    """Three fixed ground-truth boxes, jittered per frame, and predictions
+    jittered from a random one of them: boxes overlap often, so the CLEAR
+    carry-over rule and the assignment disagree on some frames."""
+    rng = SplitMix64(seed)
+    base = [_random_box(rng) for _ in range(3)]
+
+    def near(box):
+        return Box2D(
+            cx=box.cx + 0.06 * (rng.uniform() - 0.5),
+            cy=box.cy + 0.06 * (rng.uniform() - 0.5),
+            w=box.w * (0.85 + 0.3 * rng.uniform()),
+            h=box.h * (0.85 + 0.3 * rng.uniform()),
+        )
+
+    gt, pred = [], []
+    for f in range(2 + rng.next_u64() % 5):
+        gt.append([(g, near(base[g - 1])) for g in (1, 2, 3) if f == 0 or rng.uniform() < 0.8])
+        pred.append([
+            (p, near(base[rng.next_u64() % 3])) for p in (1, 2, 3) if rng.uniform() < 0.8
+        ])
+    return SequencePair(gt=gt, pred=pred)
+
+
 def idf1_oracle(pair):
     """Maximum-IDTP bijection found by exhaustive search over co-occurring
     identity pairs."""
@@ -337,6 +376,49 @@ def hota_oracle(pair):
         hota_sum += math.sqrt(deta * assa)
     n = len(ALPHA_GRID)
     return hota_sum / n, deta_sum / n, assa_sum / n
+
+
+def clear_oracle(pair):
+    """(mota, idsw, fp, fn) from the CLEAR rules with scalar IoU: carry-over
+    first, then the IoU-maximal pairing of the remaining boxes by
+    permutation search, keeping pairs at IoU 0.5 or above."""
+    last_pred = {}
+    idsw = fp = fn = 0
+    for gt_entries, pred_entries in zip(pair.gt, pair.pred):
+        first_index = {}
+        for pj, (pid, _) in enumerate(pred_entries):
+            first_index.setdefault(pid, pj)
+        bound = []
+        for gi, (gid, gbox) in enumerate(gt_entries):
+            pj = first_index.get(last_pred.get(gid))
+            if pj is None or pj in {p for _, p in bound}:
+                continue
+            if iou(gbox, pred_entries[pj][1]) >= 0.5:
+                bound.append((gi, pj))
+        rest_g = [gi for gi in range(len(gt_entries)) if gi not in {g for g, _ in bound}]
+        rest_p = [pj for pj in range(len(pred_entries)) if pj not in {p for _, p in bound}]
+        pairs = _oracle_frame_assignment(
+            [gt_entries[g] for g in rest_g], [pred_entries[p] for p in rest_p]
+        )
+        for r, c in pairs:
+            gi, pj = rest_g[r], rest_p[c]
+            if iou(gt_entries[gi][1], pred_entries[pj][1]) >= 0.5:
+                bound.append((gi, pj))
+        for gi, pj in bound:
+            gid, pid = gt_entries[gi][0], pred_entries[pj][0]
+            if gid in last_pred and last_pred[gid] != pid:
+                idsw += 1
+            last_pred[gid] = pid
+        fn += len(gt_entries) - len(bound)
+        fp += len(pred_entries) - len(bound)
+    return 1.0 - (fn + fp + idsw) / pair.total_gt(), idsw, fp, fn
+
+
+def test_clear_mota_matches_exhaustive_oracle():
+    for seed in range(120):
+        for make in (random_small_pair, random_crowded_pair):
+            pair = make(seed)
+            assert clear_mota(pair) == clear_oracle(pair), (make.__name__, seed)
 
 
 def test_idf1_matches_exhaustive_oracle():

@@ -16,6 +16,7 @@ from sasmot.mot_io import (
     mot_row_to_box,
     parse_flat_config,
     parse_image_size,
+    parse_mot_file,
     parse_mot_text,
     read_embeddings_csv,
     write_embeddings_csv,
@@ -61,6 +62,28 @@ def test_malformed_line_reports_line_number():
     text = "# image_size=100x100\n1,1,0,0,10,10,1,-1,-1,-1\n1,2,junk\n"
     with pytest.raises(ValueError, match="line 3"):
         parse_mot_text(text)
+
+
+def test_nine_field_rows_parse_like_ten_field_rows(tmp_path):
+    # MOT17/DanceTrack gt rows end in conf,class,visibility.
+    scenario = generate_scenario(ScenarioConfig(n_objects=3, n_frames=8, seed=2))
+    write_scenario(scenario, tmp_path, (1920, 1080))
+    ten = (tmp_path / "gt.txt").read_text().splitlines()
+    nine = [
+        line if line.startswith("#") else ",".join(line.split(",")[:7] + ["1", "0.83"])
+        for line in ten
+    ]
+    (tmp_path / "gt9.txt").write_text("\n".join(nine) + "\n")
+    want = parse_mot_file(tmp_path / "gt.txt")
+    got = parse_mot_file(tmp_path / "gt9.txt")
+    assert len(nine[1].split(",")) == 9
+    assert got.frames == want.frames and got.image_size == want.image_size
+    for fields in (8, 11):
+        bad = list(nine)
+        bad[2] = ",".join((bad[2].split(",") + ["0", "0"])[:fields])
+        (tmp_path / "bad.txt").write_text("\n".join(bad) + "\n")
+        with pytest.raises(ValueError, match=f"bad.txt: line 3: expected 9 or 10 fields, got {fields}"):
+            parse_mot_file(tmp_path / "bad.txt")
 
 
 def test_non_numeric_field_reports_line_number():
