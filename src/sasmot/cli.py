@@ -19,15 +19,16 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .experiments import (
+    ABLATION_ROWS,
+    DESIGN_ROWS,
     ablation_table,
     design_table,
     paired_sign_test,
     render_table_csv,
     render_table_markdown,
-    run_policy_suite,
     sweep_table,
 )
 from .memory import MemoryPolicy
@@ -53,54 +54,41 @@ DEFAULT_IMAGE_SIZE = (1920, 1080)
 
 POLICY_CHOICES = tuple(p.value for p in MemoryPolicy)
 
-# argparse dest -> dotted config key; flags override file values.
-_OVERRIDE_KEYS: Dict[str, str] = {
-    "seed": "seed",
-    "n_seeds": "n_seeds",
-    "policy": "policy",
-    "epsilon": "memory.epsilon",
-    "memory_len": "memory.m_max",
-    "alpha": "memory.alpha",
-    "match_threshold": "tracker.match_threshold",
-    "iou_gate": "tracker.iou_gate",
-    "min_score": "tracker.min_score",
-    "max_misses": "tracker.max_misses",
-    "cost_blend": "tracker.cost_blend",
-    "n_objects": "scenario.n_objects",
-    "n_frames": "scenario.n_frames",
-}
+# Every config flag as (flag, dotted config key, argparse options), in
+# groups. The parser is built from these rows and ``_resolve_run`` reads
+# them back; a flag's dest is argparse's default for it.
+_SCENARIO_FLAGS = (
+    ("--seed", "seed", dict(type=int, help="base scenario seed")),
+    ("--n-objects", "scenario.n_objects", dict(type=int)),
+    ("--n-frames", "scenario.n_frames", dict(type=int)),
+)
+_SEED_FLAGS = (
+    ("--n-seeds", "n_seeds",
+     dict(type=int, help="number of consecutive seeds starting at --seed")),
+)
+_MEMORY_FLAGS = (
+    ("--policy", "policy",
+     dict(choices=POLICY_CHOICES, help="memory storage policy (default sparse+ofs)")),
+    ("--epsilon", "memory.epsilon",
+     dict(type=float, help="displacement threshold before a store")),
+    ("--memory-len", "memory.m_max", dict(type=int, help="memory capacity per track")),
+    ("--alpha", "memory.alpha",
+     dict(type=float, help="query fusion weight on the current embedding")),
+)
+_TRACKER_FLAGS = (
+    ("--match-threshold", "tracker.match_threshold", dict(type=float)),
+    ("--iou-gate", "tracker.iou_gate", dict(type=float)),
+    ("--min-score", "tracker.min_score", dict(type=float)),
+    ("--max-misses", "tracker.max_misses", dict(type=int)),
+    ("--cost-blend", "tracker.cost_blend", dict(type=float)),
+)
+_CONFIG_FLAGS = _SCENARIO_FLAGS + _SEED_FLAGS + _MEMORY_FLAGS + _TRACKER_FLAGS
 
 
-def _add_memory_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--policy", choices=POLICY_CHOICES, default=None,
-                        help="memory storage policy (default sparse+ofs)")
-    parser.add_argument("--epsilon", type=float, default=None,
-                        help="displacement threshold before a store")
-    parser.add_argument("--memory-len", type=int, default=None, dest="memory_len",
-                        help="memory capacity per track")
-    parser.add_argument("--alpha", type=float, default=None,
-                        help="query fusion weight on the current embedding")
-
-
-def _add_tracker_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--match-threshold", type=float, default=None)
-    parser.add_argument("--iou-gate", type=float, default=None)
-    parser.add_argument("--min-score", type=float, default=None)
-    parser.add_argument("--max-misses", type=int, default=None)
-    parser.add_argument("--cost-blend", type=float, default=None)
-
-
-def _add_common(parser: argparse.ArgumentParser, with_seeds: bool = False) -> None:
-    parser.add_argument("--config", type=Path, default=None,
-                        help="flat key = value config file")
-    parser.add_argument("--seed", type=int, default=None, help="base scenario seed")
-    parser.add_argument("--n-objects", type=int, default=None, dest="n_objects")
-    parser.add_argument("--n-frames", type=int, default=None, dest="n_frames")
-    parser.add_argument("--image-size", type=str, default=None, dest="image_size",
-                        help="pixel canvas as WxH (default 1920x1080)")
-    if with_seeds:
-        parser.add_argument("--n-seeds", type=int, default=None, dest="n_seeds",
-                            help="number of consecutive seeds starting at --seed")
+def _add_flags(parser: argparse.ArgumentParser, *groups) -> None:
+    for group in groups:
+        for flag, _, options in group:
+            parser.add_argument(flag, default=None, **options)
 
 
 def _resolve_run(args: argparse.Namespace) -> RunConfig:
@@ -108,26 +96,27 @@ def _resolve_run(args: argparse.Namespace) -> RunConfig:
     run = RunConfig()
     if getattr(args, "config", None) is not None:
         run = apply_flat_config(run, parse_flat_config(args.config.read_text()))
-    overrides: Dict[str, str] = {}
-    for dest, dotted in _OVERRIDE_KEYS.items():
-        value = getattr(args, dest, None)
+    given = vars(args)
+    overrides = {}
+    for flag, dotted, _ in _CONFIG_FLAGS:
+        value = given.get(flag[2:].replace("-", "_"))
         if value is not None:
             overrides[dotted] = str(value)
-    if overrides:
-        run = apply_flat_config(run, overrides)
-    return run
+    return apply_flat_config(run, overrides)
 
 
-def _resolve_image_size(args: argparse.Namespace) -> Tuple[int, int]:
-    if getattr(args, "image_size", None) is not None:
-        return parse_image_size(args.image_size)
-    return DEFAULT_IMAGE_SIZE
+def _image_size(
+    args: argparse.Namespace, default: Optional[Tuple[int, int]] = None
+) -> Optional[Tuple[int, int]]:
+    """``--image-size`` as (W, H), or ``default`` when the flag is absent."""
+    if args.image_size is None:
+        return default
+    return parse_image_size(args.image_size)
 
 
 def _resolve_out_dir(args: argparse.Namespace, run: RunConfig) -> Path:
-    out = getattr(args, "out", None)
-    if out is not None:
-        return Path(out)
+    if args.out is not None:
+        return Path(args.out)
     if run.output_dir is not None:
         return run.output_dir
     raise ValueError("no output directory: pass --out or set output_dir in the config")
@@ -140,22 +129,16 @@ def _seed_list(run: RunConfig) -> List[int]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     run = _resolve_run(args)
-    image_size = _resolve_image_size(args)
+    image_size = _image_size(args, DEFAULT_IMAGE_SIZE)
     out_dir = _resolve_out_dir(args, run)
-    scenario = generate_scenario(run.scenario)
-    gt_path, det_path, emb_path = write_scenario(scenario, out_dir, image_size)
-    print(f"wrote {gt_path}")
-    print(f"wrote {det_path}")
-    print(f"wrote {emb_path}")
+    for path in write_scenario(generate_scenario(run.scenario), out_dir, image_size):
+        print(f"wrote {path}")
     return 0
 
 
 def cmd_track(args: argparse.Namespace) -> int:
     run = _resolve_run(args)
-    image_size = None
-    if args.image_size is not None:
-        image_size = parse_image_size(args.image_size)
-    frames, image_size = detections_from_files(args.det, args.emb, image_size)
+    frames, image_size = detections_from_files(args.det, args.emb, _image_size(args))
     tracker = Tracker(run.tracker, policy=run.policy)
     results = [tracker.step(dets, idx) for idx, dets in enumerate(frames, start=1)]
     write_mot_file(args.out, results_to_rows(results, image_size), image_size)
@@ -164,9 +147,7 @@ def cmd_track(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    image_size = None
-    if args.image_size is not None:
-        image_size = parse_image_size(args.image_size)
+    image_size = _image_size(args)
     gt = parse_mot_file(args.gt, image_size)
     pred = parse_mot_file(args.pred, image_size)
     n_frames = max(gt.max_frame, pred.max_frame)
@@ -180,22 +161,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         Path(args.out).write_text(report_csv(report))
         print(f"wrote {args.out}")
     return 0
-
-
-def _sign_test_lines(
-    suite, pairs: Sequence[Tuple[str, MemoryPolicy, str, MemoryPolicy]], metrics: Sequence[str]
-) -> List[str]:
-    lines = []
-    for base_label, base_policy, treat_label, treat_policy in pairs:
-        for metric in metrics:
-            base = [getattr(r, metric) for r in suite[base_policy]]
-            treat = [getattr(r, metric) for r in suite[treat_policy]]
-            wins, n, p = paired_sign_test(base, treat)
-            lines.append(
-                f"{base_label} -> {treat_label} on {metric}: "
-                f"wins {wins}/{n}, one-sided sign test p = {p:.6g}"
-            )
-    return lines
 
 
 def _write_experiment(
@@ -212,35 +177,43 @@ def _write_experiment(
     print(f"wrote {out_dir / (stem + '.csv')}")
 
 
-def cmd_ablate(args: argparse.Namespace) -> int:
-    run = _resolve_run(args)
-    out_dir = _resolve_out_dir(args, run)
-    table, suite = ablation_table(run.scenario, run.tracker, _seed_list(run))
-    lines = _sign_test_lines(
-        suite,
-        [
-            ("baseline", MemoryPolicy.NONE, "+sasm", MemoryPolicy.SPARSE),
-            ("+sasm", MemoryPolicy.SPARSE, "+sasm+ofs", MemoryPolicy.SPARSE_OFS),
-        ],
-        ("assa", "idf1"),
-    )
-    _write_experiment(out_dir, "ablation", table, lines)
-    return 0
+class _PolicyTable(NamedTuple):
+    """One policy-table command: output stem, builder, rows, sign tests."""
+
+    stem: str
+    build: Callable
+    rows: Tuple[Tuple[str, MemoryPolicy], ...]
+    pairs: Tuple[Tuple[str, str], ...]  # (baseline label, treatment label)
+    metrics: Tuple[str, ...]
 
 
-def cmd_design(args: argparse.Namespace) -> int:
+_ABLATE = _PolicyTable(
+    "ablation", ablation_table, ABLATION_ROWS,
+    (("baseline", "+sasm"), ("+sasm", "+sasm+ofs")), ("assa", "idf1"),
+)
+_DESIGN = _PolicyTable(
+    "design", design_table, DESIGN_ROWS,
+    (("dense", "sparse"), ("delaying", "sparse+ofs")), ("hota",),
+)
+
+
+def cmd_policy_table(args: argparse.Namespace) -> int:
+    spec: _PolicyTable = args.table
     run = _resolve_run(args)
     out_dir = _resolve_out_dir(args, run)
-    table, suite = design_table(run.scenario, run.tracker, _seed_list(run))
-    lines = _sign_test_lines(
-        suite,
-        [
-            ("dense", MemoryPolicy.DENSE, "sparse", MemoryPolicy.SPARSE),
-            ("delaying", MemoryPolicy.DELAYING, "sparse+ofs", MemoryPolicy.SPARSE_OFS),
-        ],
-        ("hota",),
-    )
-    _write_experiment(out_dir, "design", table, lines)
+    table, suite = spec.build(run.scenario, run.tracker, _seed_list(run))
+    policy_of = dict(spec.rows)
+    lines = []
+    for base_label, treat_label in spec.pairs:
+        for metric in spec.metrics:
+            base = [getattr(r, metric) for r in suite[policy_of[base_label]]]
+            treat = [getattr(r, metric) for r in suite[policy_of[treat_label]]]
+            wins, n, p = paired_sign_test(base, treat)
+            lines.append(
+                f"{base_label} -> {treat_label} on {metric}: "
+                f"wins {wins}/{n}, one-sided sign test p = {p:.6g}"
+            )
+    _write_experiment(out_dir, spec.stem, table, lines)
     return 0
 
 
@@ -260,7 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic scenario")
-    _add_common(p_sim)
+    p_sim.add_argument("--config", type=Path, default=None,
+                       help="flat key = value config file")
+    _add_flags(p_sim, _SCENARIO_FLAGS)
+    p_sim.add_argument("--image-size", type=str, default=None,
+                       help="pixel canvas as WxH (default 1920x1080)")
     p_sim.add_argument("--out", type=Path, default=None, help="output directory")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -269,29 +246,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_track.add_argument("--emb", type=Path, required=True, help="embedding sidecar")
     p_track.add_argument("--out", type=Path, required=True, help="result file")
     p_track.add_argument("--config", type=Path, default=None)
-    p_track.add_argument("--image-size", type=str, default=None, dest="image_size")
-    _add_memory_flags(p_track)
-    _add_tracker_flags(p_track)
+    p_track.add_argument("--image-size", type=str, default=None)
+    _add_flags(p_track, _MEMORY_FLAGS, _TRACKER_FLAGS)
     p_track.set_defaults(func=cmd_track)
 
     p_eval = sub.add_parser("eval", help="score predictions against ground truth")
     p_eval.add_argument("--gt", type=Path, required=True)
     p_eval.add_argument("--pred", type=Path, required=True)
-    p_eval.add_argument("--image-size", type=str, default=None, dest="image_size")
+    p_eval.add_argument("--image-size", type=str, default=None)
     p_eval.add_argument("--out", type=Path, default=None, help="report CSV path")
     p_eval.set_defaults(func=cmd_eval)
 
-    for name, func, helptext in (
-        ("ablate", cmd_ablate, "memory ablation over seeds"),
-        ("design", cmd_design, "storage-rule comparison over seeds"),
-        ("sweep", cmd_sweep, "epsilon and capacity sweep over seeds"),
+    for name, helptext, func, table in (
+        ("ablate", "memory ablation over seeds", cmd_policy_table, _ABLATE),
+        ("design", "storage-rule comparison over seeds", cmd_policy_table, _DESIGN),
+        ("sweep", "epsilon and capacity sweep over seeds", cmd_sweep, None),
     ):
         p = sub.add_parser(name, help=helptext)
-        _add_common(p, with_seeds=True)
-        _add_memory_flags(p)
-        _add_tracker_flags(p)
+        p.add_argument("--config", type=Path, default=None,
+                       help="flat key = value config file")
+        _add_flags(p, _CONFIG_FLAGS)
         p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, table=table)
 
     return parser
 

@@ -73,6 +73,23 @@ def evaluate_tracking(scenario: Scenario, results: Sequence[FrameResult]) -> Met
     return evaluate(SequencePair(gt=scenario.gt, pred=pred))
 
 
+def _run_variants(
+    base_cfg: ScenarioConfig,
+    variants: Sequence[Tuple[Optional[TrackerConfig], MemoryPolicy]],
+    seeds: Sequence[int],
+) -> List[List[MetricsReport]]:
+    """Reports per (tracker config, policy) variant over seeds.
+
+    Each seed's scenario is generated once and shared by every variant.
+    """
+    per_variant: List[List[MetricsReport]] = [[] for _ in variants]
+    for seed in seeds:
+        scenario = generate_scenario(dataclasses.replace(base_cfg, seed=seed))
+        for (cfg, policy), reports in zip(variants, per_variant):
+            reports.append(evaluate_tracking(scenario, track_scenario(scenario, cfg, policy)))
+    return per_variant
+
+
 def run_policy_suite(
     base_cfg: ScenarioConfig,
     tracker_cfg: Optional[TrackerConfig],
@@ -80,14 +97,9 @@ def run_policy_suite(
     seeds: Sequence[int],
 ) -> Dict[MemoryPolicy, List[MetricsReport]]:
     """Per-policy reports over seeds; each seed's scenario is shared by all policies."""
-    suite: Dict[MemoryPolicy, List[MetricsReport]] = {policy: [] for policy in policies}
-    for seed in seeds:
-        scenario = generate_scenario(dataclasses.replace(base_cfg, seed=seed))
-        for policy, reports in suite.items():
-            reports.append(
-                evaluate_tracking(scenario, track_scenario(scenario, tracker_cfg, policy))
-            )
-    return suite
+    unique = list(dict.fromkeys(policies))
+    reports = _run_variants(base_cfg, [(tracker_cfg, policy) for policy in unique], seeds)
+    return dict(zip(unique, reports))
 
 
 def mean(values: Iterable[float]) -> float:
@@ -119,10 +131,6 @@ def summarize(reports: Sequence[MetricsReport]) -> Dict[str, float]:
     out = {name: mean(getattr(r, name) for r in reports) for name in _METRIC_FIELDS}
     out["idsw"] = mean(float(r.idsw) for r in reports)
     return out
-
-
-def _metric_lists(reports: Sequence[MetricsReport], name: str) -> List[float]:
-    return [getattr(r, name) for r in reports]
 
 
 def _policy_rows(
@@ -170,19 +178,11 @@ def sweep_table(
     and reused across every (epsilon, m_max) cell.
     """
     cfg = tracker_cfg if tracker_cfg is not None else TrackerConfig()
-    cells: List[Tuple[str, float, int]] = []
-    for eps in EPSILON_GRID:
-        cells.append(("epsilon", eps, cfg.memory.m_max))
-    for m in MEMORY_GRID:
-        cells.append(("memory_len", cfg.memory.epsilon, m))
-
-    per_cell: List[List[MetricsReport]] = [[] for _ in cells]
-    for seed in seeds:
-        scenario = generate_scenario(dataclasses.replace(base_cfg, seed=seed))
-        for (_, eps, m), reports in zip(cells, per_cell):
-            memory = dataclasses.replace(cfg.memory, epsilon=eps, m_max=m)
-            cell_cfg = dataclasses.replace(cfg, memory=memory)
-            reports.append(evaluate_tracking(scenario, track_scenario(scenario, cell_cfg, policy)))
+    cells = [("epsilon", eps, cfg.memory.m_max) for eps in EPSILON_GRID]
+    cells += [("memory_len", cfg.memory.epsilon, m) for m in MEMORY_GRID]
+    memories = [dataclasses.replace(cfg.memory, epsilon=eps, m_max=m) for _, eps, m in cells]
+    variants = [(dataclasses.replace(cfg, memory=memory), policy) for memory in memories]
+    per_cell = _run_variants(base_cfg, variants, seeds)
 
     table = []
     for (kind, eps, m), reports in zip(cells, per_cell):

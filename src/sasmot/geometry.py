@@ -44,10 +44,6 @@ class Box2D:
         hh = self.h / 2.0
         return (self.cx - hw, self.cy - hh, self.cx + hw, self.cy + hh)
 
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
 
 def iou(a: Box2D, b: Box2D) -> float:
     """Intersection over union of two boxes, in [0, 1]."""

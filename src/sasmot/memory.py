@@ -108,6 +108,8 @@ class TrackMemory:
         self.cfg = cfg
         self.policy = policy
         self.entries: Deque[MemoryEntry] = deque(maxlen=cfg.m_max)
+        # Sum of the stored embeddings, added in entry order on every commit.
+        self._entry_sum: Optional[np.ndarray] = None
         self.accumulator: float = 0.0
         self.last_center: Optional[Tuple[float, float]] = None
         # The pending commit: for SPARSE_OFS the least-overlapped frame since
@@ -171,6 +173,7 @@ class TrackMemory:
         if self.candidate is None:
             raise ValueError("commit_store called with no pending candidate")
         self.entries.append(self.candidate)
+        self._entry_sum = sum(entry.embedding for entry in self.entries)
         self.accumulator = 0.0
         self.candidate = None
 
@@ -184,11 +187,8 @@ class TrackMemory:
         m = len(self.entries)
         if m == 0:
             return cur
-        total = np.zeros_like(cur)
-        for entry in self.entries:
-            total = total + entry.embedding
         a = self.cfg.alpha
-        return a * cur + ((1.0 - a) / m) * total
+        return a * cur + ((1.0 - a) / m) * self._entry_sum
 
     def dump_lines(self) -> list[str]:
         """Debug serialization: one `frame_idx,overlap,e_1,...,e_D` line per entry."""

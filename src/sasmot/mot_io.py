@@ -6,11 +6,15 @@ Row format is the comma-separated MOTChallenge convention::
 
 with pixel coordinates; the 9-field ground-truth layout of MOT17 and
 DanceTrack (``...,conf,class,visibility``) is read too, and fields after
-``conf`` are ignored. Files written here carry a ``# image_size=WxH``
-header so they can be normalized back to unit coordinates without external
-context; a caller-supplied image size overrides the header. Embeddings ride
-in a sidecar CSV (``frame,det_index,e_1,...,e_D``, 9 significant digits)
-keyed by position within the frame, because MOT rows cannot carry vectors.
+``conf`` are ignored; a non-finite number is an error naming the line.
+Files written here carry a ``# image_size=WxH`` header so they can be
+normalized back to unit coordinates without external context; a
+caller-supplied image size overrides the header. Written rows come from one
+converter of (frame, id, box, conf) tuples: ground truth and tracker output
+carry conf 1, detections carry id -1 and their score, and rows are sorted by
+(frame, id) with 6 decimals per float. Embeddings ride in a sidecar CSV
+(``frame,det_index,e_1,...,e_D``, 9 significant digits) keyed by position
+within the frame, because MOT rows cannot carry vectors.
 
 Run configuration is a flat ``key = value`` text format with ``#`` comments
 and dotted keys for nesting (``memory.epsilon = 0.1``), trivially parseable
@@ -20,6 +24,7 @@ from any language.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -42,8 +47,6 @@ __all__ = [
     "mot_row_to_box",
     "box_to_mot_fields",
     "frames_to_id_boxes",
-    "scenario_gt_rows",
-    "scenario_det_rows",
     "results_to_rows",
     "write_embeddings_csv",
     "read_embeddings_csv",
@@ -122,6 +125,8 @@ def parse_mot_text(text: str, image_size: Optional[Tuple[int, int]] = None) -> P
             numbers = [float(p) for p in parts[2:7]]
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric field in {line!r}") from None
+        if not all(math.isfinite(v) for v in numbers):
+            raise ValueError(f"line {lineno}: non-finite field in {line!r}")
         try:
             row = MotRow(frame, track_id, *numbers)
         except ValueError as exc:
@@ -172,17 +177,10 @@ def _format_row(row: MotRow) -> str:
     )
 
 
-def write_mot_file(
-    path: Path | str,
-    rows: Iterable[MotRow],
-    image_size: Tuple[int, int],
-    header: bool = True,
-) -> None:
+def write_mot_file(path: Path | str, rows: Iterable[MotRow], image_size: Tuple[int, int]) -> None:
     """Write rows sorted by (frame, id) with an image-size header."""
     ordered = sorted(rows, key=lambda r: (r.frame, r.track_id))
-    lines = []
-    if header:
-        lines.append(f"# image_size={image_size[0]}x{image_size[1]}")
+    lines = [f"# image_size={image_size[0]}x{image_size[1]}"]
     lines.extend(_format_row(r) for r in ordered)
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -197,31 +195,21 @@ def frames_to_id_boxes(parsed: ParsedMot, n_frames: Optional[int] = None) -> Lis
     return out
 
 
-def scenario_gt_rows(scenario: Scenario, image_size: Tuple[int, int]) -> List[MotRow]:
-    rows = []
-    for frame_idx, entries in enumerate(scenario.gt, start=1):
-        for obj_id, box in entries:
-            left, top, w, h = box_to_mot_fields(box, image_size)
-            rows.append(MotRow(frame_idx, obj_id, left, top, w, h, 1.0))
-    return rows
-
-
-def scenario_det_rows(scenario: Scenario, image_size: Tuple[int, int]) -> List[MotRow]:
-    rows = []
-    for frame_idx, dets in enumerate(scenario.detections, start=1):
-        for det in dets:
-            left, top, w, h = box_to_mot_fields(det.box, image_size)
-            rows.append(MotRow(frame_idx, -1, left, top, w, h, det.score))
-    return rows
+def _mot_rows(
+    entries: Iterable[Tuple[int, int, Box2D, float]], image_size: Tuple[int, int]
+) -> List[MotRow]:
+    """(frame, id, normalized box, conf) tuples to pixel MOT rows."""
+    return [
+        MotRow(frame, track_id, *box_to_mot_fields(box, image_size), conf)
+        for frame, track_id, box, conf in entries
+    ]
 
 
 def results_to_rows(results: Sequence[FrameResult], image_size: Tuple[int, int]) -> List[MotRow]:
-    rows = []
-    for result in results:
-        for track_id, box in result.tracks:
-            left, top, w, h = box_to_mot_fields(box, image_size)
-            rows.append(MotRow(result.frame_idx, track_id, left, top, w, h, 1.0))
-    return rows
+    return _mot_rows(
+        ((r.frame_idx, track_id, box, 1.0) for r in results for track_id, box in r.tracks),
+        image_size,
+    )
 
 
 def write_embeddings_csv(path: Path | str, scenario: Scenario) -> None:
@@ -252,6 +240,8 @@ def read_embeddings_csv(path: Path | str) -> Dict[Tuple[int, int], np.ndarray]:
             values = np.array([float(p) for p in parts[2:]], dtype=float)
         except ValueError:
             raise ValueError(f"{where}: non-numeric field in embeddings file") from None
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{where}: non-finite value in embedding")
         if dim is None:
             dim = values.size
         elif values.size != dim:
@@ -285,8 +275,12 @@ def detections_from_files(
                 raise ValueError(
                     f"{emb_path}: missing embedding for frame {frame} detection {det_index}"
                 )
-            box = mot_row_to_box(row, parsed.image_size)
-            dets.append(Detection(box, embedding, row.conf))
+            try:
+                box = mot_row_to_box(row, parsed.image_size)
+                dets.append(Detection(box, embedding, row.conf))
+            except ValueError as exc:
+                where = f"{det_path}: frame {frame} detection {det_index}"
+                raise ValueError(f"{where}: {exc}") from None
         frames.append(dets)
     if embeddings:
         frame, det_index = next(iter(embeddings))
@@ -305,8 +299,18 @@ def write_scenario(
     gt_path = out / "gt.txt"
     det_path = out / "det.txt"
     emb_path = out / "embeddings.csv"
-    write_mot_file(gt_path, scenario_gt_rows(scenario, image_size), image_size)
-    write_mot_file(det_path, scenario_det_rows(scenario, image_size), image_size)
+    gt = (
+        (frame, obj_id, box, 1.0)
+        for frame, entries in enumerate(scenario.gt, start=1)
+        for obj_id, box in entries
+    )
+    dets = (
+        (frame, -1, det.box, det.score)
+        for frame, frame_dets in enumerate(scenario.detections, start=1)
+        for det in frame_dets
+    )
+    write_mot_file(gt_path, _mot_rows(gt, image_size), image_size)
+    write_mot_file(det_path, _mot_rows(dets, image_size), image_size)
     write_embeddings_csv(emb_path, scenario)
     return gt_path, det_path, emb_path
 
@@ -340,16 +344,18 @@ def parse_flat_config(text: str) -> Dict[str, str]:
     return items
 
 
-def _apply_to_dataclass(obj, dotted: str, key: str, value: str):
-    field_types = {f.name: f.type for f in dataclasses.fields(obj)}
-    if key not in field_types:
-        raise ValueError(f"unknown config key {dotted!r}")
-    # Every settable field holds an int or a float.
+def _coerce(dotted: str, current, value: str):
+    # Every settable value is an int or a float.
     try:
-        coerced = type(getattr(obj, key))(value)
+        return type(current)(value)
     except ValueError as exc:
         raise ValueError(f"{dotted}: {exc}") from None
-    return dataclasses.replace(obj, **{key: coerced})
+
+
+def _apply_to_dataclass(obj, dotted: str, key: str, value: str):
+    if key not in {f.name for f in dataclasses.fields(obj)}:
+        raise ValueError(f"unknown config key {dotted!r}")
+    return dataclasses.replace(obj, **{key: _coerce(dotted, getattr(obj, key), value)})
 
 
 def apply_flat_config(run: RunConfig, items: Dict[str, str]) -> RunConfig:
@@ -373,9 +379,9 @@ def apply_flat_config(run: RunConfig, items: Dict[str, str]) -> RunConfig:
         elif dotted == "output_dir":
             output_dir = Path(value)
         elif dotted == "n_seeds":
-            n_seeds = int(value)
+            n_seeds = _coerce(dotted, n_seeds, value)
         elif dotted == "seed":
-            seed_override = int(value)
+            seed_override = _coerce(dotted, scenario.seed, value)
         elif section == "scenario" and key:
             scenario = _apply_to_dataclass(scenario, dotted, key, value)
         elif section == "memory" and key:

@@ -237,3 +237,75 @@ def test_bad_policy_flag_rejected_by_argparse(capsys):
     with pytest.raises(SystemExit):
         main(["track", "--det", "x", "--emb", "y", "--out", "z", "--policy", "magic"])
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_every_config_flag_lands_in_its_field():
+    args = build_parser().parse_args([
+        "ablate",
+        "--seed", "9", "--n-objects", "3", "--n-frames", "40", "--n-seeds", "4",
+        "--policy", "dense", "--epsilon", "0.25", "--memory-len", "7", "--alpha", "0.3",
+        "--match-threshold", "0.55", "--iou-gate", "0.1", "--min-score", "0.2",
+        "--max-misses", "12", "--cost-blend", "0.45",
+    ])
+    run = _resolve_run(args)
+    memory, tracker = run.tracker.memory, run.tracker
+    assert (run.scenario.seed, run.scenario.n_objects, run.scenario.n_frames) == (9, 3, 40)
+    assert run.n_seeds == 4
+    assert run.policy is MemoryPolicy.DENSE
+    assert (memory.epsilon, memory.m_max, memory.alpha) == (0.25, 7, 0.3)
+    assert tracker.match_threshold == 0.55
+    assert tracker.iou_gate == 0.1
+    assert tracker.min_score == 0.2
+    assert tracker.max_misses == 12
+    assert tracker.cost_blend == 0.45
+
+
+def test_simulate_rejects_bad_image_size(tmp_path, capsys):
+    code = main(["simulate", "--out", str(tmp_path / "run"), "--image-size", "640by480"])
+    assert code == 1
+    assert "'640by480'" in capsys.readouterr().err
+
+
+def _replace_field(path: Path, line_index: int, field_index: int, value: str) -> None:
+    lines = path.read_text().splitlines()
+    parts = lines[line_index].split(",")
+    parts[field_index] = value
+    lines[line_index] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_track_rejects_non_finite_embedding_with_its_line(tmp_path, capsys):
+    run = tmp_path / "run"
+    _simulate(run, n_objects=3, n_frames=10, seed=2)
+    _replace_field(run / "embeddings.csv", 4, 3, "nan")
+    assert _track(run) == 1
+    assert f"{run / 'embeddings.csv'}: line 5: non-finite" in capsys.readouterr().err
+
+
+def test_track_and_eval_reject_non_finite_box_field_with_file_and_line(tmp_path, capsys):
+    run = tmp_path / "run"
+    _simulate(run, n_objects=3, n_frames=10, seed=2)
+    _replace_field(run / "det.txt", 2, 2, "nan")
+    assert _track(run) == 1
+    assert f"{run / 'det.txt'}: line 3: non-finite field" in capsys.readouterr().err
+    _replace_field(run / "gt.txt", 2, 3, "inf")
+    assert main(["eval", "--gt", str(run / "gt.txt"), "--pred", str(run / "gt.txt")]) == 1
+    assert f"{run / 'gt.txt'}: line 3: non-finite field" in capsys.readouterr().err
+
+
+def test_track_names_the_detection_with_a_bad_score(tmp_path, capsys):
+    run = tmp_path / "run"
+    _simulate(run, n_objects=3, n_frames=10, seed=2)
+    frame = (run / "det.txt").read_text().splitlines()[1].split(",")[0]
+    _replace_field(run / "det.txt", 1, 6, "1.5")
+    assert _track(run) == 1
+    err = capsys.readouterr().err
+    assert f"{run / 'det.txt'}: frame {frame} detection 0: score must be in [0, 1]" in err
+
+
+@pytest.mark.parametrize("key", ["n_seeds", "seed"])
+def test_bad_integer_in_config_names_the_key(tmp_path, capsys, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = abc\n")
+    assert main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert f"error: {key}: invalid literal" in capsys.readouterr().err

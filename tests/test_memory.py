@@ -203,6 +203,30 @@ def test_fused_query_order_invariance(seed):
     assert np.allclose(a, b, atol=1e-9)
 
 
+@pytest.mark.parametrize("policy", [p for p in MemoryPolicy if p is not MemoryPolicy.NONE])
+def test_fused_query_equals_loop_over_entries_exactly(policy):
+    """The cached sum must equal the sum over the current entries, in entry
+    order, bit for bit, through commits and evictions."""
+    rng = SplitMix64(11)
+    cfg = MemoryConfig(epsilon=0.05, m_max=3)
+    mem = TrackMemory(cfg, policy)
+    x = 0.2
+    for frame in range(80):
+        x += 0.04 * rng.uniform()
+        emb = np.array([rng.gauss() for _ in range(6)])
+        mem.observe(_box(x, 0.5), emb, round(rng.uniform(), 2), frame)
+        cur = np.array([rng.gauss() for _ in range(6)])
+        if not mem.entries:
+            continue
+        total = np.zeros(6)
+        for entry in mem.entries:
+            total = total + entry.embedding
+        a = cfg.alpha
+        want = a * cur + ((1.0 - a) / len(mem.entries)) * total
+        assert np.array_equal(mem.fused_query(cur), want)
+    assert len(mem.entries) == cfg.m_max
+
+
 def ofs_oracle_stream(seed, n_frames=60):
     """Drive one random stream and check every commit against a brute-force
     argmin over the frames observed since the previous commit."""
