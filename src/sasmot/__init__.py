@@ -25,9 +25,6 @@ from .metrics import (
     evaluate,
     hota,
     idf1,
-    match_frame,
-    report_csv,
-    report_markdown,
 )
 from .mot_io import (
     MotRow,
@@ -90,13 +87,10 @@ __all__ = [
     "idf1",
     "iou",
     "iou_matrix",
-    "match_frame",
     "max_iou_vs_others",
     "parse_flat_config",
     "parse_mot_file",
     "parse_mot_text",
-    "report_csv",
-    "report_markdown",
     "splitmix64_next",
     "write_mot_file",
     "write_scenario",

@@ -32,7 +32,7 @@ from .experiments import (
     sweep_table,
 )
 from .memory import MemoryPolicy
-from .metrics import SequencePair, evaluate, report_csv, report_markdown
+from .metrics import SequencePair, evaluate
 from .mot_io import (
     RunConfig,
     apply_flat_config,
@@ -66,9 +66,13 @@ _SEED_FLAGS = (
     ("--n-seeds", "n_seeds",
      dict(type=int, help="number of consecutive seeds starting at --seed")),
 )
-_MEMORY_FLAGS = (
+# Only ``track`` and ``sweep`` take a policy; ``ablate`` and ``design`` run
+# fixed policy rows.
+_POLICY_FLAGS = (
     ("--policy", "policy",
      dict(choices=POLICY_CHOICES, help="memory storage policy (default sparse+ofs)")),
+)
+_MEMORY_FLAGS = (
     ("--epsilon", "memory.epsilon",
      dict(type=float, help="displacement threshold before a store")),
     ("--memory-len", "memory.m_max", dict(type=int, help="memory capacity per track")),
@@ -82,7 +86,11 @@ _TRACKER_FLAGS = (
     ("--max-misses", "tracker.max_misses", dict(type=int)),
     ("--cost-blend", "tracker.cost_blend", dict(type=float)),
 )
-_CONFIG_FLAGS = _SCENARIO_FLAGS + _SEED_FLAGS + _MEMORY_FLAGS + _TRACKER_FLAGS
+_CONFIG_FLAGS = _SCENARIO_FLAGS + _SEED_FLAGS + _POLICY_FLAGS + _MEMORY_FLAGS + _TRACKER_FLAGS
+
+# ``eval`` table columns; lower-cased, each names a MetricsReport field and
+# is its report.csv header.
+_EVAL_COLUMNS = ("HOTA", "DetA", "AssA", "MOTA", "IDF1", "IDSW")
 
 
 def _add_flags(parser: argparse.ArgumentParser, *groups) -> None:
@@ -156,9 +164,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         pred=frames_to_id_boxes(pred, n_frames),
     )
     report = evaluate(pair)
-    print(report_markdown(report))
+    row = {name: getattr(report, name.lower()) for name in _EVAL_COLUMNS}
+    print(render_table_markdown([row]))
     if args.out is not None:
-        Path(args.out).write_text(report_csv(report))
+        csv_row = {name.lower(): value for name, value in row.items()}
+        Path(args.out).write_text(render_table_csv([csv_row]) + "\n")
         print(f"wrote {args.out}")
     return 0
 
@@ -247,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_track.add_argument("--out", type=Path, required=True, help="result file")
     p_track.add_argument("--config", type=Path, default=None)
     p_track.add_argument("--image-size", type=str, default=None)
-    _add_flags(p_track, _MEMORY_FLAGS, _TRACKER_FLAGS)
+    _add_flags(p_track, _POLICY_FLAGS, _MEMORY_FLAGS, _TRACKER_FLAGS)
     p_track.set_defaults(func=cmd_track)
 
     p_eval = sub.add_parser("eval", help="score predictions against ground truth")
@@ -257,15 +267,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", type=Path, default=None, help="report CSV path")
     p_eval.set_defaults(func=cmd_eval)
 
-    for name, helptext, func, table in (
-        ("ablate", "memory ablation over seeds", cmd_policy_table, _ABLATE),
-        ("design", "storage-rule comparison over seeds", cmd_policy_table, _DESIGN),
-        ("sweep", "epsilon and capacity sweep over seeds", cmd_sweep, None),
+    for name, helptext, func, table, policy_flags in (
+        ("ablate", "memory ablation over seeds", cmd_policy_table, _ABLATE, ()),
+        ("design", "storage-rule comparison over seeds", cmd_policy_table, _DESIGN, ()),
+        ("sweep", "epsilon and capacity sweep over seeds", cmd_sweep, None, _POLICY_FLAGS),
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", type=Path, default=None,
                        help="flat key = value config file")
-        _add_flags(p, _CONFIG_FLAGS)
+        _add_flags(p, _SCENARIO_FLAGS, _SEED_FLAGS, policy_flags, _MEMORY_FLAGS, _TRACKER_FLAGS)
         p.add_argument("--out", type=Path, default=None, help="output directory")
         p.set_defaults(func=func, table=table)
 

@@ -189,11 +189,3 @@ class TrackMemory:
             return cur
         a = self.cfg.alpha
         return a * cur + ((1.0 - a) / m) * self._entry_sum
-
-    def dump_lines(self) -> list[str]:
-        """Debug serialization: one `frame_idx,overlap,e_1,...,e_D` line per entry."""
-        lines = []
-        for entry in self.entries:
-            values = ",".join(f"{v:.9g}" for v in entry.embedding)
-            lines.append(f"{entry.frame_idx},{entry.overlap_at_store:.9g},{values}")
-        return lines

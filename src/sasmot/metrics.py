@@ -24,8 +24,8 @@ Three evaluators over a ground-truth/prediction sequence pair:
 
 All three read :attr:`SequencePair.frames`, each frame's ids and gt × pred
 IoU matrix, computed once per pair. One IoU-maximal frame matcher serves
-``match_frame``, HOTA (unfiltered, since the assignment does not depend on
-alpha) and CLEAR (over the boxes left after carry-over).
+HOTA (unfiltered, since the assignment does not depend on alpha) and CLEAR
+(over the boxes left after carry-over).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -44,13 +44,10 @@ __all__ = [
     "ALPHA_GRID",
     "SequencePair",
     "MetricsReport",
-    "match_frame",
     "clear_mota",
     "idf1",
     "hota",
     "evaluate",
-    "report_csv",
-    "report_markdown",
 ]
 
 FrameEntries = List[Tuple[int, Box2D]]
@@ -126,25 +123,6 @@ class MetricsReport:
 def _assign(ious: np.ndarray) -> List[Tuple[int, int]]:
     """IoU-maximal one-to-one (row, col) pairs, sorted by row, unfiltered."""
     return hungarian_assign(1.0 - ious) if ious.size else []
-
-
-def match_frame(
-    gt_boxes: Sequence[Box2D], pred_boxes: Sequence[Box2D], iou_threshold: float
-) -> Tuple[List[Tuple[int, int]], List[int], List[int]]:
-    """One-to-one IoU-maximal matching for a single frame.
-
-    Returns (tp_pairs, fp_pred_indices, fn_gt_indices); pairs whose IoU is
-    below the threshold are rejected and their endpoints counted as FP/FN.
-    """
-    if not 0.0 < iou_threshold < 1.0:
-        raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
-    ious = iou_matrix(boxes_to_corners(gt_boxes), boxes_to_corners(pred_boxes))
-    tp_pairs = [(g, p) for g, p in _assign(ious) if ious[g, p] >= iou_threshold]
-    matched_gt = {g for g, _ in tp_pairs}
-    matched_pred = {p for _, p in tp_pairs}
-    fp = [p for p in range(len(pred_boxes)) if p not in matched_pred]
-    fn = [g for g in range(len(gt_boxes)) if g not in matched_gt]
-    return tp_pairs, fp, fn
 
 
 def clear_mota(pair: SequencePair) -> Tuple[float, int, int, int]:
@@ -278,33 +256,3 @@ def evaluate(pair: SequencePair) -> MetricsReport:
         fp=fp,
         fn=fn,
     )
-
-
-_COLUMNS = ("HOTA", "DetA", "AssA", "MOTA", "IDF1", "IDSW")
-
-
-def report_csv(report: MetricsReport) -> str:
-    """Two CSV lines: header and 6-decimal values."""
-    header = ",".join(c.lower() for c in _COLUMNS)
-    row = (
-        f"{report.hota:.6f},{report.deta:.6f},{report.assa:.6f},"
-        f"{report.mota:.6f},{report.idf1:.6f},{report.idsw}"
-    )
-    return f"{header}\n{row}\n"
-
-
-def report_markdown(report: MetricsReport) -> str:
-    """One aligned markdown table with the headline metrics."""
-    values = [
-        f"{report.hota:.6f}",
-        f"{report.deta:.6f}",
-        f"{report.assa:.6f}",
-        f"{report.mota:.6f}",
-        f"{report.idf1:.6f}",
-        str(report.idsw),
-    ]
-    widths = [max(len(h), len(v)) for h, v in zip(_COLUMNS, values)]
-    head = " | ".join(h.rjust(w) for h, w in zip(_COLUMNS, widths))
-    rule = " | ".join("-" * w for w in widths)
-    body = " | ".join(v.rjust(w) for v, w in zip(values, widths))
-    return f"| {head} |\n| {rule} |\n| {body} |\n"

@@ -366,7 +366,6 @@ def apply_flat_config(run: RunConfig, items: Dict[str, str]) -> RunConfig:
     policy = run.policy
     output_dir = run.output_dir
     n_seeds = run.n_seeds
-    seed_override: Optional[int] = None
 
     for dotted, value in items.items():
         section, _, key = dotted.partition(".")
@@ -381,8 +380,10 @@ def apply_flat_config(run: RunConfig, items: Dict[str, str]) -> RunConfig:
         elif dotted == "n_seeds":
             n_seeds = _coerce(dotted, n_seeds, value)
         elif dotted == "seed":
-            seed_override = _coerce(dotted, scenario.seed, value)
+            scenario = _apply_to_dataclass(scenario, dotted, "seed", value)
         elif section == "scenario" and key:
+            if key == "seed":
+                raise ValueError("set the scenario seed via seed")
             scenario = _apply_to_dataclass(scenario, dotted, key, value)
         elif section == "memory" and key:
             memory = _apply_to_dataclass(memory, dotted, key, value)
@@ -393,7 +394,5 @@ def apply_flat_config(run: RunConfig, items: Dict[str, str]) -> RunConfig:
         else:
             raise ValueError(f"unknown config key {dotted!r}")
 
-    if seed_override is not None:
-        scenario = dataclasses.replace(scenario, seed=seed_override)
     tracker = dataclasses.replace(tracker, memory=memory)
     return RunConfig(scenario, tracker, policy, output_dir, n_seeds)

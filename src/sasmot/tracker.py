@@ -124,18 +124,22 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def build_cost_matrix(
-    tracks: Sequence[TrackState], dets: Sequence[Detection], cfg: TrackerConfig
+    tracks: Sequence[TrackState],
+    dets: Sequence[Detection],
+    det_corners: np.ndarray,
+    cfg: TrackerConfig,
 ) -> np.ndarray:
-    """Blended appearance/spatial cost, with gated-out pairs set to FORBIDDEN_COST."""
+    """Blended appearance/spatial cost, with gated-out pairs set to FORBIDDEN_COST.
+
+    ``det_corners`` is ``boxes_to_corners`` of the detections' boxes.
+    """
     if not tracks or not dets:
         return np.zeros((len(tracks), len(dets)), dtype=float)
     lam = cfg.cost_blend
     appearance = cosine_distance(
         np.stack([t.query for t in tracks]), np.stack([d.embedding for d in dets])
     )
-    ov = iou_matrix(
-        boxes_to_corners([t.last_box for t in tracks]), boxes_to_corners([d.box for d in dets])
-    )
+    ov = iou_matrix(boxes_to_corners([t.last_box for t in tracks]), det_corners)
     cost = lam * appearance / 2.0 + (1.0 - lam) * (1.0 - ov)
     # IoU is never below 0, so a disabled gate (0.0) forbids nothing.
     forbidden = (ov < cfg.iou_gate) | (cost > cfg.match_threshold)
@@ -143,19 +147,17 @@ def build_cost_matrix(
     return cost
 
 
-def hungarian_assign(
-    cost: np.ndarray, forbidden: float = FORBIDDEN_COST
-) -> List[Tuple[int, int]]:
+def hungarian_assign(cost: np.ndarray) -> List[Tuple[int, int]]:
     """Minimum-total-cost one-to-one assignment, skipping forbidden entries.
 
     Returns (row, col) pairs sorted by row; rows/columns left over in a
-    rectangular matrix, and pairs the solver was forced to route through the
-    forbidden sentinel, are omitted.
+    rectangular matrix, and pairs the solver was forced to route through
+    FORBIDDEN_COST, are omitted.
     """
     if cost.size == 0:
         return []
     rows, cols = linear_sum_assignment(cost)
-    return [(int(r), int(c)) for r, c in zip(rows, cols) if cost[r, c] < forbidden]
+    return [(int(r), int(c)) for r, c in zip(rows, cols) if cost[r, c] < FORBIDDEN_COST]
 
 
 class Tracker:
@@ -182,10 +184,11 @@ class Tracker:
 
         dets = [d for d in detections if d.score >= self.cfg.min_score]
 
-        cost = build_cost_matrix(self.tracks, dets, self.cfg)
+        corners = boxes_to_corners([d.box for d in dets])
+        cost = build_cost_matrix(self.tracks, dets, corners, self.cfg)
         pairs = hungarian_assign(cost)
 
-        overlaps = max_iou_vs_others(boxes_to_corners([d.box for d in dets]))[0].tolist()
+        overlaps = max_iou_vs_others(corners)[0].tolist()
 
         emitted: List[Tuple[int, Box2D]] = []
         matched_tracks = set()

@@ -80,12 +80,9 @@ def test_eval_of_ground_truth_against_itself_is_perfect(tmp_path):
         "--pred", str(run / "gt.txt"),
         "--out", str(run / "report.csv"),
     ]) == 0
-    values = (run / "report.csv").read_text().splitlines()[1].split(",")
-    hota, deta, assa, mota, idf1, idsw = values
-    assert float(hota) == 1.0
-    assert float(mota) == 1.0
-    assert float(idf1) == 1.0
-    assert int(idsw) == 0
+    assert (run / "report.csv").read_text() == (
+        "hota,deta,assa,mota,idf1,idsw\n1.000000,1.000000,1.000000,1.000000,1.000000,0\n"
+    )
 
 
 def test_track_is_byte_deterministic(tmp_path):
@@ -239,9 +236,16 @@ def test_bad_policy_flag_rejected_by_argparse(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ablate", "design"])
+def test_fixed_row_tables_reject_policy_flag(tmp_path, capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--out", str(tmp_path), "--policy", "none"])
+    assert "unrecognized arguments: --policy none" in capsys.readouterr().err
+
+
 def test_every_config_flag_lands_in_its_field():
     args = build_parser().parse_args([
-        "ablate",
+        "sweep",
         "--seed", "9", "--n-objects", "3", "--n-frames", "40", "--n-seeds", "4",
         "--policy", "dense", "--epsilon", "0.25", "--memory-len", "7", "--alpha", "0.3",
         "--match-threshold", "0.55", "--iou-gate", "0.1", "--min-score", "0.2",

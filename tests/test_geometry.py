@@ -22,6 +22,22 @@ def boxes():
     return st.builds(Box2D, cx=finite, cy=finite, w=positive, h=positive)
 
 
+# Multiples of 2**-10 inside the ranges above. For these values every
+# corner, width, area and sum in ``iou`` is exact, so a translation changes
+# no bit of the result.
+DYADIC = 2.0**-10
+
+
+def dyadic(lo, hi):
+    return st.integers(math.ceil(lo / DYADIC), math.floor(hi / DYADIC)).map(lambda k: k * DYADIC)
+
+
+dyadic_shift = dyadic(-100.0, 100.0)
+dyadic_boxes = st.builds(
+    Box2D, cx=dyadic_shift, cy=dyadic_shift, w=dyadic(1e-3, 50.0), h=dyadic(1e-3, 50.0)
+)
+
+
 def test_identical_boxes_have_iou_one():
     b = Box2D(0.5, 0.5, 0.2, 0.4)
     assert iou(b, b) == 1.0
@@ -67,14 +83,14 @@ def test_iou_bounded(a, b):
     assert 0.0 <= v <= 1.0
 
 
-@given(boxes(), boxes(), finite, finite)
+@given(dyadic_boxes, dyadic_boxes, dyadic_shift, dyadic_shift)
 def test_iou_translation_invariant(a, b, dx, dy):
     va = iou(a, b)
     vb = iou(
         Box2D(a.cx + dx, a.cy + dy, a.w, a.h),
         Box2D(b.cx + dx, b.cy + dy, b.w, b.h),
     )
-    assert math.isclose(va, vb, rel_tol=1e-9, abs_tol=1e-12)
+    assert va == vb
 
 
 @given(boxes())

@@ -273,15 +273,6 @@ def test_sparse_commits_at_most_dense(seed):
     assert sparse.accumulator >= 0.0
 
 
-def test_dump_lines_format():
-    cfg = MemoryConfig(epsilon=0.01)
-    mem = TrackMemory(cfg, MemoryPolicy.SPARSE)
-    mem.observe(_box(0.1, 0.5), np.array([1.0, 2.0]), 0.0, 0)
-    mem.observe(_box(0.2, 0.5), np.array([0.5, -1.5]), 0.25, 1)
-    lines = mem.dump_lines()
-    assert lines == ["1,0.25,0.5,-1.5"]
-
-
 def test_observe_validation():
     mem = TrackMemory(MemoryConfig(), MemoryPolicy.SPARSE)
     mem.observe(_box(0.1, 0.5), _emb(4), 0.0, 3)

@@ -15,9 +15,6 @@ from sasmot.metrics import (
     evaluate,
     hota,
     idf1,
-    match_frame,
-    report_csv,
-    report_markdown,
 )
 from sasmot.rng import SplitMix64
 
@@ -91,38 +88,6 @@ def test_partial_overlap_passes_eight_of_nineteen_thresholds():
     mota, idsw, fp, fn = clear_mota(pair)
     assert (mota, idsw, fp, fn) == (-1.0, 0, 5, 5)
     assert idf1(pair) == 0.0
-
-
-def test_match_frame_maximizes_total_overlap():
-    # IoU matrix (rows g1,g2 / cols p1,p2) is [[5/6, 0.8], [5/6, 0.5]]:
-    # the straight pairing totals 4/3, the cross pairing 0.8 + 5/6, so the
-    # optimal assignment is the cross one.
-    g1 = Box2D(0.5, 0.5, 1.0, 1.0)
-    g2 = Box2D(0.7, 0.5, 1.0, 1.0)
-    p1 = Box2D(0.6, 0.5, 1.2, 1.0)
-    p2 = Box2D(0.4, 0.5, 0.8, 1.0)
-    tp, fp, fn = match_frame([g1, g2], [p1, p2], 0.3)
-    assert sorted(tp) == [(0, 1), (1, 0)]
-    assert fp == [] and fn == []
-    # The assignment itself is threshold-independent: raising the threshold
-    # only filters pairs, it does not re-match g1 to the 5/6 column.
-    tp, fp, fn = match_frame([g1, g2], [p1, p2], 0.82)
-    assert tp == [(1, 0)]
-    assert fp == [1] and fn == [0]
-
-
-def test_match_frame_threshold_validation():
-    with pytest.raises(ValueError):
-        match_frame([BOX_A], [BOX_A], 0.0)
-    with pytest.raises(ValueError):
-        match_frame([BOX_A], [BOX_A], 1.0)
-
-
-def test_match_frame_empty_sides():
-    tp, fp, fn = match_frame([], [BOX_A], 0.5)
-    assert tp == [] and fp == [0] and fn == []
-    tp, fp, fn = match_frame([BOX_A], [], 0.5)
-    assert tp == [] and fp == [] and fn == [0]
 
 
 def test_mota_counts_fn_fp():
@@ -215,16 +180,6 @@ def test_sequence_pair_validation():
         SequencePair(gt=[[]], pred=[[], []])
     with pytest.raises(ValueError):
         SequencePair(gt=[[(0, BOX_A)]], pred=[[]])
-
-
-def test_report_formats():
-    report = evaluate(_perfect_pair())
-    csv = report_csv(report)
-    lines = csv.strip().split("\n")
-    assert lines[0] == "hota,deta,assa,mota,idf1,idsw"
-    assert lines[1] == "1.000000,1.000000,1.000000,1.000000,1.000000,0"
-    md = report_markdown(report)
-    assert md.count("|") > 0 and "HOTA" in md
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,9 @@ def test_apply_flat_config_rejects_unknown_keys():
         apply_flat_config(RunConfig(), {"nonsense": "1"})
     with pytest.raises(ValueError, match="policy"):
         apply_flat_config(RunConfig(), {"policy": "magic"})
+    # `seed` is the one key for the scenario seed.
+    with pytest.raises(ValueError, match="via seed"):
+        apply_flat_config(RunConfig(), {"scenario.seed": "7", "seed": "3"})
 
 
 def test_apply_flat_config_validates_values():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sasmot.geometry import Box2D, iou
+from sasmot.geometry import Box2D, boxes_to_corners, iou
 from sasmot.memory import MemoryConfig, MemoryPolicy, TrackMemory
 from sasmot.rng import SplitMix64
 from sasmot.simulator import ScenarioConfig, generate_scenario
@@ -30,6 +30,10 @@ def _det(cx, cy, emb, score=1.0, w=0.1, h=0.1):
 E1 = [1.0, 0.0, 0.0]
 E2 = [0.0, 1.0, 0.0]
 E3 = [0.0, 0.0, 1.0]
+
+
+def _cost(tracks, dets, cfg):
+    return build_cost_matrix(tracks, dets, boxes_to_corners([d.box for d in dets]), cfg)
 
 
 def test_cosine_distance_analytic():
@@ -84,7 +88,7 @@ def test_cost_matrix_matches_scalar_blend(tracks, dets, blend, threshold, gate):
         for k, (e, box) in enumerate(tracks)
     ]
     detections = [Detection(box, np.array(e), 1.0) for e, box in dets]
-    cost = build_cost_matrix(states, detections, cfg)
+    cost = _cost(states, detections, cfg)
     assert cost.shape == (len(tracks), len(dets))
     for i, (q, tbox) in enumerate(tracks):
         for j, (e, dbox) in enumerate(dets):
@@ -102,8 +106,8 @@ def test_cost_matrix_rejects_embedding_size_mismatch():
     tracker = Tracker()
     tracker.step([_det(0.5, 0.5, E1)], 1)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        build_cost_matrix(tracker.tracks, [_det(0.5, 0.5, [1.0, 0.0])], tracker.cfg)
-    assert build_cost_matrix([], [_det(0.5, 0.5, [1.0, 0.0])], tracker.cfg).shape == (0, 1)
+        _cost(tracker.tracks, [_det(0.5, 0.5, [1.0, 0.0])], tracker.cfg)
+    assert _cost([], [_det(0.5, 0.5, [1.0, 0.0])], tracker.cfg).shape == (0, 1)
 
 
 def test_cost_blend_formula():
@@ -113,7 +117,7 @@ def test_cost_blend_formula():
     tracker.step([_det(0.5, 0.5, E1)], 1)
     track = tracker.tracks[0]
     det = _det(0.5, 0.5, [1.0, 1.0, 0.0])
-    cost = build_cost_matrix([track], [det], tracker.cfg)
+    cost = _cost([track], [det], tracker.cfg)
     expected = 0.7 * (1.0 - math.sqrt(0.5)) / 2.0
     assert cost[0, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -123,7 +127,7 @@ def test_orthogonal_disjoint_pair_is_forbidden():
     tracker = Tracker(TrackerConfig())
     tracker.step([_det(0.1, 0.1, E1)], 1)
     det = _det(0.9, 0.9, E2)
-    cost = build_cost_matrix(tracker.tracks, [det], tracker.cfg)
+    cost = _cost(tracker.tracks, [det], tracker.cfg)
     assert cost[0, 0] == FORBIDDEN_COST
 
 
@@ -133,7 +137,7 @@ def test_iou_gate_forbids_non_overlapping():
     tracker.step([_det(0.1, 0.1, E1)], 1)
     near = _det(0.11, 0.1, E1)  # IoU well above 0.5
     far = _det(0.3, 0.1, E1)  # disjoint
-    cost = build_cost_matrix(tracker.tracks, [near, far], cfg)
+    cost = _cost(tracker.tracks, [near, far], cfg)
     assert cost[0, 0] < FORBIDDEN_COST
     assert cost[0, 1] == FORBIDDEN_COST
 
@@ -157,7 +161,7 @@ def test_hungarian_matches_bruteforce_on_random_matrices():
         n = 1 + rng.next_u64() % 4
         m = 1 + rng.next_u64() % 4
         cost = np.array([[rng.uniform() for _ in range(m)] for _ in range(n)])
-        pairs = hungarian_assign(cost, forbidden=float("inf"))
+        pairs = hungarian_assign(cost)
         total = sum(cost[r, c] for r, c in pairs)
         assert total == pytest.approx(_brute_force_min_cost(cost), abs=1e-12)
         # one-to-one
