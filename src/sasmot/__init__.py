@@ -27,7 +27,6 @@ from .metrics import (
     idf1,
 )
 from .mot_io import (
-    MotRow,
     RunConfig,
     apply_flat_config,
     detections_from_files,
@@ -64,7 +63,6 @@ __all__ = [
     "MemoryEntry",
     "MemoryPolicy",
     "MetricsReport",
-    "MotRow",
     "RunConfig",
     "Scenario",
     "ScenarioConfig",

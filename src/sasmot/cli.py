@@ -156,9 +156,9 @@ def cmd_track(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     image_size = _image_size(args)
-    gt = parse_mot_file(args.gt, image_size)
-    pred = parse_mot_file(args.pred, image_size)
-    n_frames = max(gt.max_frame, pred.max_frame)
+    gt, _ = parse_mot_file(args.gt, image_size)
+    pred, _ = parse_mot_file(args.pred, image_size)
+    n_frames = max(len(gt), len(pred))
     pair = SequencePair(
         gt=frames_to_id_boxes(gt, n_frames),
         pred=frames_to_id_boxes(pred, n_frames),

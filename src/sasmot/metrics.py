@@ -73,15 +73,15 @@ class SequencePair:
             raise ValueError(
                 f"gt has {len(self.gt)} frames but pred has {len(self.pred)}"
             )
-        for frames in (self.gt, self.pred):
-            for entries in frames:
+        for side, frames in (("gt", self.gt), ("pred", self.pred)):
+            for frame, entries in enumerate(frames, start=1):
+                seen = set()
                 for obj_id, _ in entries:
                     if obj_id < 1:
                         raise ValueError(f"ids must be positive, got {obj_id}")
-
-    @property
-    def n_frames(self) -> int:
-        return len(self.gt)
+                    if obj_id in seen:
+                        raise ValueError(f"{side} frame {frame}: id {obj_id} appears twice")
+                    seen.add(obj_id)
 
     def total_gt(self) -> int:
         return sum(len(f) for f in self.gt)

@@ -7,12 +7,15 @@ Row format is the comma-separated MOTChallenge convention::
 with pixel coordinates; the 9-field ground-truth layout of MOT17 and
 DanceTrack (``...,conf,class,visibility``) is read too, and fields after
 ``conf`` are ignored; a non-finite number is an error naming the line.
-Files written here carry a ``# image_size=WxH`` header so they can be
-normalized back to unit coordinates without external context; a
-caller-supplied image size overrides the header. Written rows come from one
-converter of (frame, id, box, conf) tuples: ground truth and tracker output
-carry conf 1, detections carry id -1 and their score, and rows are sorted by
-(frame, id) with 6 decimals per float. Embeddings ride in a sidecar CSV
+Pixels appear only in the text: parsing yields normalized frames, where
+``frames[k]`` lists the ``(id, box, conf)`` entries of frame k + 1 in file
+order, and writing takes the pixel rows that one converter builds from
+(frame, id, box, conf) tuples. Files written here carry a
+``# image_size=WxH`` header so they can be normalized back to unit
+coordinates without external context; a caller-supplied image size
+overrides the header. Ground truth and tracker output carry conf 1,
+detections carry id -1 and their score, and rows are sorted by (frame, id)
+with 6 decimals per float. Embeddings ride in a sidecar CSV
 (``frame,det_index,e_1,...,e_D``, 9 significant digits) keyed by position
 within the frame, because MOT rows cannot carry vectors.
 
@@ -32,20 +35,16 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import Box2D
-from .memory import MemoryConfig, MemoryPolicy
+from .memory import MemoryPolicy
 from .simulator import Scenario, ScenarioConfig
 from .tracker import Detection, FrameResult, TrackerConfig
 
 __all__ = [
-    "MotRow",
-    "ParsedMot",
     "RunConfig",
     "parse_image_size",
     "parse_mot_text",
     "parse_mot_file",
     "write_mot_file",
-    "mot_row_to_box",
-    "box_to_mot_fields",
     "frames_to_id_boxes",
     "results_to_rows",
     "write_embeddings_csv",
@@ -57,37 +56,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MotRow:
-    """One MOTChallenge row; box fields are pixels."""
-
-    frame: int
-    track_id: int
-    bb_left: float
-    bb_top: float
-    bb_width: float
-    bb_height: float
-    conf: float
-
-    def __post_init__(self):
-        if self.frame < 1:
-            raise ValueError(f"frame must be >= 1, got {self.frame}")
-        if self.bb_width <= 0:
-            raise ValueError(f"non-positive width {self.bb_width}")
-        if self.bb_height <= 0:
-            raise ValueError(f"non-positive height {self.bb_height}")
-
-
-@dataclass(eq=False)
-class ParsedMot:
-    """Rows grouped by frame (ascending) plus the resolved image size."""
-
-    frames: Dict[int, List[MotRow]]
-    image_size: Tuple[int, int]
-
-    @property
-    def max_frame(self) -> int:
-        return max(self.frames) if self.frames else 0
+_PixelRow = Tuple[int, int, float, float, float, float, float]  # frame, id, left, top, w, h, conf
+_Frames = List[List[Tuple[int, Box2D, float]]]  # frames[k]: (id, box, conf) of frame k + 1
 
 
 def parse_image_size(text: str) -> Tuple[int, int]:
@@ -102,10 +72,12 @@ def parse_image_size(text: str) -> Tuple[int, int]:
     return w, h
 
 
-def parse_mot_text(text: str, image_size: Optional[Tuple[int, int]] = None) -> ParsedMot:
-    """Parse MOT rows from text; image size comes from the argument or header."""
+def parse_mot_text(
+    text: str, image_size: Optional[Tuple[int, int]] = None
+) -> Tuple[_Frames, Tuple[int, int]]:
+    """Frames 1..max of (id, box, conf) in file order, and the argument's or header's size."""
     header_size: Optional[Tuple[int, int]] = None
-    frames: Dict[int, List[MotRow]] = {}
+    rows: List[Tuple[int, _PixelRow]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -114,7 +86,10 @@ def parse_mot_text(text: str, image_size: Optional[Tuple[int, int]] = None) -> P
             body = line.lstrip("#").strip()
             if body.startswith("image_size"):
                 _, _, value = body.partition("=")
-                header_size = parse_image_size(value.strip())
+                try:
+                    header_size = parse_image_size(value.strip())
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
             continue
         parts = line.split(",")
         if len(parts) not in (9, 10):
@@ -122,24 +97,37 @@ def parse_mot_text(text: str, image_size: Optional[Tuple[int, int]] = None) -> P
         try:
             frame = int(parts[0])
             track_id = int(parts[1])
-            numbers = [float(p) for p in parts[2:7]]
+            left, top, width, height, conf = (float(p) for p in parts[2:7])
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric field in {line!r}") from None
-        if not all(math.isfinite(v) for v in numbers):
+        if not all(math.isfinite(v) for v in (left, top, width, height, conf)):
             raise ValueError(f"line {lineno}: non-finite field in {line!r}")
-        try:
-            row = MotRow(frame, track_id, *numbers)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        frames.setdefault(frame, []).append(row)
+        if frame < 1:
+            raise ValueError(f"line {lineno}: frame must be >= 1, got {frame}")
+        if width <= 0:
+            raise ValueError(f"line {lineno}: non-positive width {width}")
+        if height <= 0:
+            raise ValueError(f"line {lineno}: non-positive height {height}")
+        rows.append((lineno, (frame, track_id, left, top, width, height, conf)))
 
     size = image_size if image_size is not None else header_size
     if size is None:
         raise ValueError("no image size: pass one or include an image_size header")
-    return ParsedMot(dict(sorted(frames.items())), size)
+    w_img, h_img = size
+    frames: _Frames = [[] for _ in range(max((row[0] for _, row in rows), default=0))]
+    for lineno, (frame, track_id, left, top, width, height, conf) in rows:
+        try:
+            box = Box2D((left + width / 2.0) / w_img, (top + height / 2.0) / h_img,
+                        width / w_img, height / h_img)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        frames[frame - 1].append((track_id, box, conf))
+    return frames, size
 
 
-def parse_mot_file(path: Path | str, image_size: Optional[Tuple[int, int]] = None) -> ParsedMot:
+def parse_mot_file(
+    path: Path | str, image_size: Optional[Tuple[int, int]] = None
+) -> Tuple[_Frames, Tuple[int, int]]:
     """Parse a MOT file; every parse error starts with the path."""
     text = Path(path).read_text()
     try:
@@ -148,64 +136,42 @@ def parse_mot_file(path: Path | str, image_size: Optional[Tuple[int, int]] = Non
         raise ValueError(f"{path}: {exc}") from None
 
 
-def mot_row_to_box(row: MotRow, image_size: Tuple[int, int]) -> Box2D:
-    """Pixel row to normalized center/size box: x by width, y by height."""
-    w_img, h_img = image_size
-    return Box2D(
-        cx=(row.bb_left + row.bb_width / 2.0) / w_img,
-        cy=(row.bb_top + row.bb_height / 2.0) / h_img,
-        w=row.bb_width / w_img,
-        h=row.bb_height / h_img,
-    )
-
-
-def box_to_mot_fields(box: Box2D, image_size: Tuple[int, int]) -> Tuple[float, float, float, float]:
-    """Normalized box back to pixel (left, top, width, height)."""
-    w_img, h_img = image_size
-    return (
-        (box.cx - box.w / 2.0) * w_img,
-        (box.cy - box.h / 2.0) * h_img,
-        box.w * w_img,
-        box.h * h_img,
-    )
-
-
-def _format_row(row: MotRow) -> str:
-    return (
-        f"{row.frame},{row.track_id},{row.bb_left:.6f},{row.bb_top:.6f},"
-        f"{row.bb_width:.6f},{row.bb_height:.6f},{row.conf:.6f},-1,-1,-1"
-    )
-
-
-def write_mot_file(path: Path | str, rows: Iterable[MotRow], image_size: Tuple[int, int]) -> None:
-    """Write rows sorted by (frame, id) with an image-size header."""
-    ordered = sorted(rows, key=lambda r: (r.frame, r.track_id))
+def write_mot_file(
+    path: Path | str, rows: Iterable[_PixelRow], image_size: Tuple[int, int]
+) -> None:
+    """Write pixel rows sorted by (frame, id) with an image-size header."""
     lines = [f"# image_size={image_size[0]}x{image_size[1]}"]
-    lines.extend(_format_row(r) for r in ordered)
+    for frame, track_id, left, top, width, height, conf in sorted(rows, key=lambda r: r[:2]):
+        if frame < 1:
+            raise ValueError(f"frame must be >= 1, got {frame}")
+        lines.append(f"{frame},{track_id},{left:.6f},{top:.6f},"
+                     f"{width:.6f},{height:.6f},{conf:.6f},-1,-1,-1")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def frames_to_id_boxes(parsed: ParsedMot, n_frames: Optional[int] = None) -> List[List[Tuple[int, Box2D]]]:
-    """Per-frame (id, normalized box) lists for frames 1..n (missing = empty)."""
-    last = n_frames if n_frames is not None else parsed.max_frame
-    out: List[List[Tuple[int, Box2D]]] = []
-    for frame in range(1, last + 1):
-        rows = parsed.frames.get(frame, [])
-        out.append([(r.track_id, mot_row_to_box(r, parsed.image_size)) for r in rows])
+def frames_to_id_boxes(
+    frames: _Frames, n_frames: Optional[int] = None
+) -> List[List[Tuple[int, Box2D]]]:
+    """Per-frame (id, box) lists for frames 1..n; frames past the parsed ones are empty."""
+    last = len(frames) if n_frames is None else n_frames
+    out = [[(track_id, box) for track_id, box, _ in entries] for entries in frames[:last]]
+    out.extend([] for _ in range(last - len(out)))
     return out
 
 
 def _mot_rows(
     entries: Iterable[Tuple[int, int, Box2D, float]], image_size: Tuple[int, int]
-) -> List[MotRow]:
-    """(frame, id, normalized box, conf) tuples to pixel MOT rows."""
+) -> List[_PixelRow]:
+    """(frame, id, normalized box, conf) tuples to pixel rows."""
+    w_img, h_img = image_size
     return [
-        MotRow(frame, track_id, *box_to_mot_fields(box, image_size), conf)
+        (frame, track_id, (box.cx - box.w / 2.0) * w_img, (box.cy - box.h / 2.0) * h_img,
+         box.w * w_img, box.h * h_img, conf)
         for frame, track_id, box, conf in entries
     ]
 
 
-def results_to_rows(results: Sequence[FrameResult], image_size: Tuple[int, int]) -> List[MotRow]:
+def results_to_rows(results: Sequence[FrameResult], image_size: Tuple[int, int]) -> List[_PixelRow]:
     return _mot_rows(
         ((r.frame_idx, track_id, box, 1.0) for r in results for track_id, box in r.tracks),
         image_size,
@@ -264,20 +230,19 @@ def detections_from_files(
     Returns the detections of frames 1..max and the resolved image size.
     Every detection needs a sidecar row and every sidecar row a detection.
     """
-    parsed = parse_mot_file(det_path, image_size)
+    parsed, size = parse_mot_file(det_path, image_size)
     embeddings = read_embeddings_csv(emb_path)
     frames: List[List[Detection]] = []
-    for frame in range(1, parsed.max_frame + 1):
+    for frame, entries in enumerate(parsed, start=1):
         dets = []
-        for det_index, row in enumerate(parsed.frames.get(frame, [])):
+        for det_index, (_, box, conf) in enumerate(entries):
             embedding = embeddings.pop((frame, det_index), None)
             if embedding is None:
                 raise ValueError(
                     f"{emb_path}: missing embedding for frame {frame} detection {det_index}"
                 )
             try:
-                box = mot_row_to_box(row, parsed.image_size)
-                dets.append(Detection(box, embedding, row.conf))
+                dets.append(Detection(box, embedding, conf))
             except ValueError as exc:
                 where = f"{det_path}: frame {frame} detection {det_index}"
                 raise ValueError(f"{where}: {exc}") from None
@@ -287,7 +252,7 @@ def detections_from_files(
         raise ValueError(
             f"{emb_path}: embedding for frame {frame} detection {det_index} matches no detection"
         )
-    return frames, parsed.image_size
+    return frames, size
 
 
 def write_scenario(

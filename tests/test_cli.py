@@ -1,5 +1,7 @@
 """End-to-end checks of the command line interface via ``main(argv)``."""
 
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -122,6 +124,18 @@ def test_eval_error_names_the_bad_file(tmp_path, capsys):
     ])
     assert code == 1
     assert f"error: {bad}: line 3: expected 9 or 10 fields, got 8" in capsys.readouterr().err
+
+
+def test_eval_rejects_an_id_repeated_within_a_frame(tmp_path, capsys):
+    # A repeated id would be counted twice against one gt box (IDF1 > 1).
+    row = "1,1,10,10,20,20,1,-1,-1,-1\n"
+    gt, pred = tmp_path / "gt.txt", tmp_path / "pred.txt"
+    gt.write_text("# image_size=100x100\n" + row)
+    pred.write_text("# image_size=100x100\n" + row + row)
+    assert main(["eval", "--gt", str(gt), "--pred", str(pred)]) == 1
+    captured = capsys.readouterr()
+    assert "error: pred frame 1: id 1 appears twice" in captured.err
+    assert captured.out == ""
 
 
 def _track(run: Path) -> int:
@@ -313,3 +327,12 @@ def test_bad_integer_in_config_names_the_key(tmp_path, capsys, key):
     cfg.write_text(f"{key} = abc\n")
     assert main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert f"error: {key}: invalid literal" in capsys.readouterr().err
+
+
+def test_demo_pipeline_script_runs(tmp_path, monkeypatch):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "demo_pipeline.py"
+    demo = runpy.run_path(str(script))
+    argv = ["demo_pipeline.py", "--out", str(tmp_path), "--n-objects", "3", "--n-frames", "30"]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert demo["main"]() == 0
+    assert (tmp_path / "report.csv").read_text().startswith("hota,deta,assa,mota,idf1,idsw")

@@ -1,7 +1,5 @@
 """Memory semantics: accumulation, commit timing, selection, fusion, eviction."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st

@@ -50,7 +50,7 @@ def test_evaluate_computes_each_frame_iou_once(monkeypatch):
     monkeypatch.setattr(sasmot.metrics, "iou_matrix", counting)
     pair = _perfect_pair(n_frames=7)
     evaluate(pair)
-    assert len(calls) == pair.n_frames
+    assert len(calls) == len(pair.gt)
 
 
 def test_midpoint_id_swap_canonical_values():
@@ -180,6 +180,11 @@ def test_sequence_pair_validation():
         SequencePair(gt=[[]], pred=[[], []])
     with pytest.raises(ValueError):
         SequencePair(gt=[[(0, BOX_A)]], pred=[[]])
+    # One box per id per frame: a repeated id would let IDF1 exceed 1.
+    with pytest.raises(ValueError, match="gt frame 2: id 3 appears twice"):
+        SequencePair(gt=[[], [(3, BOX_A), (3, BOX_B)]], pred=[[], []])
+    with pytest.raises(ValueError, match="pred frame 1: id 1 appears twice"):
+        SequencePair(gt=[[(1, BOX_A)]], pred=[[(1, BOX_A), (1, BOX_A)]])
 
 
 # ---------------------------------------------------------------------------

@@ -5,33 +5,33 @@ import math
 import numpy as np
 import pytest
 
+from sasmot.geometry import Box2D
 from sasmot.memory import MemoryPolicy
 from sasmot.mot_io import (
-    MotRow,
     RunConfig,
     apply_flat_config,
-    box_to_mot_fields,
     detections_from_files,
     frames_to_id_boxes,
-    mot_row_to_box,
     parse_flat_config,
     parse_image_size,
     parse_mot_file,
     parse_mot_text,
     read_embeddings_csv,
+    results_to_rows,
     write_embeddings_csv,
     write_mot_file,
     write_scenario,
 )
 from sasmot.simulator import ScenarioConfig, generate_scenario
+from sasmot.tracker import FrameResult
 
 
 def test_parse_row_normalizes_by_image_size():
     text = "1,2,100,200,50,80,1,-1,-1,-1\n"
-    parsed = parse_mot_text(text, image_size=(1000, 1000))
-    row = parsed.frames[1][0]
-    assert (row.frame, row.track_id) == (1, 2)
-    box = mot_row_to_box(row, parsed.image_size)
+    frames, _ = parse_mot_text(text, image_size=(1000, 1000))
+    assert len(frames) == 1 and len(frames[0]) == 1
+    track_id, box, conf = frames[0][0]
+    assert (track_id, conf) == (2, 1.0)
     assert box.cx == pytest.approx(0.125)
     assert box.cy == pytest.approx(0.24)
     assert box.w == pytest.approx(0.05)
@@ -40,17 +40,18 @@ def test_parse_row_normalizes_by_image_size():
 
 def test_header_supplies_image_size():
     text = "# image_size=1920x1080\n1,1,0,0,192,108,0.9,-1,-1,-1\n"
-    parsed = parse_mot_text(text)
-    assert parsed.image_size == (1920, 1080)
-    box = mot_row_to_box(parsed.frames[1][0], parsed.image_size)
+    frames, image_size = parse_mot_text(text)
+    assert image_size == (1920, 1080)
+    _, box, _ = frames[0][0]
     assert box.w == pytest.approx(0.1)
     assert box.h == pytest.approx(0.1)
 
 
 def test_explicit_image_size_overrides_header():
     text = "# image_size=100x100\n1,1,0,0,10,10,1,-1,-1,-1\n"
-    parsed = parse_mot_text(text, image_size=(200, 200))
-    assert parsed.image_size == (200, 200)
+    frames, image_size = parse_mot_text(text, image_size=(200, 200))
+    assert image_size == (200, 200)
+    assert frames[0][0][1] == Box2D(0.025, 0.025, 0.05, 0.05)
 
 
 def test_missing_image_size_is_an_error():
@@ -62,6 +63,10 @@ def test_malformed_line_reports_line_number():
     text = "# image_size=100x100\n1,1,0,0,10,10,1,-1,-1,-1\n1,2,junk\n"
     with pytest.raises(ValueError, match="line 3"):
         parse_mot_text(text)
+    for header in ("# image_size", "# image_size=axb"):
+        text = f"1,1,0,0,10,10,1,-1,-1,-1\n{header}\n"
+        with pytest.raises(ValueError, match="line 2: image size must look like 1920x1080"):
+            parse_mot_text(text)
 
 
 def test_nine_field_rows_parse_like_ten_field_rows(tmp_path):
@@ -77,7 +82,7 @@ def test_nine_field_rows_parse_like_ten_field_rows(tmp_path):
     want = parse_mot_file(tmp_path / "gt.txt")
     got = parse_mot_file(tmp_path / "gt9.txt")
     assert len(nine[1].split(",")) == 9
-    assert got.frames == want.frames and got.image_size == want.image_size
+    assert got == want and len(want[0]) == 8
     for fields in (8, 11):
         bad = list(nine)
         bad[2] = ",".join((bad[2].split(",") + ["0", "0"])[:fields])
@@ -97,6 +102,9 @@ def test_non_positive_size_rejected():
         parse_mot_text("1,1,0,0,0,10,1,-1,-1,-1\n", image_size=(100, 100))
     with pytest.raises(ValueError, match="line 1"):
         parse_mot_text("1,1,0,0,5,-2,1,-1,-1,-1\n", image_size=(100, 100))
+    # Finite pixels whose normalized box is not: the width underflows to 0.
+    with pytest.raises(ValueError, match="line 2: non-positive box size"):
+        parse_mot_text("\n1,1,0,0,5e-324,10,1,-1,-1,-1\n", image_size=(100, 100))
 
 
 def test_parse_image_size():
@@ -112,9 +120,9 @@ def test_parse_image_size():
 
 def test_write_then_parse_round_trip(tmp_path):
     rows = [
-        MotRow(2, 1, 10.5, 20.25, 30.125, 40.0625, 0.875),
-        MotRow(1, 3, 1.0, 2.0, 3.0, 4.0, 1.0),
-        MotRow(1, 1, 5.0, 6.0, 7.0, 8.0, 0.5),
+        (2, 1, 10.5, 20.25, 30.125, 40.0625, 0.875),
+        (1, 3, 1.0, 2.0, 3.0, 4.0, 1.0),
+        (1, 1, 5.0, 6.0, 7.0, 8.0, 0.5),
     ]
     path = tmp_path / "out.txt"
     write_mot_file(path, rows, (640, 480))
@@ -123,30 +131,38 @@ def test_write_then_parse_round_trip(tmp_path):
     # Sorted by (frame, id) and padded with the conventional -1 triple.
     assert text.splitlines()[1].startswith("1,1,")
     assert text.splitlines()[1].endswith(",-1,-1,-1")
-    parsed = parse_mot_text(text)
-    assert parsed.image_size == (640, 480)
-    back = parsed.frames[2][0]
-    assert back.bb_left == pytest.approx(10.5, abs=1e-6)
-    assert back.conf == pytest.approx(0.875, abs=1e-6)
+    frames, image_size = parse_mot_text(text)
+    assert image_size == (640, 480)
+    assert [track_id for track_id, _, _ in frames[0]] == [1, 3]
+    track_id, box, conf = frames[1][0]
+    assert track_id == 1
+    assert (box.cx - box.w / 2) * 640 == pytest.approx(10.5, abs=1e-6)
+    assert conf == pytest.approx(0.875, abs=1e-6)
+    with pytest.raises(ValueError, match="frame must be >= 1, got 0"):
+        write_mot_file(path, [(0, 1, 1.0, 2.0, 3.0, 4.0, 1.0)], (640, 480))
 
 
 def test_frames_to_id_boxes_fills_missing_frames():
     text = "# image_size=100x100\n1,1,0,0,10,10,1,-1,-1,-1\n3,1,0,0,10,10,1,-1,-1,-1\n"
-    frames = frames_to_id_boxes(parse_mot_text(text))
-    assert len(frames) == 3
-    assert frames[1] == []
-    assert frames[0][0][0] == 1
+    frames, _ = parse_mot_text(text)
+    assert len(frames) == 3 and frames[1] == []
+    id_boxes = frames_to_id_boxes(frames)
+    assert len(id_boxes) == 3
+    assert id_boxes[1] == []
+    assert id_boxes[0] == [(1, Box2D(0.05, 0.05, 0.1, 0.1))]
+    assert len(frames_to_id_boxes(frames, 5)) == 5
 
 
-def test_box_round_trip_through_pixels():
-    from sasmot.geometry import Box2D
-
+def test_box_round_trip_through_pixels(tmp_path):
     box = Box2D(0.31, 0.47, 0.12, 0.08)
-    left, top, w, h = box_to_mot_fields(box, (1920, 1080))
-    row = MotRow(1, 1, left, top, w, h, 1.0)
-    back = mot_row_to_box(row, (1920, 1080))
-    assert back.cx == pytest.approx(box.cx, abs=1e-12)
-    assert back.h == pytest.approx(box.h, abs=1e-12)
+    path = tmp_path / "pred.txt"
+    rows = results_to_rows([FrameResult(frame_idx=1, tracks=[(4, box)])], (1920, 1080))
+    write_mot_file(path, rows, (1920, 1080))
+    frames, _ = parse_mot_file(path)
+    [(track_id, back, conf)] = frames[0]
+    assert (track_id, conf) == (4, 1.0)
+    for name in ("cx", "cy", "w", "h"):
+        assert getattr(back, name) == pytest.approx(getattr(box, name), abs=1e-9)
 
 
 def test_scenario_files_round_trip(tmp_path):

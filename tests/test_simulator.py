@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sasmot.simulator import ScenarioConfig, Scenario, generate_scenario
+from sasmot.simulator import ScenarioConfig, generate_scenario
 
 
 def _angle(a, b):
