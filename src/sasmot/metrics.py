@@ -138,9 +138,7 @@ def clear_mota(pair: SequencePair) -> Tuple[float, int, int, int]:
         claimed_pred = set()
         # Carry-over: a gt identity keeps its most recent prediction while
         # the pair still overlaps enough.
-        pid_to_idx: Dict[int, int] = {}
-        for pj, pid in enumerate(pids):
-            pid_to_idx.setdefault(pid, pj)
+        pid_to_idx = {pid: pj for pj, pid in enumerate(pids)}
         bound_gt = set()
         for gi, gid in enumerate(gids):
             pj = pid_to_idx.get(last_pred.get(gid))

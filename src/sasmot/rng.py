@@ -19,22 +19,6 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def splitmix64_next(state: int) -> tuple[int, int]:
-    """Advance a SplitMix64 state by one step.
-
-    Args:
-        state: current 64-bit state (any integer; masked to 64 bits).
-
-    Returns:
-        (new_state, output) with both values in [0, 2**64).
-    """
-    state = (state + _GAMMA) & MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-    return state, z ^ (z >> 31)
-
-
 class SplitMix64:
     """Sequential SplitMix64 stream with uniform and gaussian draws."""
 
@@ -44,8 +28,11 @@ class SplitMix64:
         self.state = seed & MASK64
 
     def next_u64(self) -> int:
-        self.state, value = splitmix64_next(self.state)
-        return value
+        """Advance the state by one step and return the 64-bit output."""
+        self.state = z = (self.state + _GAMMA) & MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+        return z ^ (z >> 31)
 
     def uniform(self) -> float:
         """Uniform float in [0, 1): raw value / 2**64."""

@@ -69,8 +69,16 @@ class ScenarioConfig:
             raise ValueError(f"n_frames must be >= 1, got {self.n_frames}")
         if self.embedding_dim < 2:
             raise ValueError(f"embedding_dim must be >= 2, got {self.embedding_dim}")
-        if self.drift_rate < 0 or self.noise_sigma < 0:
-            raise ValueError("drift_rate and noise_sigma must be >= 0")
+        for name, value in (
+            ("drift_rate", self.drift_rate),
+            ("noise_sigma", self.noise_sigma),
+            ("box_jitter", self.box_jitter),
+            ("size_jitter", self.size_jitter),
+        ):
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not math.isfinite(self.rotation_magnitude):
+            raise ValueError(f"rotation_magnitude must be finite, got {self.rotation_magnitude}")
         for name, value in (
             ("rotation_event_prob", self.rotation_event_prob),
             ("occlusion_blend", self.occlusion_blend),

@@ -81,7 +81,7 @@ class TrackerConfig:
             raise ValueError(f"iou_gate must be in [0, 1], got {self.iou_gate}")
         if not 0.0 <= self.min_score <= 1.0:
             raise ValueError(f"min_score must be in [0, 1], got {self.min_score}")
-        if self.match_threshold < 0.0:
+        if not self.match_threshold >= 0.0:
             raise ValueError(f"match_threshold must be >= 0, got {self.match_threshold}")
         if self.max_misses < 0:
             raise ValueError(f"max_misses must be >= 0, got {self.max_misses}")

@@ -1,13 +1,19 @@
 """End-to-end checks of the command line interface via ``main(argv)``."""
 
+import os
+import re
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from sasmot.cli import build_parser, main, _resolve_run
+from sasmot.experiments import mean, paired_sign_test, render_table_csv, render_table_markdown
 from sasmot.memory import MemoryPolicy
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _read_all(directory: Path) -> dict:
@@ -186,9 +192,16 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
-def test_missing_output_dir_exits_nonzero(capsys):
+def test_missing_output_dir_exits_nonzero(tmp_path, capsys):
     assert main(["simulate"]) == 1
     assert "output directory" in capsys.readouterr().err
+    # Without --out, the config file's output_dir is used.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"output_dir = {tmp_path / 'run'}\nscenario.n_frames = 5\n")
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+        "det.txt", "embeddings.csv", "gt.txt",
+    ]
 
 
 def test_flags_override_config_file(tmp_path):
@@ -231,6 +244,12 @@ def test_ablate_reports_sign_tests(tmp_path, capsys):
     csv_text = (tmp_path / "ablation.csv").read_text()
     assert csv_text.splitlines()[0].startswith("variant,")
     assert len(csv_text.strip().splitlines()) == 1 + 3
+    assert paired_sign_test([0.5, 0.7], [0.5, 0.7]) == (0, 0, 1.0)  # all ties
+    with pytest.raises(ValueError, match="equal length"):
+        paired_sign_test([0.5], [0.5, 0.7])
+    with pytest.raises(ValueError, match="empty"):
+        mean([])
+    assert render_table_markdown([]) == render_table_csv([]) == ""
 
 
 def test_design_reports_four_rows(tmp_path):
@@ -321,6 +340,16 @@ def test_track_names_the_detection_with_a_bad_score(tmp_path, capsys):
     assert f"{run / 'det.txt'}: frame {frame} detection 0: score must be in [0, 1]" in err
 
 
+def test_nan_match_threshold_in_config_names_the_key(tmp_path, capsys):
+    # NaN fails every comparison, so a `< 0` check would let it switch the cost gate off.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tracker.match_threshold = nan\n")
+    argv = ["ablate", "--config", str(cfg), "--out", str(tmp_path / "out"),
+            "--n-objects", "2", "--n-frames", "10", "--n-seeds", "1"]
+    assert main(argv) == 1
+    assert "match_threshold must be >= 0, got nan" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["n_seeds", "seed"])
 def test_bad_integer_in_config_names_the_key(tmp_path, capsys, key):
     cfg = tmp_path / "run.cfg"
@@ -330,9 +359,21 @@ def test_bad_integer_in_config_names_the_key(tmp_path, capsys, key):
 
 
 def test_demo_pipeline_script_runs(tmp_path, monkeypatch):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "demo_pipeline.py"
+    script = ROOT / "scripts" / "demo_pipeline.py"
     demo = runpy.run_path(str(script))
     argv = ["demo_pipeline.py", "--out", str(tmp_path), "--n-objects", "3", "--n-frames", "30"]
     monkeypatch.setattr(sys, "argv", argv)
     assert demo["main"]() == 0
     assert (tmp_path / "report.csv").read_text().startswith("hota,deta,assa,mota,idf1,idsw")
+
+
+def test_readme_library_snippet_runs():
+    readme = (ROOT / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1]
+    snippet = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", snippet], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("MetricsReport(")

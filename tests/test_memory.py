@@ -280,6 +280,8 @@ def test_observe_validation():
         mem.observe(_box(0.1, 0.5), _emb(4), 1.5, 4)  # overlap out of range
     with pytest.raises(ValueError):
         mem.observe(_box(0.1, 0.5), _emb(4), 0.0, 3)  # frame not advancing
+    with pytest.raises(ValueError, match="1-D"):
+        mem.observe(_box(0.1, 0.5), _emb(4).reshape(2, 2), 0.0, 4)
 
 
 def test_commit_store_requires_candidate():
@@ -297,3 +299,5 @@ def test_config_validation():
         MemoryConfig(m_max=0)
     with pytest.raises(ValueError):
         MemoryConfig(alpha=1.5)
+    with pytest.raises(ValueError, match="delay_overlap_threshold must be in"):
+        MemoryConfig(delay_overlap_threshold=1.5)

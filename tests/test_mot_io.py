@@ -95,6 +95,8 @@ def test_non_numeric_field_reports_line_number():
     text = "1,1,0,0,ten,10,1,-1,-1,-1\n"
     with pytest.raises(ValueError, match="line 1"):
         parse_mot_text(text, image_size=(100, 100))
+    with pytest.raises(ValueError, match="line 2: frame must be >= 1, got 0"):
+        parse_mot_text("1,1,0,0,10,10,1,-1,-1,-1\n0,1,0,0,10,10,1,-1,-1,-1\n", (100, 100))
 
 
 def test_non_positive_size_rejected():
@@ -208,6 +210,12 @@ def test_embeddings_sidecar_errors(tmp_path):
     path.write_text("1,0,0.5,0.5\n1,1,0,0.0\n")
     with pytest.raises(ValueError, match="emb.csv: line 2: zero-norm"):
         read_embeddings_csv(path)
+    path.write_text("1,0,0.5,0.5\n1,1\n")
+    with pytest.raises(ValueError, match="emb.csv: line 2: embedding row needs frame,det_index,values"):
+        read_embeddings_csv(path)
+    path.write_text("1,0,0.5,0.5\n1,x,0.5,0.5\n")
+    with pytest.raises(ValueError, match="emb.csv: line 2: non-numeric field"):
+        read_embeddings_csv(path)
 
 
 def test_missing_embedding_for_detection(tmp_path):
@@ -286,6 +294,8 @@ def test_apply_flat_config_rejects_unknown_keys():
     # `seed` is the one key for the scenario seed.
     with pytest.raises(ValueError, match="via seed"):
         apply_flat_config(RunConfig(), {"scenario.seed": "7", "seed": "3"})
+    with pytest.raises(ValueError, match=r"via memory\.<field>"):
+        apply_flat_config(RunConfig(), {"tracker.memory": "0.1"})
 
 
 def test_apply_flat_config_validates_values():
@@ -293,3 +303,5 @@ def test_apply_flat_config_validates_values():
         apply_flat_config(RunConfig(), {"memory.alpha": "2.0"})
     with pytest.raises(ValueError):
         apply_flat_config(RunConfig(), {"scenario.n_objects": "0"})
+    with pytest.raises(ValueError, match="n_seeds must be >= 1, got 0"):
+        apply_flat_config(RunConfig(), {"n_seeds": "0"})

@@ -4,7 +4,7 @@ import math
 
 from hypothesis import given, strategies as st
 
-from sasmot.rng import MASK64, SplitMix64, splitmix64_next
+from sasmot.rng import MASK64, SplitMix64
 
 
 def _reference_step(state):
@@ -34,7 +34,9 @@ def test_seed_zero_first_three_outputs():
 @given(st.integers(min_value=0, max_value=MASK64))
 def test_next_matches_reference_step(seed):
     state, expected = _reference_step(seed)
-    assert splitmix64_next(seed) == (state, expected)
+    rng = SplitMix64(seed)
+    assert rng.next_u64() == expected
+    assert rng.state == state
 
 
 @given(st.integers(min_value=0, max_value=MASK64))

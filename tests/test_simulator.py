@@ -168,6 +168,15 @@ def test_true_appearance_is_recorded_per_object():
 def test_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(n_objects=0)
+    with pytest.raises(ValueError, match="n_frames must be >= 1, got 0"):
+        ScenarioConfig(n_frames=0)
+    for name in ("drift_rate", "noise_sigma", "box_jitter", "size_jitter"):
+        for bad in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite and >= 0, got {bad}"):
+                ScenarioConfig(**{name: bad})
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"rotation_magnitude must be finite, got {bad}"):
+            ScenarioConfig(rotation_magnitude=bad)
     with pytest.raises(ValueError):
         ScenarioConfig(embedding_dim=1)
     with pytest.raises(ValueError):

@@ -334,6 +334,11 @@ def test_config_validation():
         TrackerConfig(min_score=-0.1)
     with pytest.raises(ValueError):
         TrackerConfig(match_threshold=-1.0)
+    with pytest.raises(ValueError, match="match_threshold must be >= 0, got nan"):
+        TrackerConfig(match_threshold=math.nan)
+    assert TrackerConfig(match_threshold=math.inf).match_threshold == math.inf
+    with pytest.raises(ValueError, match="iou_gate must be in"):
+        TrackerConfig(iou_gate=1.5)
     with pytest.raises(ValueError):
         TrackerConfig(max_misses=-1)
     with pytest.raises(ValueError):
@@ -342,3 +347,5 @@ def test_config_validation():
         Detection(Box2D(0, 0, 1, 1), np.array([1.0, 0.0]), 1.5)
     with pytest.raises(ValueError, match="all zeros"):
         Detection(Box2D(0, 0, 1, 1), np.zeros(3), 1.0)
+    with pytest.raises(ValueError, match=r"embedding must be 1-D, got shape \(1, 2\)"):
+        Detection(Box2D(0, 0, 1, 1), np.array([[1.0, 0.0]]), 1.0)
