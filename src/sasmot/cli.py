@@ -19,14 +19,11 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .experiments import (
-    ABLATION_ROWS,
-    DESIGN_ROWS,
     ablation_table,
     design_table,
-    paired_sign_test,
     render_table_csv,
     render_table_markdown,
     sweep_table,
@@ -173,65 +170,22 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_experiment(
-    out_dir: Path, stem: str, table: List[Dict[str, object]], extra_lines: Sequence[str] = ()
-) -> None:
+def cmd_table(args: argparse.Namespace) -> int:
+    run = _resolve_run(args)
+    out_dir = _resolve_out_dir(args, run)
+    # Only the commands that take --policy pass it; the policy tables run fixed rows.
+    policy = {"policy": run.policy} if "policy" in vars(args) else {}
+    table, lines = args.build(run.scenario, run.tracker, _seed_list(run), **policy)
     out_dir.mkdir(parents=True, exist_ok=True)
     markdown = render_table_markdown(table)
-    if extra_lines:
-        markdown += "\n\n" + "\n".join(extra_lines)
-    (out_dir / f"{stem}.md").write_text(markdown + "\n")
-    (out_dir / f"{stem}.csv").write_text(render_table_csv(table) + "\n")
+    if lines:
+        markdown += "\n\n" + "\n".join(lines)
+    md_path, csv_path = out_dir / f"{args.stem}.md", out_dir / f"{args.stem}.csv"
+    md_path.write_text(markdown + "\n")
+    csv_path.write_text(render_table_csv(table) + "\n")
     print(markdown)
-    print(f"wrote {out_dir / (stem + '.md')}")
-    print(f"wrote {out_dir / (stem + '.csv')}")
-
-
-class _PolicyTable(NamedTuple):
-    """One policy-table command: output stem, builder, rows, sign tests."""
-
-    stem: str
-    build: Callable
-    rows: Tuple[Tuple[str, MemoryPolicy], ...]
-    pairs: Tuple[Tuple[str, str], ...]  # (baseline label, treatment label)
-    metrics: Tuple[str, ...]
-
-
-_ABLATE = _PolicyTable(
-    "ablation", ablation_table, ABLATION_ROWS,
-    (("baseline", "+sasm"), ("+sasm", "+sasm+ofs")), ("assa", "idf1"),
-)
-_DESIGN = _PolicyTable(
-    "design", design_table, DESIGN_ROWS,
-    (("dense", "sparse"), ("delaying", "sparse+ofs")), ("hota",),
-)
-
-
-def cmd_policy_table(args: argparse.Namespace) -> int:
-    spec: _PolicyTable = args.table
-    run = _resolve_run(args)
-    out_dir = _resolve_out_dir(args, run)
-    table, suite = spec.build(run.scenario, run.tracker, _seed_list(run))
-    policy_of = dict(spec.rows)
-    lines = []
-    for base_label, treat_label in spec.pairs:
-        for metric in spec.metrics:
-            base = [getattr(r, metric) for r in suite[policy_of[base_label]]]
-            treat = [getattr(r, metric) for r in suite[policy_of[treat_label]]]
-            wins, n, p = paired_sign_test(base, treat)
-            lines.append(
-                f"{base_label} -> {treat_label} on {metric}: "
-                f"wins {wins}/{n}, one-sided sign test p = {p:.6g}"
-            )
-    _write_experiment(out_dir, spec.stem, table, lines)
-    return 0
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    run = _resolve_run(args)
-    out_dir = _resolve_out_dir(args, run)
-    table = sweep_table(run.scenario, run.tracker, _seed_list(run), run.policy)
-    _write_experiment(out_dir, "sweep", table)
+    print(f"wrote {md_path}")
+    print(f"wrote {csv_path}")
     return 0
 
 
@@ -267,17 +221,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", type=Path, default=None, help="report CSV path")
     p_eval.set_defaults(func=cmd_eval)
 
-    for name, helptext, func, table, policy_flags in (
-        ("ablate", "memory ablation over seeds", cmd_policy_table, _ABLATE, ()),
-        ("design", "storage-rule comparison over seeds", cmd_policy_table, _DESIGN, ()),
-        ("sweep", "epsilon and capacity sweep over seeds", cmd_sweep, None, _POLICY_FLAGS),
+    for name, helptext, stem, build, policy_flags in (
+        ("ablate", "memory ablation over seeds", "ablation", ablation_table, ()),
+        ("design", "storage-rule comparison over seeds", "design", design_table, ()),
+        ("sweep", "epsilon and capacity sweep over seeds", "sweep", sweep_table, _POLICY_FLAGS),
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", type=Path, default=None,
                        help="flat key = value config file")
         _add_flags(p, _SCENARIO_FLAGS, _SEED_FLAGS, policy_flags, _MEMORY_FLAGS, _TRACKER_FLAGS)
         p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.set_defaults(func=func, table=table)
+        p.set_defaults(func=cmd_table, stem=stem, build=build)
 
     return parser
 

@@ -21,8 +21,6 @@ from .tracker import FrameResult, Tracker, TrackerConfig
 __all__ = [
     "EPSILON_GRID",
     "MEMORY_GRID",
-    "ABLATION_ROWS",
-    "DESIGN_ROWS",
     "track_scenario",
     "evaluate_tracking",
     "run_policy_suite",
@@ -39,18 +37,25 @@ __all__ = [
 EPSILON_GRID: Tuple[float, ...] = (0.05, 0.1, 0.2, 0.3, 0.4)
 MEMORY_GRID: Tuple[int, ...] = (5, 10, 15, 20)
 
-# Row label -> policy, in presentation order.
-ABLATION_ROWS: Tuple[Tuple[str, MemoryPolicy], ...] = (
+# Each policy table: row label -> policy in presentation order, the
+# (baseline label, treatment label) pairs that get a sign test, and the
+# metrics each pair is tested on.
+_ABLATION_ROWS: Tuple[Tuple[str, MemoryPolicy], ...] = (
     ("baseline", MemoryPolicy.NONE),
     ("+sasm", MemoryPolicy.SPARSE),
     ("+sasm+ofs", MemoryPolicy.SPARSE_OFS),
 )
-DESIGN_ROWS: Tuple[Tuple[str, MemoryPolicy], ...] = (
+_ABLATION_PAIRS = (("baseline", "+sasm"), ("+sasm", "+sasm+ofs"))
+_ABLATION_METRICS = ("assa", "idf1")
+
+_DESIGN_ROWS: Tuple[Tuple[str, MemoryPolicy], ...] = (
     ("dense", MemoryPolicy.DENSE),
     ("sparse", MemoryPolicy.SPARSE),
     ("delaying", MemoryPolicy.DELAYING),
     ("sparse+ofs", MemoryPolicy.SPARSE_OFS),
 )
+_DESIGN_PAIRS = (("dense", "sparse"), ("delaying", "sparse+ofs"))
+_DESIGN_METRICS = ("hota",)
 
 _METRIC_FIELDS = ("hota", "deta", "assa", "mota", "idf1")
 
@@ -133,37 +138,68 @@ def summarize(reports: Sequence[MetricsReport]) -> Dict[str, float]:
     return out
 
 
-def _policy_rows(
+_Table = List[Dict[str, object]]
+
+
+def _summary_rows(
+    heads: Sequence[Dict[str, object]], reports: Sequence[Sequence[MetricsReport]]
+) -> _Table:
+    """One table row per head: its leading columns, then the summary over seeds."""
+    return [{**head, **summarize(r)} for head, r in zip(heads, reports)]
+
+
+def _policy_table(
     rows: Sequence[Tuple[str, MemoryPolicy]],
+    pairs: Sequence[Tuple[str, str]],
+    metrics: Sequence[str],
     base_cfg: ScenarioConfig,
     tracker_cfg: Optional[TrackerConfig],
     seeds: Sequence[int],
-) -> Tuple[List[Dict[str, object]], Dict[MemoryPolicy, List[MetricsReport]]]:
-    suite = run_policy_suite(base_cfg, tracker_cfg, [p for _, p in rows], seeds)
-    table = []
-    for label, policy in rows:
-        entry: Dict[str, object] = {"variant": label}
-        entry.update(summarize(suite[policy]))
-        table.append(entry)
-    return table, suite
+) -> Tuple[_Table, List[str]]:
+    policy_of = dict(rows)
+    suite = run_policy_suite(base_cfg, tracker_cfg, list(policy_of.values()), seeds)
+    table = _summary_rows(
+        [{"variant": label} for label in policy_of], [suite[p] for p in policy_of.values()]
+    )
+    lines = []
+    for base_label, treat_label in pairs:
+        for metric in metrics:
+            base = [getattr(r, metric) for r in suite[policy_of[base_label]]]
+            treat = [getattr(r, metric) for r in suite[policy_of[treat_label]]]
+            wins, n, p = paired_sign_test(base, treat)
+            lines.append(
+                f"{base_label} -> {treat_label} on {metric}: "
+                f"wins {wins}/{n}, one-sided sign test p = {p:.6g}"
+            )
+    return table, lines
 
 
 def ablation_table(
     base_cfg: ScenarioConfig,
     tracker_cfg: Optional[TrackerConfig],
     seeds: Sequence[int],
-) -> Tuple[List[Dict[str, object]], Dict[MemoryPolicy, List[MetricsReport]]]:
-    """Stacked ablation: no memory, sparse memory, sparse memory + selector."""
-    return _policy_rows(ABLATION_ROWS, base_cfg, tracker_cfg, seeds)
+) -> Tuple[_Table, List[str]]:
+    """Stacked ablation: no memory, sparse memory, sparse memory + selector.
+
+    Returns the table and one sign-test line per (step, metric).
+    """
+    return _policy_table(
+        _ABLATION_ROWS, _ABLATION_PAIRS, _ABLATION_METRICS, base_cfg, tracker_cfg, seeds
+    )
 
 
 def design_table(
     base_cfg: ScenarioConfig,
     tracker_cfg: Optional[TrackerConfig],
     seeds: Sequence[int],
-) -> Tuple[List[Dict[str, object]], Dict[MemoryPolicy, List[MetricsReport]]]:
-    """Storage-rule comparison: dense vs sparse, delaying vs overlap-aware."""
-    return _policy_rows(DESIGN_ROWS, base_cfg, tracker_cfg, seeds)
+) -> Tuple[_Table, List[str]]:
+    """Storage-rule comparison: dense vs sparse, delaying vs overlap-aware.
+
+    Returns the table and one sign-test line per compared pair.
+    """
+    return _policy_table(
+        _DESIGN_ROWS, _DESIGN_PAIRS, _DESIGN_METRICS, base_cfg, tracker_cfg, seeds
+    )
 
 
 def sweep_table(
@@ -171,29 +207,20 @@ def sweep_table(
     tracker_cfg: Optional[TrackerConfig],
     seeds: Sequence[int],
     policy: MemoryPolicy = MemoryPolicy.SPARSE_OFS,
-) -> List[Dict[str, object]]:
+) -> Tuple[_Table, List[str]]:
     """Hyperparameter sweep: epsilon at fixed size, then size at fixed epsilon.
 
     Scenarios depend only on the seed, so they are generated once per seed
-    and reused across every (epsilon, m_max) cell.
+    and reused across every (epsilon, m_max) cell. Returns the table and no
+    sign-test lines, so it has the shape of the policy tables.
     """
     cfg = tracker_cfg if tracker_cfg is not None else TrackerConfig()
     cells = [("epsilon", eps, cfg.memory.m_max) for eps in EPSILON_GRID]
     cells += [("memory_len", cfg.memory.epsilon, m) for m in MEMORY_GRID]
     memories = [dataclasses.replace(cfg.memory, epsilon=eps, m_max=m) for _, eps, m in cells]
     variants = [(dataclasses.replace(cfg, memory=memory), policy) for memory in memories]
-    per_cell = _run_variants(base_cfg, variants, seeds)
-
-    table = []
-    for (kind, eps, m), reports in zip(cells, per_cell):
-        entry: Dict[str, object] = {
-            "sweep": kind,
-            "epsilon": eps,
-            "memory_len": m,
-        }
-        entry.update(summarize(reports))
-        table.append(entry)
-    return table
+    heads = [{"sweep": kind, "epsilon": eps, "memory_len": m} for kind, eps, m in cells]
+    return _summary_rows(heads, _run_variants(base_cfg, variants, seeds)), []
 
 
 def _format_cell(value: object) -> str:

@@ -78,7 +78,9 @@ class SequencePair:
                 seen = set()
                 for obj_id, _ in entries:
                     if obj_id < 1:
-                        raise ValueError(f"ids must be positive, got {obj_id}")
+                        raise ValueError(
+                            f"{side} frame {frame}: ids must be positive, got {obj_id}"
+                        )
                     if obj_id in seen:
                         raise ValueError(f"{side} frame {frame}: id {obj_id} appears twice")
                     seen.add(obj_id)

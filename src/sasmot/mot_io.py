@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -296,7 +297,11 @@ class RunConfig:
 
 
 def parse_flat_config(text: str) -> Dict[str, str]:
-    """Flat `key = value` lines; `#` comments; later keys override earlier."""
+    """Flat `key = value` lines; later keys override earlier.
+
+    A `#` at the start of a line or after whitespace starts a comment, so
+    `output_dir = runs/#1` keeps its `#`.
+    """
     items: Dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -305,7 +310,7 @@ def parse_flat_config(text: str) -> Dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"line {lineno}: expected key = value, got {line!r}")
-        items[key.strip()] = value.partition("#")[0].strip()
+        items[key.strip()] = re.split(r"\s#", value, maxsplit=1)[0].strip()
     return items
 
 

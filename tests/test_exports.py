@@ -1,11 +1,21 @@
-"""Every name a ``sasmot`` module exports in ``__all__`` exists."""
+"""Every name a ``sasmot`` module exports in ``__all__`` exists, and every
+name the benchmark under ``bench/`` reaches for is still there.
 
+The benchmark checks are read from ``bench/`` source without importing it,
+so a change that deletes a name the benchmark needs fails here.
+"""
+
+import ast
 import importlib
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
 import sasmot
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 MODULES = ["sasmot"] + [
     f"sasmot.{info.name}" for info in pkgutil.iter_modules(sasmot.__path__)
@@ -19,3 +29,35 @@ def test_all_names_exist(name):
     assert len(set(exported)) == len(exported), f"{name}.__all__ lists a name twice"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert missing == [], f"{name}.__all__ names missing attributes"
+
+
+def test_bench_tracer_targets_resolve():
+    import sasmot.cli  # noqa: F401  (loads every module the tracer patches)
+
+    tree = ast.parse((BENCH / "tracer.py").read_text())
+    wheres = [
+        node.args[1].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Target"
+    ]
+    assert wheres, "no Target(...) entries found in bench/tracer.py"
+    missing = []
+    for where in wheres:
+        module_name, _, path = where.partition(":")
+        owner = sys.modules.get(module_name)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(where)
+    assert missing == [], "bench/tracer.py TARGETS that no longer resolve"
+
+
+@pytest.mark.parametrize("builder", ["ablation_table", "design_table"])
+def test_bench_fingerprint_tables_render(builder):
+    from sasmot import experiments
+    from sasmot.simulator import ScenarioConfig
+
+    assert f"experiments.{builder}" in (BENCH / "fingerprint.py").read_text()
+    build = getattr(experiments, builder)
+    table, _ = build(ScenarioConfig(n_objects=2, n_frames=10), None, [1])
+    assert experiments.render_table_csv(table).startswith("variant,hota,")

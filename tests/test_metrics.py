@@ -178,8 +178,10 @@ def test_spurious_predictions_strictly_hurt():
 def test_sequence_pair_validation():
     with pytest.raises(ValueError):
         SequencePair(gt=[[]], pred=[[], []])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="gt frame 1: ids must be positive, got 0"):
         SequencePair(gt=[[(0, BOX_A)]], pred=[[]])
+    with pytest.raises(ValueError, match="pred frame 2: ids must be positive, got -1"):
+        SequencePair(gt=[[], []], pred=[[(1, BOX_A)], [(-1, BOX_B)]])
     # One box per id per frame: a repeated id would let IDF1 exceed 1.
     with pytest.raises(ValueError, match="gt frame 2: id 3 appears twice"):
         SequencePair(gt=[[], [(3, BOX_A), (3, BOX_B)]], pred=[[], []])

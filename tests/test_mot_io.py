@@ -243,10 +243,12 @@ policy = sparse+ofs
 memory.epsilon = 0.2   # trailing comment
 scenario.n_objects = 4
 n_seeds = 3
+output_dir = runs/#1	# a '#' inside a value is kept
 """
     items = parse_flat_config(text)
     assert items["policy"] == "sparse+ofs"
     assert items["memory.epsilon"] == "0.2"
+    assert items["output_dir"] == "runs/#1"
     assert items["scenario.n_objects"] == "4"
     with pytest.raises(ValueError, match="line 2"):
         parse_flat_config("\nnot a key value pair\n")
