@@ -9,7 +9,9 @@ Subcommands:
 * ``design``    storage-rule table (dense / sparse / delaying / sparse+ofs)
 * ``sweep``     epsilon and memory-length hyperparameter sweep
 
-Options may come from a flat ``key = value`` config file (``--config``);
+Run configuration is a flat ``key = value`` text format with ``#`` comments
+and dotted keys for nesting (``memory.epsilon = 0.1``), trivially parseable
+from any language. Options may come from such a file (``--config``);
 explicit flags always win over the file. All outputs are deterministic
 for a given configuration.
 """
@@ -17,9 +19,12 @@ for a given configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import re
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .experiments import (
     ablation_table,
@@ -28,28 +33,109 @@ from .experiments import (
     render_table_markdown,
     sweep_table,
 )
-from .memory import MemoryPolicy
+from .memory import MemoryConfig, MemoryPolicy
 from .metrics import SequencePair, evaluate
 from .mot_io import (
-    RunConfig,
-    apply_flat_config,
     detections_from_files,
     frames_to_id_boxes,
-    parse_flat_config,
     parse_image_size,
     parse_mot_file,
     results_to_rows,
     write_mot_file,
     write_scenario,
 )
-from .simulator import generate_scenario
-from .tracker import Tracker
+from .simulator import ScenarioConfig, generate_scenario
+from .tracker import Tracker, TrackerConfig
 
 __all__ = ["main", "build_parser"]
 
 DEFAULT_IMAGE_SIZE = (1920, 1080)
 
 POLICY_CHOICES = tuple(p.value for p in MemoryPolicy)
+
+
+@dataclass
+class RunConfig:
+    """Everything one experiment run needs."""
+
+    scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
+    tracker: TrackerConfig = field(default_factory=TrackerConfig)
+    policy: MemoryPolicy = MemoryPolicy.SPARSE_OFS
+    output_dir: Optional[Path] = None
+    n_seeds: int = 5
+
+    def __post_init__(self):
+        if self.n_seeds < 1:
+            raise ValueError(f"n_seeds must be >= 1, got {self.n_seeds}")
+
+
+# Config sections by key prefix; "" is RunConfig itself. Every scalar field
+# is a key, ``prefix.field``; a field holding a section is set through that
+# section's own keys.
+_SECTIONS = {"": RunConfig, "scenario": ScenarioConfig, "tracker": TrackerConfig,
+             "memory": MemoryConfig}
+_CONFIG_KEYS = {
+    (f"{prefix}.{f.name}" if prefix else f.name): (prefix, f.name)
+    for prefix, cls in _SECTIONS.items()
+    for f in dataclasses.fields(cls)
+    if f.name not in _SECTIONS
+}
+_CONFIG_KEYS["seed"] = _CONFIG_KEYS.pop("scenario.seed")
+# Fields that a key could name but that are set another way.
+_MISPLACED_KEYS = {"scenario.seed": "set the scenario seed via seed",
+                   "tracker.memory": "set memory fields via memory.<field>"}
+
+
+def parse_flat_config(text: str) -> Dict[str, str]:
+    """Flat `key = value` lines; later keys override earlier.
+
+    A `#` at the start of a line or after whitespace starts a comment, so
+    `output_dir = runs/#1` keeps its `#`.
+    """
+    items: Dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValueError(f"line {lineno}: expected key = value, got {line!r}")
+        items[key.strip()] = re.split(r"\s#", value, maxsplit=1)[0].strip()
+    return items
+
+
+def _coerce(dotted: str, current, value: str):
+    if dotted == "policy":
+        if value not in POLICY_CHOICES:
+            names = ", ".join(POLICY_CHOICES)
+            raise ValueError(f"policy must be one of {names}, got {value!r}")
+        return MemoryPolicy(value)
+    if dotted == "output_dir":
+        if not value:
+            raise ValueError(f"{dotted}: empty path")
+        return Path(value)
+    # Every other settable value is an int or a float.
+    try:
+        return type(current)(value)
+    except ValueError as exc:
+        raise ValueError(f"{dotted}: {exc}") from None
+
+
+def apply_flat_config(run: RunConfig, items: Dict[str, str]) -> RunConfig:
+    """Set dotted keys on a RunConfig; each dataclass is checked once, on its final values."""
+    sections = {"": run, "scenario": run.scenario, "tracker": run.tracker,
+                "memory": run.tracker.memory}
+    changes: Dict[str, Dict[str, object]] = {prefix: {} for prefix in sections}
+    for dotted, value in items.items():
+        if dotted not in _CONFIG_KEYS:
+            raise ValueError(_MISPLACED_KEYS.get(dotted, f"unknown config key {dotted!r}"))
+        prefix, name = _CONFIG_KEYS[dotted]
+        changes[prefix][name] = _coerce(dotted, getattr(sections[prefix], name), value)
+    memory = dataclasses.replace(run.tracker.memory, **changes["memory"])
+    tracker = dataclasses.replace(run.tracker, memory=memory, **changes["tracker"])
+    scenario = dataclasses.replace(run.scenario, **changes["scenario"])
+    return dataclasses.replace(run, scenario=scenario, tracker=tracker, **changes[""])
+
 
 # Every config flag as (flag, dotted config key, argparse options), in
 # groups. The parser is built from these rows and ``_resolve_run`` reads

@@ -26,7 +26,6 @@ __all__ = [
     "run_policy_suite",
     "mean",
     "paired_sign_test",
-    "summarize",
     "ablation_table",
     "design_table",
     "sweep_table",
@@ -131,21 +130,22 @@ def paired_sign_test(baseline: Sequence[float], treatment: Sequence[float]) -> T
     return wins, n, p
 
 
-def summarize(reports: Sequence[MetricsReport]) -> Dict[str, float]:
-    """Mean of each core metric over seeds, plus mean switch count."""
-    out = {name: mean(getattr(r, name) for r in reports) for name in _METRIC_FIELDS}
-    out["idsw"] = mean(float(r.idsw) for r in reports)
-    return out
-
-
 _Table = List[Dict[str, object]]
 
 
 def _summary_rows(
     heads: Sequence[Dict[str, object]], reports: Sequence[Sequence[MetricsReport]]
 ) -> _Table:
-    """One table row per head: its leading columns, then the summary over seeds."""
-    return [{**head, **summarize(r)} for head, r in zip(heads, reports)]
+    """One table row per head: its leading columns, then each core metric's
+    mean over seeds and the mean switch count."""
+    return [
+        {
+            **head,
+            **{name: mean(getattr(r, name) for r in runs) for name in _METRIC_FIELDS},
+            "idsw": mean(float(r.idsw) for r in runs),
+        }
+        for head, runs in zip(heads, reports)
+    ]
 
 
 def _policy_table(

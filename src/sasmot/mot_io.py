@@ -1,4 +1,4 @@
-"""MOTChallenge text I/O, embedding sidecars, and flat-file run configuration.
+"""MOTChallenge text I/O and embedding sidecars.
 
 Row format is the comma-separated MOTChallenge convention::
 
@@ -18,30 +18,21 @@ detections carry id -1 and their score, and rows are sorted by (frame, id)
 with 6 decimals per float. Embeddings ride in a sidecar CSV
 (``frame,det_index,e_1,...,e_D``, 9 significant digits) keyed by position
 within the frame, because MOT rows cannot carry vectors.
-
-Run configuration is a flat ``key = value`` text format with ``#`` comments
-and dotted keys for nesting (``memory.epsilon = 0.1``), trivially parseable
-from any language.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import Box2D
-from .memory import MemoryPolicy
-from .simulator import Scenario, ScenarioConfig
-from .tracker import Detection, FrameResult, TrackerConfig
+from .simulator import Scenario
+from .tracker import Detection, FrameResult
 
 __all__ = [
-    "RunConfig",
     "parse_image_size",
     "parse_mot_text",
     "parse_mot_file",
@@ -52,8 +43,6 @@ __all__ = [
     "read_embeddings_csv",
     "detections_from_files",
     "write_scenario",
-    "parse_flat_config",
-    "apply_flat_config",
 ]
 
 
@@ -280,89 +269,3 @@ def write_scenario(
     write_embeddings_csv(emb_path, scenario)
     return gt_path, det_path, emb_path
 
-
-@dataclass
-class RunConfig:
-    """Everything one experiment run needs."""
-
-    scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
-    tracker: TrackerConfig = field(default_factory=TrackerConfig)
-    policy: MemoryPolicy = MemoryPolicy.SPARSE_OFS
-    output_dir: Optional[Path] = None
-    n_seeds: int = 5
-
-    def __post_init__(self):
-        if self.n_seeds < 1:
-            raise ValueError(f"n_seeds must be >= 1, got {self.n_seeds}")
-
-
-def parse_flat_config(text: str) -> Dict[str, str]:
-    """Flat `key = value` lines; later keys override earlier.
-
-    A `#` at the start of a line or after whitespace starts a comment, so
-    `output_dir = runs/#1` keeps its `#`.
-    """
-    items: Dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"line {lineno}: expected key = value, got {line!r}")
-        items[key.strip()] = re.split(r"\s#", value, maxsplit=1)[0].strip()
-    return items
-
-
-def _coerce(dotted: str, current, value: str):
-    # Every settable value is an int or a float.
-    try:
-        return type(current)(value)
-    except ValueError as exc:
-        raise ValueError(f"{dotted}: {exc}") from None
-
-
-def _apply_to_dataclass(obj, dotted: str, key: str, value: str):
-    if key not in {f.name for f in dataclasses.fields(obj)}:
-        raise ValueError(f"unknown config key {dotted!r}")
-    return dataclasses.replace(obj, **{key: _coerce(dotted, getattr(obj, key), value)})
-
-
-def apply_flat_config(run: RunConfig, items: Dict[str, str]) -> RunConfig:
-    """Apply dotted config keys onto a RunConfig, re-validating each dataclass."""
-    scenario = run.scenario
-    tracker = run.tracker
-    memory = run.tracker.memory
-    policy = run.policy
-    output_dir = run.output_dir
-    n_seeds = run.n_seeds
-
-    for dotted, value in items.items():
-        section, _, key = dotted.partition(".")
-        if dotted == "policy":
-            try:
-                policy = MemoryPolicy(value)
-            except ValueError:
-                names = ", ".join(p.value for p in MemoryPolicy)
-                raise ValueError(f"policy must be one of {names}, got {value!r}") from None
-        elif dotted == "output_dir":
-            output_dir = Path(value)
-        elif dotted == "n_seeds":
-            n_seeds = _coerce(dotted, n_seeds, value)
-        elif dotted == "seed":
-            scenario = _apply_to_dataclass(scenario, dotted, "seed", value)
-        elif section == "scenario" and key:
-            if key == "seed":
-                raise ValueError("set the scenario seed via seed")
-            scenario = _apply_to_dataclass(scenario, dotted, key, value)
-        elif section == "memory" and key:
-            memory = _apply_to_dataclass(memory, dotted, key, value)
-        elif section == "tracker" and key:
-            if key == "memory":
-                raise ValueError("set memory fields via memory.<field>")
-            tracker = _apply_to_dataclass(tracker, dotted, key, value)
-        else:
-            raise ValueError(f"unknown config key {dotted!r}")
-
-    tracker = dataclasses.replace(tracker, memory=memory)
-    return RunConfig(scenario, tracker, policy, output_dir, n_seeds)

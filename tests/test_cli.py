@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface via ``main(argv)``."""
 
+import math
 import os
 import re
 import shlex
@@ -9,7 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from sasmot.cli import build_parser, main, _resolve_run
+from sasmot.cli import (
+    RunConfig,
+    apply_flat_config,
+    build_parser,
+    main,
+    parse_flat_config,
+    _resolve_run,
+)
 from sasmot.experiments import mean, paired_sign_test, render_table_csv, render_table_markdown
 from sasmot.memory import MemoryPolicy
 
@@ -381,6 +389,100 @@ def test_bad_integer_in_config_names_the_key(tmp_path, capsys, key):
     cfg.write_text(f"{key} = abc\n")
     assert main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert f"error: {key}: invalid literal" in capsys.readouterr().err
+
+
+def test_parse_flat_config():
+    text = """
+# a comment
+policy = sparse+ofs
+memory.epsilon = 0.2   # trailing comment
+scenario.n_objects = 4
+n_seeds = 3
+output_dir = runs/#1	# a '#' inside a value is kept
+"""
+    items = parse_flat_config(text)
+    assert items["policy"] == "sparse+ofs"
+    assert items["memory.epsilon"] == "0.2"
+    assert items["output_dir"] == "runs/#1"
+    assert items["scenario.n_objects"] == "4"
+    with pytest.raises(ValueError, match="line 2"):
+        parse_flat_config("\nnot a key value pair\n")
+
+
+def test_apply_flat_config_builds_run_config():
+    items = {
+        "policy": "dense",
+        "memory.epsilon": "0.25",
+        "memory.m_max": "7",
+        "memory.alpha": "0.8",
+        "tracker.match_threshold": "0.5",
+        "scenario.n_objects": "3",
+        "scenario.n_frames": "77",
+        "seed": "9",
+        "n_seeds": "4",
+        "output_dir": "runs/x",
+    }
+    run = apply_flat_config(RunConfig(), items)
+    assert run.policy is MemoryPolicy.DENSE
+    assert run.tracker.memory.epsilon == 0.25
+    assert run.tracker.memory.m_max == 7
+    assert run.tracker.memory.alpha == 0.8
+    assert run.tracker.match_threshold == 0.5
+    assert run.scenario.n_objects == 3
+    assert run.scenario.n_frames == 77
+    assert run.scenario.seed == 9
+    assert run.n_seeds == 4
+    assert str(run.output_dir) == "runs/x"
+
+
+def test_apply_flat_config_supports_infinity():
+    run = apply_flat_config(RunConfig(), {"memory.epsilon": "inf", "memory.alpha": "1"})
+    assert math.isinf(run.tracker.memory.epsilon)
+    assert run.tracker.memory.alpha == 1.0
+
+
+def test_apply_flat_config_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="unknown config key"):
+        apply_flat_config(RunConfig(), {"memory.bogus": "1"})
+    with pytest.raises(ValueError, match="unknown config key"):
+        apply_flat_config(RunConfig(), {"nonsense": "1"})
+    with pytest.raises(ValueError, match="policy"):
+        apply_flat_config(RunConfig(), {"policy": "magic"})
+    # `seed` is the one key for the scenario seed.
+    with pytest.raises(ValueError, match="via seed"):
+        apply_flat_config(RunConfig(), {"scenario.seed": "7", "seed": "3"})
+    with pytest.raises(ValueError, match=r"via memory\.<field>"):
+        apply_flat_config(RunConfig(), {"tracker.memory": "0.1"})
+
+
+def test_apply_flat_config_validates_values():
+    with pytest.raises(ValueError):
+        apply_flat_config(RunConfig(), {"memory.alpha": "2.0"})
+    with pytest.raises(ValueError):
+        apply_flat_config(RunConfig(), {"scenario.n_objects": "0"})
+    with pytest.raises(ValueError, match="n_seeds must be >= 1, got 0"):
+        apply_flat_config(RunConfig(), {"n_seeds": "0"})
+
+
+def test_config_is_checked_after_the_whole_file_is_read():
+    lines = ["scenario.size_min = 0.2", "scenario.size_max = 0.3"]
+    forward = apply_flat_config(RunConfig(), parse_flat_config("\n".join(lines)))
+    backward = apply_flat_config(RunConfig(), parse_flat_config("\n".join(lines[::-1])))
+    assert forward == backward
+    assert (forward.scenario.size_min, forward.scenario.size_max) == (0.2, 0.3)
+    invalid = ["scenario.size_min = 0.3", "scenario.size_max = 0.2"]
+    for text in ("\n".join(invalid), "\n".join(invalid[::-1])):
+        with pytest.raises(ValueError, match="need 0 < size_min <= size_max < 1"):
+            apply_flat_config(RunConfig(), parse_flat_config(text))
+
+
+def test_empty_output_dir_in_config_exits_nonzero(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("output_dir =\nscenario.n_frames = 5\n")
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert "output_dir:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def _readme_block(section: str, language: str) -> str:

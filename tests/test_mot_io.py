@@ -1,18 +1,12 @@
-"""File formats: MOT rows, embedding sidecars, flat config files."""
-
-import math
+"""File formats: MOT rows and embedding sidecars."""
 
 import numpy as np
 import pytest
 
 from sasmot.geometry import Box2D
-from sasmot.memory import MemoryPolicy
 from sasmot.mot_io import (
-    RunConfig,
-    apply_flat_config,
     detections_from_files,
     frames_to_id_boxes,
-    parse_flat_config,
     parse_image_size,
     parse_mot_file,
     parse_mot_text,
@@ -235,75 +229,3 @@ def test_sidecar_row_without_detection(tmp_path):
     with pytest.raises(ValueError, match="frame 2 detection 7 matches no detection"):
         detections_from_files(det_path, emb_path)
 
-
-def test_parse_flat_config():
-    text = """
-# a comment
-policy = sparse+ofs
-memory.epsilon = 0.2   # trailing comment
-scenario.n_objects = 4
-n_seeds = 3
-output_dir = runs/#1	# a '#' inside a value is kept
-"""
-    items = parse_flat_config(text)
-    assert items["policy"] == "sparse+ofs"
-    assert items["memory.epsilon"] == "0.2"
-    assert items["output_dir"] == "runs/#1"
-    assert items["scenario.n_objects"] == "4"
-    with pytest.raises(ValueError, match="line 2"):
-        parse_flat_config("\nnot a key value pair\n")
-
-
-def test_apply_flat_config_builds_run_config():
-    items = {
-        "policy": "dense",
-        "memory.epsilon": "0.25",
-        "memory.m_max": "7",
-        "memory.alpha": "0.8",
-        "tracker.match_threshold": "0.5",
-        "scenario.n_objects": "3",
-        "scenario.n_frames": "77",
-        "seed": "9",
-        "n_seeds": "4",
-        "output_dir": "runs/x",
-    }
-    run = apply_flat_config(RunConfig(), items)
-    assert run.policy is MemoryPolicy.DENSE
-    assert run.tracker.memory.epsilon == 0.25
-    assert run.tracker.memory.m_max == 7
-    assert run.tracker.memory.alpha == 0.8
-    assert run.tracker.match_threshold == 0.5
-    assert run.scenario.n_objects == 3
-    assert run.scenario.n_frames == 77
-    assert run.scenario.seed == 9
-    assert run.n_seeds == 4
-    assert str(run.output_dir) == "runs/x"
-
-
-def test_apply_flat_config_supports_infinity():
-    run = apply_flat_config(RunConfig(), {"memory.epsilon": "inf", "memory.alpha": "1"})
-    assert math.isinf(run.tracker.memory.epsilon)
-    assert run.tracker.memory.alpha == 1.0
-
-
-def test_apply_flat_config_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unknown config key"):
-        apply_flat_config(RunConfig(), {"memory.bogus": "1"})
-    with pytest.raises(ValueError, match="unknown config key"):
-        apply_flat_config(RunConfig(), {"nonsense": "1"})
-    with pytest.raises(ValueError, match="policy"):
-        apply_flat_config(RunConfig(), {"policy": "magic"})
-    # `seed` is the one key for the scenario seed.
-    with pytest.raises(ValueError, match="via seed"):
-        apply_flat_config(RunConfig(), {"scenario.seed": "7", "seed": "3"})
-    with pytest.raises(ValueError, match=r"via memory\.<field>"):
-        apply_flat_config(RunConfig(), {"tracker.memory": "0.1"})
-
-
-def test_apply_flat_config_validates_values():
-    with pytest.raises(ValueError):
-        apply_flat_config(RunConfig(), {"memory.alpha": "2.0"})
-    with pytest.raises(ValueError):
-        apply_flat_config(RunConfig(), {"scenario.n_objects": "0"})
-    with pytest.raises(ValueError, match="n_seeds must be >= 1, got 0"):
-        apply_flat_config(RunConfig(), {"n_seeds": "0"})
