@@ -259,10 +259,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     run = _resolve_run(args)
     out_dir = _resolve_out_dir(args, run)
+    # Fail on an unusable output directory before computing any seed.
+    out_dir.mkdir(parents=True, exist_ok=True)
     # Only the commands that take --policy pass it; the policy tables run fixed rows.
     policy = {"policy": run.policy} if "policy" in vars(args) else {}
     table, lines = args.build(run.scenario, run.tracker, _seed_list(run), **policy)
-    out_dir.mkdir(parents=True, exist_ok=True)
     markdown = render_table_markdown(table)
     if lines:
         markdown += "\n\n" + "\n".join(lines)

@@ -146,27 +146,20 @@ class TrackMemory:
             self.accumulator += math.hypot(box.cx - lx, box.cy - ly)
         self.last_center = (box.cx, box.cy)
 
-        if self.policy is MemoryPolicy.SPARSE_OFS:
-            # Keep the least-overlapped frame in the window; ties keep the
-            # earlier frame.
-            if self.candidate is None or overlap < self.candidate.overlap_at_store:
-                self.candidate = MemoryEntry(emb, frame_idx, overlap)
-        else:
+        # SPARSE_OFS keeps the least-overlapped frame since the last store,
+        # ties going to the earlier frame; every other policy keeps the latest.
+        if (self.policy is not MemoryPolicy.SPARSE_OFS or self.candidate is None
+                or overlap < self.candidate.overlap_at_store):
             self.candidate = MemoryEntry(emb, frame_idx, overlap)
-
-        if self.policy is MemoryPolicy.DENSE:
+        # DENSE stores every frame; the others once past the motion gate, and
+        # DELAYING only on a frame at or below its overlap threshold.
+        calm = overlap <= self.cfg.delay_overlap_threshold
+        store = self.policy is MemoryPolicy.DENSE or (
+            self.accumulator > self.cfg.epsilon
+            and (self.policy is not MemoryPolicy.DELAYING or calm))
+        if store:
             self.commit_store()
-            return True
-        if self.accumulator > self.cfg.epsilon:
-            if (
-                self.policy is MemoryPolicy.DELAYING
-                and overlap > self.cfg.delay_overlap_threshold
-            ):
-                # Gate holds: keep accumulating until a calm frame shows up.
-                return False
-            self.commit_store()
-            return True
-        return False
+        return store
 
     def commit_store(self) -> None:
         """Push the pending candidate into the ring and reset the gate."""

@@ -7,6 +7,9 @@ Row format is the comma-separated MOTChallenge convention::
 with pixel coordinates; the 9-field ground-truth layout of MOT17 and
 DanceTrack (``...,conf,class,visibility``) is read too, and fields after
 ``conf`` are ignored; a non-finite number is an error naming the line.
+``eval`` drops ``conf`` as well, so MOT17's zero-marked and non-pedestrian
+gt rows are scored as ground truth and its scores are not comparable with
+the official toolkit; DanceTrack gt (every row conf 1, class 1) is unaffected.
 Pixels appear only in the text: parsing yields normalized frames, where
 ``frames[k]`` lists the ``(id, box, conf)`` entries of frame k + 1 in file
 order, and writing takes the pixel rows that one converter builds from

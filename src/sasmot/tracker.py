@@ -173,6 +173,8 @@ class Tracker:
         self.tracks: List[TrackState] = []
         self._next_id = 1
         self._last_frame: Optional[int] = None
+        # Embedding size, taken from the first detection seen.
+        self.dim: Optional[int] = None
 
     def step(self, detections: Sequence[Detection], frame_idx: int) -> FrameResult:
         """Advance one frame; returns the (track_id, box) pairs emitted for it."""
@@ -180,6 +182,14 @@ class Tracker:
             raise ValueError(
                 f"frame_idx must increase: got {frame_idx} after {self._last_frame}"
             )
+        for di, det in enumerate(detections):
+            if self.dim is None:
+                self.dim = det.embedding.size
+            elif det.embedding.size != self.dim:
+                raise ValueError(
+                    f"frame {frame_idx}: detection {di} has embedding size "
+                    f"{det.embedding.size}, expected {self.dim}"
+                )
         self._last_frame = frame_idx
 
         dets = [d for d in detections if d.score >= self.cfg.min_score]
@@ -190,45 +200,31 @@ class Tracker:
 
         overlaps = max_iou_vs_others(corners)[0].tolist()
 
+        # Every live track takes a miss, a match clears it, tracks past
+        # max_misses die, and unmatched detections are born in order.
+        for track in self.tracks:
+            track.misses += 1
         emitted: List[Tuple[int, Box2D]] = []
-        matched_tracks = set()
-        matched_dets = set()
         for ti, di in pairs:
             track = self.tracks[ti]
             det = dets[di]
+            track.misses = 0
             track.last_box = det.box
             track.memory.observe(det.box, det.embedding, overlaps[di], frame_idx)
             track.query = track.memory.fused_query(det.embedding)
-            track.misses = 0
-            matched_tracks.add(ti)
-            matched_dets.add(di)
             emitted.append((track.track_id, det.box))
-
-        survivors: List[TrackState] = []
-        for ti, track in enumerate(self.tracks):
-            if ti in matched_tracks:
-                survivors.append(track)
-                continue
-            track.misses += 1
-            if track.misses <= self.cfg.max_misses:
-                survivors.append(track)
-
+        self.tracks = [t for t in self.tracks if t.misses <= self.cfg.max_misses]
+        paired = {di for _, di in pairs}
         for di, det in enumerate(dets):
-            if di in matched_dets:
+            if di in paired:
                 continue
             memory = TrackMemory(self.cfg.memory, self.policy)
-            track = TrackState(
-                track_id=self._next_id,
-                query=det.embedding,
-                memory=memory,
-                last_box=det.box,
-            )
-            self._next_id += 1
             # The birth observation seeds the memory's last_center and
             # candidate; sparse policies store nothing yet.
             memory.observe(det.box, det.embedding, overlaps[di], frame_idx)
-            survivors.append(track)
-            emitted.append((track.track_id, det.box))
-
-        self.tracks = survivors
+            self.tracks.append(TrackState(
+                track_id=self._next_id, query=det.embedding, memory=memory, last_box=det.box
+            ))
+            emitted.append((self._next_id, det.box))
+            self._next_id += 1
         return FrameResult(frame_idx, emitted)

@@ -485,6 +485,16 @@ def test_empty_output_dir_in_config_exits_nonzero(tmp_path, capsys, monkeypatch)
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+def test_table_command_checks_out_dir_before_computing(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("sasmot.cli.ablation_table", lambda *a, **k: calls.append(a))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["ablate", "--out", str(taken)]) == 1
+    assert str(taken) in capsys.readouterr().err
+    assert calls == []
+
+
 def _readme_block(section: str, language: str) -> str:
     body = (ROOT / "README.md").read_text().split(f"\n## {section}\n", 1)[1]
     return re.search(rf"```{language}\n(.*?)```", body, re.DOTALL).group(1)

@@ -220,6 +220,27 @@ def test_track_dies_after_max_misses():
     assert result.tracks[0][0] == 2
 
 
+def test_lifecycle_keeps_track_and_emission_order():
+    # A, B, C are born; on frame 2 only B returns and D is born while A and
+    # C coast; on frame 3 A and C pass max_misses and die.
+    a, b, c, d = (_det(0.1 + 0.25 * k, 0.5, np.eye(4)[k]) for k in range(4))
+    tracker = Tracker(TrackerConfig(max_misses=1))
+    tracker.step([a, b, c], 1)
+    result = tracker.step([b, d], 2)
+    assert result.tracks == [(2, b.box), (4, d.box)]
+    assert [t.track_id for t in tracker.tracks] == [1, 2, 3, 4]
+    assert tracker.step([], 3).tracks == []
+    assert [t.track_id for t in tracker.tracks] == [2, 4]
+
+
+def test_embedding_size_change_names_frame_and_detection():
+    tracker = Tracker(TrackerConfig())
+    with pytest.raises(ValueError, match=r"frame 1: detection 1 has embedding size 4, expected 3"):
+        tracker.step([_det(0.2, 0.5, E1), _det(0.8, 0.5, [0.0, 0.0, 0.0, 1.0])], 1)
+    with pytest.raises(ValueError, match=r"frame 2: detection 0 has embedding size 4"):
+        tracker.step([_det(0.8, 0.5, [0.0, 0.0, 0.0, 1.0])], 2)
+
+
 def test_coasting_track_rematches_by_appearance():
     tracker = Tracker(TrackerConfig())
     tracker.step([_det(0.5, 0.5, E1)], 1)
