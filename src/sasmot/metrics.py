@@ -10,10 +10,12 @@ Three evaluators over a ground-truth/prediction sequence pair:
   count the remaining appearances of g and p respectively. AssA(alpha) is
   the mean of A(c) over matched detections, HOTA(alpha) the geometric mean
   of DetA and AssA, and reported values are arithmetic means over the 19
-  thresholds. Matching is pure-IoU Hungarian per threshold (no secondary
-  association objective), which keeps comparisons between trackers under
-  the same evaluator meaningful but is not bit-compatible with the official
-  toolkit.
+  thresholds. Each frame is matched once, by one unfiltered IoU-maximal
+  assignment (no secondary association objective), and each threshold
+  drops the matched pairs below it. That keeps comparisons between
+  trackers under the same evaluator meaningful but is not bit-compatible
+  with the official toolkit. AssA adds its per-event terms in event order,
+  so it equals the per-event scalar sum bit for bit.
 * ``clear_mota``: frame-by-frame matching at IoU 0.5 with carry-over
   preference (a ground-truth identity keeps its previous prediction while
   the pair still overlaps), counting FN, FP, and identity switches;
@@ -210,27 +212,33 @@ def hota(pair: SequencePair) -> Tuple[float, float, float]:
     pred_appearances = Counter(pid for entries in pair.pred for pid, _ in entries)
 
     # Matched (gt id, pred id, IoU) events in frame order; each alpha keeps
-    # the events at or above it.
+    # the events at or above it. Each distinct (gt id, pred id) pair gets a
+    # number, so TPA is a bincount over the kept events' numbers.
     events = [
         (gids[g], pids[p], ious[g, p])
         for gids, pids, ious in pair.frames
         for g, p in _assign(ious)
     ]
+    numbers: Dict[Tuple[int, int], int] = {}
+    pair_of = np.array([numbers.setdefault((g, p), len(numbers)) for g, p, _ in events])
+    appearances = np.array([gt_appearances[g] + pred_appearances[p] for g, p, _ in events])
+    event_iou = np.array([v for _, _, v in events])
 
     deta_sum = assa_sum = hota_sum = 0.0
     for alpha in ALPHA_GRID:
-        kept = [(g, p) for g, p, v in events if v >= alpha]
-        tp = len(kept)
+        kept = event_iou >= alpha
+        tp = int(np.count_nonzero(kept))
         fn = total_gt - tp
         fp = total_pred - tp
         deta = tp / (tp + fn + fp)
         if tp:
-            pair_counts = Counter(kept)
-            ass = 0.0
-            for g, p in kept:
-                tpa = pair_counts[(g, p)]
-                ass += tpa / (gt_appearances[g] + pred_appearances[p] - tpa)
-            assa = ass / tp
+            kept_pairs = pair_of[kept]
+            tpa = np.bincount(kept_pairs)[kept_pairs]
+            # Integer operands below 2**53, so each term is the exact int/int
+            # quotient; cumsum adds left to right in event order (np.sum would
+            # add pairwise and move AssA in the last ulp).
+            terms = tpa / (appearances[kept] - tpa)
+            assa = float(np.cumsum(terms)[-1]) / tp
         else:
             assa = 0.0
         deta_sum += deta

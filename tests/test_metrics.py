@@ -7,16 +7,20 @@ from collections import Counter
 import pytest
 
 import sasmot.metrics
-from sasmot.geometry import Box2D, iou
+from sasmot.experiments import track_scenario
+from sasmot.geometry import Box2D, boxes_to_corners, iou, iou_matrix
+from sasmot.memory import MemoryPolicy
 from sasmot.metrics import (
     ALPHA_GRID,
     SequencePair,
+    _assign,
     clear_mota,
     evaluate,
     hota,
     idf1,
 )
 from sasmot.rng import SplitMix64
+from sasmot.simulator import ScenarioConfig, generate_scenario
 
 BOX_A = Box2D(0.25, 0.25, 0.2, 0.2)
 BOX_B = Box2D(0.75, 0.75, 0.2, 0.2)
@@ -396,3 +400,86 @@ def test_hota_matches_exhaustive_oracle():
         want = hota_oracle(pair)
         for g, w in zip(got, want):
             assert g == pytest.approx(w, abs=1e-9), seed
+
+
+# ---------------------------------------------------------------------------
+# Exact equality with the per-event scalar loop. ``hota`` scores the 19
+# thresholds in one vector pass; any later speed-up must keep these
+# results equal with ``==``, not ``approx``.
+
+
+def hota_loop_reference(pair):
+    """(hota, deta, assa) from the same per-frame matching, with one Counter
+    per threshold and AssA summed event by event in Python floats."""
+    total_gt, total_pred = pair.total_gt(), pair.total_pred()
+    gt_appearances = Counter(gid for entries in pair.gt for gid, _ in entries)
+    pred_appearances = Counter(pid for entries in pair.pred for pid, _ in entries)
+    events = [
+        (gids[g], pids[p], ious[g, p])
+        for gids, pids, ious in pair.frames
+        for g, p in _assign(ious)
+    ]
+    deta_sum = assa_sum = hota_sum = 0.0
+    for alpha in ALPHA_GRID:
+        kept = [(g, p) for g, p, v in events if v >= alpha]
+        tp = len(kept)
+        deta = tp / (tp + (total_gt - tp) + (total_pred - tp))
+        if tp:
+            pair_counts = Counter(kept)
+            ass = 0.0
+            for g, p in kept:
+                tpa = pair_counts[(g, p)]
+                ass += tpa / (gt_appearances[g] + pred_appearances[p] - tpa)
+            assa = ass / tp
+        else:
+            assa = 0.0
+        deta_sum += deta
+        assa_sum += assa
+        hota_sum += (deta * assa) ** 0.5
+    n = len(ALPHA_GRID)
+    return hota_sum / n, deta_sum / n, assa_sum / n
+
+
+def test_hota_equals_loop_reference_on_random_pairs():
+    for seed in range(300):
+        for make in (random_small_pair, random_crowded_pair):
+            pair = make(seed)
+            assert hota(pair) == hota_loop_reference(pair), (make.__name__, seed)
+
+
+@pytest.mark.parametrize("n_objects", [4, 8, 24])
+def test_hota_equals_loop_reference_on_tracked_scenes(n_objects):
+    scenario = generate_scenario(ScenarioConfig(n_objects=n_objects, n_frames=120))
+    for policy in MemoryPolicy:
+        results = track_scenario(scenario, policy=policy)
+        pair = SequencePair(gt=scenario.gt, pred=[list(r.tracks) for r in results])
+        assert hota(pair) == hota_loop_reference(pair), policy
+
+
+def test_hota_with_every_pred_frame_empty_has_no_events():
+    pair = SequencePair(gt=[[(1, BOX_A)], [(1, BOX_A), (2, BOX_B)]], pred=[[], []])
+    assert hota(pair) == hota_loop_reference(pair) == (0.0, 0.0, 0.0)
+
+
+def test_hota_with_preds_that_never_overlap_scores_zero():
+    # The matcher still pairs the boxes, at IoU 0, and every threshold drops them.
+    pair = SequencePair(
+        gt=[[(1, BOX_A), (2, BOX_B)] for _ in range(4)],
+        pred=[[(7, FAR_BOX)] for _ in range(4)],
+    )
+    ious = pair.frames[0][2]
+    assert ious.max() == 0.0 and len(_assign(ious)) == 1
+    assert hota(pair) == hota_loop_reference(pair) == (0.0, 0.0, 0.0)
+
+
+def test_hota_keeps_a_match_whose_iou_equals_a_grid_threshold():
+    gt_box = Box2D(0.375, 0.375, 0.25, 0.25)
+    pred_box = Box2D(0.375, 0.3125, 0.25, 0.125)
+    assert iou_matrix(boxes_to_corners([gt_box]), boxes_to_corners([pred_box]))[0, 0] == 0.5
+    pair = SequencePair(
+        gt=[[(1, gt_box)] for _ in range(3)], pred=[[(1, pred_box)] for _ in range(3)]
+    )
+    got = hota(pair)
+    assert got == hota_loop_reference(pair)
+    # Thresholds 0.05..0.50 keep the match, 0.55..0.95 drop it.
+    assert got[1] == got[2] == sum([1.0] * 10) / len(ALPHA_GRID)
