@@ -105,10 +105,10 @@ class Scenario:
 
 
 def _unit_gaussian_vector(rng: SplitMix64, dim: int) -> np.ndarray:
-    v = np.array([rng.gauss() for _ in range(dim)], dtype=float)
+    v = np.array(rng.gauss_block(dim), dtype=float)
     norm = float(np.linalg.norm(v))
     while norm < 1e-9:  # astronomically unlikely; redraw keeps it total
-        v = np.array([rng.gauss() for _ in range(dim)], dtype=float)
+        v = np.array(rng.gauss_block(dim), dtype=float)
         norm = float(np.linalg.norm(v))
     return v / norm
 
@@ -117,7 +117,7 @@ def _orthonormal_plane(rng: SplitMix64, dim: int) -> Tuple[np.ndarray, np.ndarra
     """A random 2-plane: orthonormal basis (u, v) in R^dim."""
     u = _unit_gaussian_vector(rng, dim)
     while True:
-        w = np.array([rng.gauss() for _ in range(dim)], dtype=float)
+        w = np.array(rng.gauss_block(dim), dtype=float)
         w = w - float(np.dot(w, u)) * u
         norm = float(np.linalg.norm(w))
         if norm > 1e-9:
@@ -205,11 +205,13 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
             p_miss = cfg.miss_prob_occluded if ov > 0.5 else cfg.miss_prob_base
             if rng.uniform() < p_miss:
                 continue
-            jcx = xs[i] + cfg.box_jitter * rng.gauss()
-            jcy = ys[i] + cfg.box_jitter * rng.gauss()
-            jw = widths[i] * math.exp(cfg.size_jitter * rng.gauss())
-            jh = heights[i] * math.exp(cfg.size_jitter * rng.gauss())
-            noise = np.array([rng.gauss() for _ in range(dim)], dtype=float)
+            # Box jitter and embedding noise in one draw, in stream order.
+            g = rng.gauss_block(4 + dim)
+            jcx = xs[i] + cfg.box_jitter * g[0]
+            jcy = ys[i] + cfg.box_jitter * g[1]
+            jw = widths[i] * math.exp(cfg.size_jitter * g[2])
+            jh = heights[i] * math.exp(cfg.size_jitter * g[3])
+            noise = np.array(g[4:], dtype=float)
             mix = (1.0 - cfg.occlusion_blend * ov) * apps[i] + cfg.noise_sigma * noise
             if occluders[i] >= 0:
                 mix = mix + (cfg.occlusion_blend * ov) * apps[occluders[i]]

@@ -2,9 +2,14 @@
 
 import math
 
+import pytest
 from hypothesis import given, strategies as st
 
-from sasmot.rng import MASK64, SplitMix64
+from sasmot.rng import _CHUNK, MASK64, SplitMix64
+
+# The first output of this seed is 2**64 - 1: its first uniform() is exactly
+# 1.0 and its first gauss() takes the value + 1 = 2**64 path.
+TOP_SEED = 0x31628AF67B2131AB
 
 
 def _reference_step(state):
@@ -51,7 +56,13 @@ def test_uniform_in_unit_interval(seed):
     rng = SplitMix64(seed)
     for _ in range(16):
         u = rng.uniform()
-        assert 0.0 <= u < 1.0
+        assert 0.0 <= u <= 1.0
+
+
+def test_uniform_reaches_one_at_the_top_output():
+    rng = SplitMix64(TOP_SEED)
+    assert rng.next_u64() == MASK64
+    assert SplitMix64(TOP_SEED).uniform() == 1.0
 
 
 @given(st.integers(min_value=0, max_value=MASK64))
@@ -90,3 +101,68 @@ def test_gauss_moments_are_roughly_standard():
     var = sum((x - mean) ** 2 for x in xs) / n
     assert abs(mean) < 0.03
     assert abs(var - 1.0) < 0.05
+
+
+class _ReferenceStream:
+    """Scalar transcription of the documented draws on top of _reference_step."""
+
+    def __init__(self, seed):
+        self.state = seed
+
+    def next_u64(self):
+        self.state, value = _reference_step(self.state)
+        return value
+
+    def uniform(self):
+        return self.next_u64() / 2.0**64
+
+    def gauss(self):
+        u1 = (self.next_u64() + 1) / 2.0**64
+        u2 = self.next_u64() / 2.0**64
+        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+    def gauss_block(self, n):
+        return [self.gauss() for _ in range(n)]
+
+
+# (method, argument) calls in a fixed order, placed by output count: the
+# first big block ends two outputs short of the first chunk, so the next
+# block straddles the refill; the second does the same to the second chunk;
+# then a block larger than a chunk, a next_u64 at its exact end and a fourth
+# refill follow.
+_PATTERN = [
+    ("next_u64", None),
+    ("uniform", None),
+    ("gauss", None),
+    ("gauss_block", 0),
+    ("gauss_block", 3),
+    ("gauss_block", (_CHUNK - 12) // 2),
+    ("gauss_block", 3),
+    ("next_u64", None),
+    ("gauss", None),
+    ("gauss_block", (_CHUNK - 12) // 2),
+    ("uniform", None),
+    ("gauss_block", 5),
+    ("gauss_block", _CHUNK),
+    ("next_u64", None),
+    ("gauss", None),
+    ("uniform", None),
+    ("gauss_block", 17),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, MASK64, TOP_SEED])
+def test_interleaved_draws_equal_the_scalar_reference(seed):
+    rng, ref = SplitMix64(seed), _ReferenceStream(seed)
+    for method, arg in _PATTERN:
+        args = () if arg is None else (arg,)
+        got = getattr(rng, method)(*args)
+        expected = getattr(ref, method)(*args)
+        assert got == expected, (method, arg)
+        assert rng.state == ref.state, (method, arg)
+
+
+def test_top_seed_first_gauss_takes_the_closed_end():
+    # u1 = (2**64 - 1 + 1) / 2**64 = 1.0, so the variate is exactly zero.
+    assert SplitMix64(TOP_SEED).gauss() == 0.0
+    assert SplitMix64(TOP_SEED).gauss_block(1) == [0.0]

@@ -1,6 +1,8 @@
 """Scenario generator: determinism, motion bounds, appearance coupling."""
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -45,6 +47,54 @@ def test_identical_configs_generate_identical_scenarios():
     for pa, pb in zip(a.true_appearance, b.true_appearance):
         for x, y in zip(pa, pb):
             assert np.array_equal(x, y)
+
+
+def _scenario_digest(scenario):
+    """sha256 over every gt box, detection box, score and embedding, and appearance."""
+    h = hashlib.sha256()
+    for frame in scenario.gt:
+        for obj_id, b in frame:
+            h.update(struct.pack("<q4d", obj_id, b.cx, b.cy, b.w, b.h))
+    for dets in scenario.detections:
+        for d in dets:
+            b = d.box
+            h.update(struct.pack("<5d", b.cx, b.cy, b.w, b.h, d.score))
+            h.update(d.embedding.tobytes())
+    for apps in scenario.true_appearance:
+        for app in apps:
+            h.update(app.tobytes())
+    return h.hexdigest()
+
+
+# Frozen scenes: any change to the generator or its random stream that moves
+# one bit of one scene fails here. A speed-up must keep these digests.
+@pytest.mark.parametrize(
+    "kw, expected",
+    [
+        (
+            dict(n_objects=8, n_frames=60, seed=1),
+            "740f00bd73f19b438898429edd84cd6363fb4995265419fa5591a8401962ba5e",
+        ),
+        (
+            dict(n_objects=24, n_frames=60, seed=1),
+            "10fd257438f341eeae9b4ed8962df7b46dbd7c089f9c8ae390a2a202043a27c6",
+        ),
+        (
+            dict(n_objects=1, n_frames=200, seed=3),
+            "151e3535daab963f8ef8f7fcbaa6f313dfc7ed828190da6c9c75966f9cd40d54",
+        ),
+        (
+            dict(n_objects=8, n_frames=60, embedding_dim=2, seed=5),
+            "adb1408031e260335acf1de455b3d938fbf1b911d8e3ff5c17e4e501bf2db0c5",
+        ),
+        (
+            dict(n_objects=8, n_frames=60, embedding_dim=33, seed=7919),
+            "c6aee0699f667893ef47ada513a0dc9bca2a041f5e3980994e7674ffe3d3b511",
+        ),
+    ],
+)
+def test_scenario_digest_is_frozen(kw, expected):
+    assert _scenario_digest(generate_scenario(ScenarioConfig(**kw))) == expected
 
 
 def test_different_seeds_differ():
