@@ -108,8 +108,10 @@ class TrackMemory:
         self.cfg = cfg
         self.policy = policy
         self.entries: Deque[MemoryEntry] = deque(maxlen=cfg.m_max)
-        # Sum of the stored embeddings, added in entry order on every commit.
-        self._entry_sum: Optional[np.ndarray] = None
+        # The memory half of the fused query, ((1 - alpha) / m) times the sum
+        # of the m stored embeddings added in entry order. It is set on every
+        # commit, so ``alpha`` is read at commit, not at query time.
+        self._memory_term: Optional[np.ndarray] = None
         self.accumulator: float = 0.0
         self.last_center: Optional[Tuple[float, float]] = None
         # The pending commit: for SPARSE_OFS the least-overlapped frame since
@@ -166,7 +168,9 @@ class TrackMemory:
         if self.candidate is None:
             raise ValueError("commit_store called with no pending candidate")
         self.entries.append(self.candidate)
-        self._entry_sum = sum(entry.embedding for entry in self.entries)
+        self._memory_term = ((1.0 - self.cfg.alpha) / len(self.entries)) * sum(
+            entry.embedding for entry in self.entries
+        )
         self.accumulator = 0.0
         self.candidate = None
 
@@ -177,8 +181,6 @@ class TrackMemory:
         empty memory the current embedding is returned unchanged.
         """
         cur = self._checked(current)
-        m = len(self.entries)
-        if m == 0:
+        if self._memory_term is None:
             return cur
-        a = self.cfg.alpha
-        return a * cur + ((1.0 - a) / m) * self._entry_sum
+        return self.cfg.alpha * cur + self._memory_term

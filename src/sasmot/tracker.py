@@ -1,11 +1,15 @@
 """Association tracker driving the sparse memory.
 
-Per frame the tracker builds a track-by-detection cost matrix blending
+Per frame the tracker runs one IoU pass: the live tracks' last boxes
+stacked on the detection boxes, against the detection boxes. The
+track-by-detection block is the spatial term of a cost matrix that blends
 appearance (cosine distance between the track's fused query and the
-detection embedding) with spatial overlap (IoU against the track's last
-box), solves a minimum-cost one-to-one assignment, and updates matched
-tracks' memories and queries. Unmatched detections become new tracks;
-unmatched tracks coast with frozen memory until they exceed ``max_misses``.
+detection embedding) with overlap; the detection-by-detection block, its
+diagonal zeroed, gives each detection's largest IoU with any other, which
+its memory records. The tracker then solves a minimum-cost one-to-one
+assignment and updates matched tracks' memories and queries. Unmatched
+detections become new tracks; unmatched tracks coast with frozen memory
+until they exceed ``max_misses``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import Box2D, boxes_to_corners, iou_matrix, max_iou_vs_others
+from .geometry import Box2D, boxes_to_corners, iou_matrix
 from .memory import MemoryConfig, MemoryPolicy, TrackMemory
 
 __all__ = [
@@ -118,7 +122,7 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     na = np.sqrt(np.einsum("ij,ij->i", a, a))
     nb = np.sqrt(np.einsum("ij,ij->i", b, b))
-    if not (np.all(na > 0.0) and np.all(nb > 0.0)):
+    if not ((na > 0.0).all() and (nb > 0.0).all()):
         raise ValueError("zero-norm embedding in cosine_distance")
     return np.clip(1.0 - (a @ b.T) / np.outer(na, nb), 0.0, 2.0)
 
@@ -126,20 +130,20 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def build_cost_matrix(
     tracks: Sequence[TrackState],
     dets: Sequence[Detection],
-    det_corners: np.ndarray,
+    ov: np.ndarray,
     cfg: TrackerConfig,
 ) -> np.ndarray:
     """Blended appearance/spatial cost, with gated-out pairs set to FORBIDDEN_COST.
 
-    ``det_corners`` is ``boxes_to_corners`` of the detections' boxes.
+    ``ov`` is the (T, N) IoU of each track's last box with each detection's
+    box, the top block of the step's single ``iou_matrix`` pass.
     """
     if not tracks or not dets:
         return np.zeros((len(tracks), len(dets)), dtype=float)
     lam = cfg.cost_blend
     appearance = cosine_distance(
-        np.stack([t.query for t in tracks]), np.stack([d.embedding for d in dets])
+        np.array([t.query for t in tracks]), np.array([d.embedding for d in dets])
     )
-    ov = iou_matrix(boxes_to_corners([t.last_box for t in tracks]), det_corners)
     cost = lam * appearance / 2.0 + (1.0 - lam) * (1.0 - ov)
     # IoU is never below 0, so a disabled gate (0.0) forbids nothing.
     forbidden = (ov < cfg.iou_gate) | (cost > cfg.match_threshold)
@@ -157,7 +161,8 @@ def hungarian_assign(cost: np.ndarray) -> List[Tuple[int, int]]:
     if cost.size == 0:
         return []
     rows, cols = linear_sum_assignment(cost)
-    return [(int(r), int(c)) for r, c in zip(rows, cols) if cost[r, c] < FORBIDDEN_COST]
+    keep = cost[rows, cols] < FORBIDDEN_COST
+    return list(zip(rows[keep].tolist(), cols[keep].tolist()))
 
 
 class Tracker:
@@ -194,11 +199,18 @@ class Tracker:
 
         dets = [d for d in detections if d.score >= self.cfg.min_score]
 
-        corners = boxes_to_corners([d.box for d in dets])
-        cost = build_cost_matrix(self.tracks, dets, corners, self.cfg)
+        # One IoU pass, (tracks + dets) x dets: the top block is the cost's
+        # spatial term, and the bottom block with its diagonal zeroed gives
+        # each detection's largest IoU with any other (0.0 when alone).
+        n = len(self.tracks)
+        corners = boxes_to_corners([t.last_box for t in self.tracks] + [d.box for d in dets])
+        ious = iou_matrix(corners, corners[n:])
+        cost = build_cost_matrix(self.tracks, dets, ious[:n], self.cfg)
         pairs = hungarian_assign(cost)
 
-        overlaps = max_iou_vs_others(corners)[0].tolist()
+        others = ious[n:]
+        np.fill_diagonal(others, 0.0)
+        overlaps = others.max(axis=1, initial=0.0).tolist()
 
         # Every live track takes a miss, a match clears it, tracks past
         # max_misses die, and unmatched detections are born in order.

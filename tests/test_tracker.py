@@ -1,13 +1,16 @@
 """Association behavior: costs, assignment optimality, lifecycle, reductions."""
 
+import hashlib
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from sasmot.geometry import Box2D, boxes_to_corners, iou
+from sasmot.geometry import Box2D, boxes_to_corners, iou, iou_matrix, max_iou_vs_others
 from sasmot.memory import MemoryConfig, MemoryPolicy, TrackMemory
 from sasmot.rng import SplitMix64
 from sasmot.simulator import ScenarioConfig, generate_scenario
@@ -33,7 +36,10 @@ E3 = [0.0, 0.0, 1.0]
 
 
 def _cost(tracks, dets, cfg):
-    return build_cost_matrix(tracks, dets, boxes_to_corners([d.box for d in dets]), cfg)
+    ious = iou_matrix(
+        boxes_to_corners([t.last_box for t in tracks]), boxes_to_corners([d.box for d in dets])
+    )
+    return build_cost_matrix(tracks, dets, ious, cfg)
 
 
 def test_cosine_distance_analytic():
@@ -167,6 +173,28 @@ def test_hungarian_matches_bruteforce_on_random_matrices():
         # one-to-one
         assert len({r for r, _ in pairs}) == len(pairs)
         assert len({c for _, c in pairs}) == len(pairs)
+
+
+def hungarian_assign_reference(cost):
+    """The per-element scan ``hungarian_assign`` must equal, pair for pair."""
+    if cost.size == 0:
+        return []
+    rows, cols = linear_sum_assignment(cost)
+    return [(int(r), int(c)) for r, c in zip(rows, cols) if cost[r, c] < FORBIDDEN_COST]
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4), (1, 6), (6, 1)])
+def test_hungarian_equals_reference_with_forbidden_entries(shape):
+    rng = np.random.default_rng(sum(shape) * 31 + shape[0])
+    for trial in range(40):
+        cost = rng.uniform(size=shape)
+        cost[rng.uniform(size=shape) < 0.4] = FORBIDDEN_COST
+        cost[trial % shape[0]] = FORBIDDEN_COST  # one all-forbidden row
+        if trial % 5 == 0:
+            cost[:] = FORBIDDEN_COST
+        got = hungarian_assign(cost)
+        assert got == hungarian_assign_reference(cost)
+        assert all(type(i) is int for pair in got for i in pair)
 
 
 def test_hungarian_empty_and_forbidden():
@@ -370,3 +398,91 @@ def test_config_validation():
         Detection(Box2D(0, 0, 1, 1), np.zeros(3), 1.0)
     with pytest.raises(ValueError, match=r"embedding must be 1-D, got shape \(1, 2\)"):
         Detection(Box2D(0, 0, 1, 1), np.array([[1.0, 0.0]]), 1.0)
+
+
+def _emitted_digest(scenario, policy):
+    """sha256 over every emitted (frame, id, box fields as float64 bytes)."""
+    h = hashlib.sha256()
+    for frame_idx, tracks in _run(scenario, TrackerConfig(), policy):
+        for track_id, b in tracks:
+            h.update(struct.pack("<2q4d", frame_idx, track_id, b.cx, b.cy, b.w, b.h))
+    return h.hexdigest()
+
+
+# Frozen tracker output: any change to association, lifecycle or memory that
+# moves one emitted bit under any policy fails here. A step speed-up must
+# keep these digests. On the 8-object scenes some policies emit the same
+# output; the 24-object scene tells all five apart.
+@pytest.mark.parametrize(
+    "kw, expected",
+    [
+        (
+            dict(n_objects=8, n_frames=120, seed=1),
+            {
+                "none": "38638ce85adb8dfe8ad40dcee19dbe2fff3fe3033ac3a7f3c9e2afde8d95f372",
+                "sparse": "a6549c45665b4185b70f94558e822ca1a6ce865a1d379af63636b5e11bc2ec28",
+                "sparse+ofs": "70213d80f6891b611c611f1b2cd2c75cf52f84e3927416d6869b54fa64823009",
+                "dense": "a6549c45665b4185b70f94558e822ca1a6ce865a1d379af63636b5e11bc2ec28",
+                "delaying": "70213d80f6891b611c611f1b2cd2c75cf52f84e3927416d6869b54fa64823009",
+            },
+        ),
+        (
+            dict(n_objects=24, n_frames=120, seed=2),
+            {
+                "none": "4e050cb76ad3c66e083094886060e1633c8e2ea21890a8ae1d6059feeddff6b5",
+                "sparse": "41955cbec5265ab8b64f90934b8a43857621989608f55ad3afb1a5bc3c74f3c4",
+                "sparse+ofs": "c4aac4287108c4d5cfcdb9b9edcfdbc7c0f180cf08f39ff8d473262dba8dcd8a",
+                "dense": "5826e7fab6a1eddfdb873f7a579208f266d263f3b05d9717541a3138ad068526",
+                "delaying": "a226f35558542d1cc7c7841d88dab0ee52c7f617dfd19de374b5bc8a7d8ee13f",
+            },
+        ),
+        (
+            dict(n_objects=8, n_frames=120, embedding_dim=33, seed=7919),
+            {
+                "none": "964c52946a8d85b57ec16d01f71a80886193717a2d74b6f0bdd40aca4c6e68c4",
+                "sparse": "58b7cf795f9782f59dc6992323d1efe0c782dc05d04df24fc7b416ef5351b730",
+                "sparse+ofs": "c604f1f92abe3ef7cfc6a0ad7814563606eda073b4f68a4d9acc341c3070ddd4",
+                "dense": "964c52946a8d85b57ec16d01f71a80886193717a2d74b6f0bdd40aca4c6e68c4",
+                "delaying": "58b7cf795f9782f59dc6992323d1efe0c782dc05d04df24fc7b416ef5351b730",
+            },
+        ),
+    ],
+)
+def test_tracker_output_digest_is_frozen(kw, expected):
+    scenario = generate_scenario(ScenarioConfig(**kw))
+    got = {policy.value: _emitted_digest(scenario, policy) for policy in MemoryPolicy}
+    assert got == expected
+
+
+def test_step_passes_each_detection_its_max_iou_with_the_others(monkeypatch):
+    observed = []
+    original = TrackMemory.observe
+
+    def recording(self, box, embedding, overlap, frame_idx):
+        observed.append((frame_idx, box, overlap))
+        return original(self, box, embedding, overlap, frame_idx)
+
+    monkeypatch.setattr(TrackMemory, "observe", recording)
+    scenario = generate_scenario(ScenarioConfig(n_objects=24, n_frames=60, seed=3))
+    lone = next(d for d in scenario.detections[-1] if d.score >= 0.5)
+    # Two extra frames: none while tracks are live, then a lone detection.
+    frames = scenario.detections + [[], [lone]]
+    tracker = Tracker(TrackerConfig())
+    checked = 0
+    for frame_idx, detections in enumerate(frames, start=1):
+        dets = [d for d in detections if d.score >= tracker.cfg.min_score]
+        want = max_iou_vs_others(boxes_to_corners([d.box for d in dets]))[0]
+        live = len(tracker.tracks)
+        del observed[:]
+        tracker.step(detections, frame_idx)
+        # Every kept detection is observed exactly once: matched or born.
+        got = {id(box): overlap for _, box, overlap in observed}
+        assert len(got) == len(observed) == len(dets)
+        assert all(f == frame_idx for f, _, _ in observed)
+        for d, w in zip(dets, want):
+            assert got[id(d.box)] == w
+        checked += len(dets)
+        if frame_idx == len(frames) - 1:
+            assert live > 0 and observed == []
+    assert checked > 1000
+    assert got == {id(lone.box): 0.0}
