@@ -12,9 +12,6 @@ ablation and sweep tables.
 Every public name is imported from its module (``from sasmot.tracker import Tracker``).
 """
 
-# bench/tracer.py resolves its targets through sys.modules after `import sasmot`.
-from . import geometry, memory, metrics, mot_io, rng, simulator, tracker  # noqa: F401
-
 __version__ = "0.1.0"
 
 __all__ = ["__version__"]

@@ -3,6 +3,9 @@
 All coordinates are normalized image units: x is divided by image width and
 y by image height at ingest, so thresholds expressed as a fraction of the
 image size are plain scalars here.
+
+``max_iou_vs_others`` is the one overlap rule: the simulator's occlusion
+contamination and the tracker's overlap-aware selector both read it.
 """
 
 from __future__ import annotations
@@ -85,18 +88,18 @@ def iou_matrix(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarray:
     return np.clip(np.where(inter > 0.0, inter / union, 0.0), 0.0, 1.0)
 
 
-def max_iou_vs_others(corners: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Each box's largest IoU with any other box of an (N, 4) corner array.
+def max_iou_vs_others(ious: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each box's largest IoU with any other box of the same set.
 
-    Returns ``(best, who)``: ``best[i]`` is that IoU (0.0 for a box that
-    overlaps nothing) and ``who[i]`` the index of the other box, the first
-    one on ties and -1 when ``best[i]`` is 0.
+    ``ious`` is the (N, N) IoU of the set with itself; its diagonal is
+    zeroed in place. Returns ``(best, who)``: ``best[i]`` is that IoU (0.0
+    for a box that overlaps nothing) and ``who[i]`` the index of the other
+    box, the first one on ties and -1 when ``best[i]`` is 0.
     """
-    n = corners.shape[0]
+    n = ious.shape[0]
     if n == 0:
         return np.zeros(0, dtype=float), np.zeros(0, dtype=int)
-    ious = iou_matrix(corners, corners)
-    np.fill_diagonal(ious, 0.0)
+    ious.flat[:: n + 1] = 0.0
     who = np.argmax(ious, axis=1)
     best = ious[np.arange(n), who]
     return best, np.where(best > 0.0, who, -1)

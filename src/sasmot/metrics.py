@@ -126,7 +126,7 @@ class MetricsReport:
 
 def _assign(ious: np.ndarray) -> List[Tuple[int, int]]:
     """IoU-maximal one-to-one (row, col) pairs, sorted by row, unfiltered."""
-    return hungarian_assign(1.0 - ious) if ious.size else []
+    return hungarian_assign(1.0 - ious)
 
 
 def clear_mota(pair: SequencePair) -> Tuple[float, int, int, int]:
@@ -155,11 +155,10 @@ def clear_mota(pair: SequencePair) -> Tuple[float, int, int, int]:
         # IoU-maximal matching over whatever remains.
         rest_g = [gi for gi in range(len(gids)) if gi not in bound_gt]
         rest_p = [pj for pj in range(len(pids)) if pj not in claimed_pred]
-        if rest_g and rest_p:
-            for r, c in _assign(ious[np.ix_(rest_g, rest_p)]):
-                gi, pj = rest_g[r], rest_p[c]
-                if ious[gi, pj] >= CLEAR_IOU_THRESHOLD:
-                    bound.append((gi, pj))
+        for r, c in _assign(ious[np.ix_(rest_g, rest_p)]):
+            gi, pj = rest_g[r], rest_p[c]
+            if ious[gi, pj] >= CLEAR_IOU_THRESHOLD:
+                bound.append((gi, pj))
 
         for gi, pj in bound:
             gid, pid = gids[gi], pids[pj]
@@ -187,14 +186,12 @@ def idf1(pair: SequencePair) -> float:
         for gi, pj in zip(*np.nonzero(ious >= CLEAR_IOU_THRESHOLD)):
             counts[(gids[gi], pids[pj])] += 1
 
-    idtp = 0
-    if counts:
-        gt_row = {g: i for i, g in enumerate(sorted({g for g, _ in counts}))}
-        pred_col = {p: j for j, p in enumerate(sorted({p for _, p in counts}))}
-        mat = np.zeros((len(gt_row), len(pred_col)), dtype=float)
-        for (g, p), c in counts.items():
-            mat[gt_row[g], pred_col[p]] = c
-        idtp = int(sum(mat[r, c] for r, c in hungarian_assign(-mat)))
+    gt_row = {g: i for i, g in enumerate(sorted({g for g, _ in counts}))}
+    pred_col = {p: j for j, p in enumerate(sorted({p for _, p in counts}))}
+    mat = np.zeros((len(gt_row), len(pred_col)), dtype=float)
+    for (g, p), c in counts.items():
+        mat[gt_row[g], pred_col[p]] = c
+    idtp = int(sum(mat[r, c] for r, c in hungarian_assign(-mat)))
 
     idfp = total_pred - idtp
     idfn = total_gt - idtp

@@ -32,7 +32,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .geometry import Box2D, boxes_to_corners, max_iou_vs_others
+from .geometry import Box2D, boxes_to_corners, iou_matrix, max_iou_vs_others
 from .rng import SplitMix64
 from .tracker import Detection
 
@@ -104,24 +104,17 @@ class Scenario:
     config: ScenarioConfig
 
 
-def _unit_gaussian_vector(rng: SplitMix64, dim: int) -> np.ndarray:
-    v = np.array(rng.gauss_block(dim), dtype=float)
-    norm = float(np.linalg.norm(v))
-    while norm < 1e-9:  # astronomically unlikely; redraw keeps it total
-        v = np.array(rng.gauss_block(dim), dtype=float)
-        norm = float(np.linalg.norm(v))
-    return v / norm
-
-
 def _orthonormal_plane(rng: SplitMix64, dim: int) -> Tuple[np.ndarray, np.ndarray]:
     """A random 2-plane: orthonormal basis (u, v) in R^dim."""
-    u = _unit_gaussian_vector(rng, dim)
-    while True:
+    basis: List[np.ndarray] = []
+    while len(basis) < 2:
         w = np.array(rng.gauss_block(dim), dtype=float)
-        w = w - float(np.dot(w, u)) * u
+        for b in basis:
+            w = w - float(np.dot(w, b)) * b
         norm = float(np.linalg.norm(w))
-        if norm > 1e-9:
-            return u, w / norm
+        if norm >= 1e-9:  # else redraw: astronomically unlikely, keeps it total
+            basis.append(w / norm)
+    return basis[0], basis[1]
 
 
 def _reflect(value: float, lo: float, hi: float, velocity: float) -> Tuple[float, float]:
@@ -196,7 +189,8 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
             for i in range(n)
         ]
 
-        best, who = max_iou_vs_others(boxes_to_corners(boxes))
+        corners = boxes_to_corners(boxes)
+        best, who = max_iou_vs_others(iou_matrix(corners, corners))
         overlaps, occluders = best.tolist(), who.tolist()
 
         dets: List[Detection] = []

@@ -4,12 +4,12 @@ Per frame the tracker runs one IoU pass: the live tracks' last boxes
 stacked on the detection boxes, against the detection boxes. The
 track-by-detection block is the spatial term of a cost matrix that blends
 appearance (cosine distance between the track's fused query and the
-detection embedding) with overlap; the detection-by-detection block, its
-diagonal zeroed, gives each detection's largest IoU with any other, which
-its memory records. The tracker then solves a minimum-cost one-to-one
-assignment and updates matched tracks' memories and queries. Unmatched
-detections become new tracks; unmatched tracks coast with frozen memory
-until they exceed ``max_misses``.
+detection embedding) with overlap; ``max_iou_vs_others`` of the
+detection-by-detection block gives each detection's largest IoU with any
+other, which its memory records. The tracker then solves a minimum-cost
+one-to-one assignment and updates matched tracks' memories and queries.
+Unmatched detections become new tracks; unmatched tracks coast with frozen
+memory until they exceed ``max_misses``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import Box2D, boxes_to_corners, iou_matrix
+from .geometry import Box2D, boxes_to_corners, iou_matrix, max_iou_vs_others
 from .memory import MemoryConfig, MemoryPolicy, TrackMemory
 
 __all__ = [
@@ -113,8 +113,9 @@ class FrameResult:
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise 1 - cos for the rows of (T, D) ``a`` and (N, D) ``b``; (T, N) in [0, 2].
 
-    A zero-norm row has no direction; detections reject one at ingest, but
-    a fused track query can still cancel out to zero.
+    A zero-norm row has no direction, so its distance to every row is 1.0,
+    as in sklearn's ``cosine_distances``. Detections reject one at ingest,
+    but a fused track query can still cancel out to zero.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -122,9 +123,9 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     na = np.sqrt(np.einsum("ij,ij->i", a, a))
     nb = np.sqrt(np.einsum("ij,ij->i", b, b))
-    if not ((na > 0.0).all() and (nb > 0.0).all()):
-        raise ValueError("zero-norm embedding in cosine_distance")
-    return np.clip(1.0 - (a @ b.T) / np.outer(na, nb), 0.0, 2.0)
+    norms = np.outer(na, nb)
+    cos = np.divide(a @ b.T, norms, out=np.zeros_like(norms), where=norms > 0.0)
+    return np.clip(1.0 - cos, 0.0, 2.0)
 
 
 def build_cost_matrix(
@@ -200,17 +201,14 @@ class Tracker:
         dets = [d for d in detections if d.score >= self.cfg.min_score]
 
         # One IoU pass, (tracks + dets) x dets: the top block is the cost's
-        # spatial term, and the bottom block with its diagonal zeroed gives
-        # each detection's largest IoU with any other (0.0 when alone).
+        # spatial term, and the bottom block gives each detection's largest
+        # IoU with any other (0.0 when alone).
         n = len(self.tracks)
         corners = boxes_to_corners([t.last_box for t in self.tracks] + [d.box for d in dets])
         ious = iou_matrix(corners, corners[n:])
         cost = build_cost_matrix(self.tracks, dets, ious[:n], self.cfg)
         pairs = hungarian_assign(cost)
-
-        others = ious[n:]
-        np.fill_diagonal(others, 0.0)
-        overlaps = others.max(axis=1, initial=0.0).tolist()
+        overlaps = max_iou_vs_others(ious[n:])[0].tolist()
 
         # Every live track takes a miss, a match clears it, tracks past
         # max_misses die, and unmatched detections are born in order.

@@ -1,5 +1,6 @@
-"""Every name a ``sasmot`` module exports in ``__all__`` exists, and every
-name the benchmark under ``bench/`` reaches for is still there.
+"""Every name a ``sasmot`` module exports in ``__all__`` exists, every name
+a module imports is used, and every name the benchmark under ``bench/``
+reaches for is still there.
 
 The benchmark checks are read from ``bench/`` source without importing it,
 so a change that deletes a name the benchmark needs fails here.
@@ -16,6 +17,7 @@ import pytest
 import sasmot
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(sasmot.__file__).resolve().parent
 
 MODULES = ["sasmot"] + [
     f"sasmot.{info.name}" for info in pkgutil.iter_modules(sasmot.__path__)
@@ -29,6 +31,26 @@ def test_all_names_exist(name):
     assert len(set(exported)) == len(exported), f"{name}.__all__ lists a name twice"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert missing == [], f"{name}.__all__ names missing attributes"
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        # No module re-exports an import, so only a read counts as a use.
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used
+        ]
+    assert unused == [], "names imported but never used"
 
 
 def test_bench_tracer_targets_resolve():

@@ -115,9 +115,10 @@ def test_iou_matrix_empty_sides():
 
 
 def test_max_iou_vs_others_singleton_is_zero():
-    best, who = max_iou_vs_others(boxes_to_corners([Box2D(0, 0, 1, 1)]))
+    one = boxes_to_corners([Box2D(0, 0, 1, 1)])
+    best, who = max_iou_vs_others(iou_matrix(one, one))
     assert best.tolist() == [0.0] and who.tolist() == [-1]
-    best, who = max_iou_vs_others(boxes_to_corners([]))
+    best, who = max_iou_vs_others(np.zeros((0, 0)))
     assert best.shape == who.shape == (0,)
 
 
@@ -128,10 +129,13 @@ def test_max_iou_vs_others_picks_largest_overlap():
         Box2D(0.9, 0.0, 1.0, 1.0),  # iou 1/19 with first
         Box2D(5.0, 5.0, 1.0, 1.0),  # disjoint
     ]
-    best, who = max_iou_vs_others(boxes_to_corners(group))
+    corners = boxes_to_corners(group)
+    ious = iou_matrix(corners, corners)
+    best, who = max_iou_vs_others(ious)
     assert math.isclose(best[0], 1.0 / 3.0, abs_tol=1e-12)
     assert who.tolist() == [1, 2, 1, -1]
     assert best[3] == 0.0
+    assert np.diag(ious).tolist() == [0.0] * 4  # zeroed in place
 
 
 # Centers on a coarse grid with a few sizes, so equal overlaps (ties) and
@@ -147,7 +151,8 @@ grid_boxes = st.builds(
 
 @given(st.lists(st.one_of(grid_boxes, boxes()), max_size=8))
 def test_max_iou_vs_others_matches_scalar_scan(group):
-    best, who = max_iou_vs_others(boxes_to_corners(group))
+    corners = boxes_to_corners(group)
+    best, who = max_iou_vs_others(iou_matrix(corners, corners))
     for i, a in enumerate(group):
         want, want_who = 0.0, -1
         for j, b in enumerate(group):

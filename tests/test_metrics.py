@@ -125,6 +125,19 @@ def test_mota_carry_over_prefers_previous_identity():
     assert fp == 1  # the newcomer goes unmatched
 
 
+def test_mota_carry_over_leaves_one_side_empty():
+    # Frame 2: carry-over binds both gt, so the solver gets a (0, 1) block
+    # and the duplicate pred 3 is a false positive.
+    gt = [[(1, BOX_A), (2, BOX_B)]] * 2
+    pred = [[(1, BOX_A), (2, BOX_B)], [(1, BOX_A), (2, BOX_B), (3, BOX_A)]]
+    assert clear_mota(SequencePair(gt=gt, pred=pred)) == (0.75, 0, 1, 0)
+    # Frame 2: carry-over claims the only pred, so the solver gets a (1, 0)
+    # block and the new gt 2 is a miss.
+    gt = [[(1, BOX_A)], [(1, BOX_A), (2, BOX_B)]]
+    pred = [[(5, BOX_A)], [(5, BOX_A)]]
+    assert clear_mota(SequencePair(gt=gt, pred=pred)) == (1.0 - 1.0 / 3.0, 0, 0, 1)
+
+
 def test_mota_requires_ground_truth():
     pair = SequencePair(gt=[[], []], pred=[[(1, BOX_A)], []])
     with pytest.raises(ValueError):

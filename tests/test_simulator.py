@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from sasmot.simulator import ScenarioConfig, generate_scenario
+from sasmot.simulator import ScenarioConfig, _orthonormal_plane, generate_scenario
 
 
 def _angle(a, b):
@@ -180,6 +180,23 @@ def test_rotation_events_jump_by_magnitude():
     for t in range(1, len(scenario.true_appearance)):
         ang = _angle(scenario.true_appearance[t - 1][0], scenario.true_appearance[t][0])
         assert abs(ang - 1.0) < 1e-9
+
+
+def test_orthonormal_plane_redraws_degenerate_blocks():
+    x, y = [0.1, 0.2, 0.3], [0.0, 1.0, 0.0]
+    # A zero block has no direction; 2x leaves about 1e-16 once u is projected out.
+    blocks = iter([[0.0, 0.0, 0.0], x, [2.0 * c for c in x], y])
+
+    class Stub:
+        def gauss_block(self, n):
+            return next(blocks)
+
+    u, v = _orthonormal_plane(Stub(), 3)
+    assert next(blocks, None) is None  # all four blocks drawn, and no fifth
+    assert np.allclose(u, np.array(x) / np.linalg.norm(x), rtol=0.0, atol=1e-15)
+    assert abs(float(np.dot(u, v))) < 1e-15
+    assert abs(float(np.linalg.norm(u)) - 1.0) < 1e-15
+    assert abs(float(np.linalg.norm(v)) - 1.0) < 1e-15
 
 
 def test_detection_embeddings_are_unit_norm():

@@ -50,11 +50,11 @@ def test_cosine_distance_analytic():
         assert math.isclose(row[4], 1.0 - math.sqrt(0.5), rel_tol=1e-12)
 
 
-def test_cosine_distance_rejects_zero_norm_and_mismatch():
-    with pytest.raises(ValueError):
-        cosine_distance([[0.0, 0.0]], [[1.0, 0.0]])
-    with pytest.raises(ValueError):
-        cosine_distance([[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
+def test_cosine_distance_zero_norm_row_is_one_and_mismatch_rejected():
+    # A row with no direction is 1.0 from every row, as in sklearn.
+    assert cosine_distance([[0.0, 0.0]], [[1.0, 0.0]]).tolist() == [[1.0]]
+    assert cosine_distance([[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]).tolist() == [[0.0, 1.0]]
+    assert cosine_distance([[0.0, 0.0]], [[0.0, 0.0]]).tolist() == [[1.0]]
     with pytest.raises(ValueError):
         cosine_distance([[1.0, 0.0]], [[1.0, 0.0, 0.0]])
     with pytest.raises(ValueError):
@@ -200,10 +200,25 @@ def test_hungarian_equals_reference_with_forbidden_entries(shape):
 def test_hungarian_empty_and_forbidden():
     assert hungarian_assign(np.zeros((0, 3))) == []
     assert hungarian_assign(np.zeros((3, 0))) == []
+    assert hungarian_assign(np.zeros((0, 0))) == []
     cost = np.array([[FORBIDDEN_COST, 0.2], [0.1, FORBIDDEN_COST]])
     assert hungarian_assign(cost) == [(0, 1), (1, 0)]
     all_bad = np.full((2, 2), FORBIDDEN_COST)
     assert hungarian_assign(all_bad) == []
+
+
+def test_query_that_cancels_to_zero_keeps_tracking():
+    # Dense memory with alpha 0 fuses e and -e to a zero query at frame 2;
+    # frame 3 must still associate on IoU alone instead of raising.
+    cfg = TrackerConfig(memory=MemoryConfig(alpha=0.0, epsilon=0.0), cost_blend=0.0)
+    tracker = Tracker(cfg, MemoryPolicy.DENSE)
+    ids = []
+    for frame, emb in enumerate([E1, [-x for x in E1], E1], start=1):
+        result = tracker.step([_det(0.5, 0.5, emb)], frame)
+        ids.append([tid for tid, _ in result.tracks])
+        if frame == 2:
+            assert not tracker.tracks[0].query.any()
+    assert ids == [[1], [1], [1]]
 
 
 def test_ids_stable_on_two_separated_objects():
@@ -471,7 +486,8 @@ def test_step_passes_each_detection_its_max_iou_with_the_others(monkeypatch):
     checked = 0
     for frame_idx, detections in enumerate(frames, start=1):
         dets = [d for d in detections if d.score >= tracker.cfg.min_score]
-        want = max_iou_vs_others(boxes_to_corners([d.box for d in dets]))[0]
+        corners = boxes_to_corners([d.box for d in dets])
+        want = max_iou_vs_others(iou_matrix(corners, corners))[0]
         live = len(tracker.tracks)
         del observed[:]
         tracker.step(detections, frame_idx)
