@@ -35,11 +35,14 @@ class Box2D:
     h: float
 
     def __post_init__(self):
+        # The usual valid box passes one chain; the loop below only builds the error.
+        if (math.isfinite(self.cx) and math.isfinite(self.cy) and math.isfinite(self.w)
+                and math.isfinite(self.h) and self.w > 0 and self.h > 0):
+            return
         for name, value in (("cx", self.cx), ("cy", self.cy), ("w", self.w), ("h", self.h)):
             if not math.isfinite(value):
                 raise ValueError(f"non-finite box field {name}={value}")
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"non-positive box size w={self.w}, h={self.h}")
+        raise ValueError(f"non-positive box size w={self.w}, h={self.h}")
 
     def corners(self) -> tuple[float, float, float, float]:
         """(left, top, right, bottom)."""
@@ -85,7 +88,10 @@ def iou_matrix(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarray:
     area_a = (corners_a[:, 2] - corners_a[:, 0]) * (corners_a[:, 3] - corners_a[:, 1])
     area_b = (corners_b[:, 2] - corners_b[:, 0]) * (corners_b[:, 3] - corners_b[:, 1])
     union = area_a[:, None] + area_b[None, :] - inter
-    return np.clip(np.where(inter > 0.0, inter / union, 0.0), 0.0, 1.0)
+    # Two boxes whose areas underflow to 0 have inter = union = 0. The floor
+    # at the smallest double makes that quotient 0 without a 0/0; every
+    # other union is already at least the floor.
+    return np.clip(inter / np.maximum(union, 5e-324), 0.0, 1.0)
 
 
 def max_iou_vs_others(ious: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,12 @@ overrides the header. Ground truth and tracker output carry conf 1,
 detections carry id -1 and their score, and rows are sorted by (frame, id)
 with 6 decimals per float. Embeddings ride in a sidecar CSV
 (``frame,det_index,e_1,...,e_D``, 9 significant digits) keyed by position
-within the frame, because MOT rows cannot carry vectors.
+within the frame, because MOT rows cannot carry vectors. Each sidecar
+value is parsed as ``float()`` parses it, and every embedding must satisfy
+``0 < e·e < inf``, the rule ``Detection`` applies; a bad row is an error
+naming its line. Writers format each row with one ``%`` operation, and
+the sidecar reader converts all rows into one array, so both files cost
+one pass per row.
 """
 
 from __future__ import annotations
@@ -133,12 +138,13 @@ def write_mot_file(
     path: Path | str, rows: Iterable[_PixelRow], image_size: Tuple[int, int]
 ) -> None:
     """Write pixel rows sorted by (frame, id) with an image-size header."""
+    ordered = sorted(rows, key=lambda r: r[:2])
+    # Sorted by frame, so the first row holds the smallest.
+    if ordered and ordered[0][0] < 1:
+        raise ValueError(f"frame must be >= 1, got {ordered[0][0]}")
+    # %s prints the ids as str() does, so a float frame is not truncated.
     lines = [f"# image_size={image_size[0]}x{image_size[1]}"]
-    for frame, track_id, left, top, width, height, conf in sorted(rows, key=lambda r: r[:2]):
-        if frame < 1:
-            raise ValueError(f"frame must be >= 1, got {frame}")
-        lines.append(f"{frame},{track_id},{left:.6f},{top:.6f},"
-                     f"{width:.6f},{height:.6f},{conf:.6f},-1,-1,-1")
+    lines += ["%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f,-1,-1,-1" % row for row in ordered]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -174,43 +180,96 @@ def results_to_rows(results: Sequence[FrameResult], image_size: Tuple[int, int])
 def write_embeddings_csv(path: Path | str, scenario: Scenario) -> None:
     """Sidecar: one `frame,det_index,e_1,...,e_D` line per detection."""
     lines = []
+    dim, fmt = -1, ""
     for frame_idx, dets in enumerate(scenario.detections, start=1):
         for det_index, det in enumerate(dets):
-            values = ",".join(f"{v:.9g}" for v in det.embedding)
-            lines.append(f"{frame_idx},{det_index},{values}")
+            values = det.embedding.tolist()
+            if len(values) != dim:
+                dim = len(values)
+                fmt = "%d,%d" + ",%.9g" * dim
+            lines.append(fmt % (frame_idx, det_index, *values))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_embeddings_csv(path: Path | str) -> Dict[Tuple[int, int], np.ndarray]:
-    """Sidecar rows keyed by (frame, det_index); every row has the same size D."""
-    out: Dict[Tuple[int, int], np.ndarray] = {}
-    dim: Optional[int] = None
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    """Sidecar rows keyed by (frame, det_index); every row has the same size D.
+
+    Values are parsed as ``float()`` parses them, straight into one (rows, D)
+    array, and every embedding must satisfy ``0 < e·e < inf``. A bad row is
+    named by its file line, the first one in the file when several are bad.
+    """
+    lines = Path(path).read_text().splitlines()
+    linenos: List[int] = []  # the file line of each data row
+    keys: List[Tuple[int, int]] = []
+    width = 0
+    values = np.empty((0, 0))
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        where = f"{path}: line {lineno}"
+        linenos.append(lineno)
         parts = line.split(",")
-        if len(parts) < 3:
-            raise ValueError(f"{where}: embedding row needs frame,det_index,values")
+        if len(linenos) == 1:
+            width = len(parts)
+            values = np.empty((len(lines), max(width - 2, 0)))
+        if len(parts) < 3 or len(parts) != width:
+            break
         try:
-            frame = int(parts[0])
-            det_index = int(parts[1])
-            values = np.array([float(p) for p in parts[2:]], dtype=float)
+            key = (int(parts[0]), int(parts[1]))
+            values[len(keys)] = parts[2:]  # numpy parses each string as float() does
         except ValueError:
-            raise ValueError(f"{where}: non-numeric field in embeddings file") from None
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{where}: non-finite value in embedding")
-        if dim is None:
-            dim = values.size
-        elif values.size != dim:
-            raise ValueError(f"{where}: embedding dim {values.size} != {dim}")
-        if not np.any(values):
-            raise ValueError(f"{where}: zero-norm embedding")
-        if (frame, det_index) in out:
-            raise ValueError(f"{where}: duplicate key ({frame}, {det_index})")
-        out[(frame, det_index)] = values
-    return out
+            break
+        keys.append(key)
+    values = values[: len(keys)]
+    if len(keys) == len(linenos):
+        out = dict(zip(keys, values))
+        sq = np.einsum("ij,ij->i", values, values)
+        # NaN fails both comparisons.
+        if len(out) == len(keys) and np.all((sq > 0.0) & (sq < math.inf)):
+            return out
+    raise _first_bad_row(path, lines, linenos, keys, values)
+
+
+def _first_bad_row(
+    path: Path | str,
+    lines: List[str],
+    linenos: List[int],
+    keys: List[Tuple[int, int]],
+    values: np.ndarray,
+) -> ValueError:
+    """The error for the first bad sidecar row, checked in the order a row is read.
+
+    ``keys`` and ``values`` hold the rows that converted; when there are
+    fewer of them than ``linenos``, the next row did not convert.
+    """
+    sq = np.einsum("ij,ij->i", values, values)
+    seen = set()
+    for i, key in enumerate(keys):
+        where = f"{path}: line {linenos[i]}"
+        if not np.all(np.isfinite(values[i])):
+            return ValueError(f"{where}: non-finite value in embedding")
+        if not np.any(values[i]):
+            return ValueError(f"{where}: zero-norm embedding")
+        if not sq[i] < math.inf:
+            return ValueError(f"{where}: embedding squared norm overflows to inf")
+        if not sq[i] > 0.0:
+            return ValueError(f"{where}: embedding squared norm underflows to 0")
+        if key in seen:
+            return ValueError(f"{where}: duplicate key {key}")
+        seen.add(key)
+    lineno = linenos[len(keys)]
+    where = f"{path}: line {lineno}"
+    parts = lines[lineno - 1].strip().split(",")
+    if len(parts) < 3:
+        return ValueError(f"{where}: embedding row needs frame,det_index,values")
+    try:
+        int(parts[0]), int(parts[1])
+        row = np.array([float(p) for p in parts[2:]])
+    except ValueError:
+        return ValueError(f"{where}: non-numeric field in embeddings file")
+    if not np.all(np.isfinite(row)):
+        return ValueError(f"{where}: non-finite value in embedding")
+    return ValueError(f"{where}: embedding dim {row.size} != {values.shape[1]}")
 
 
 def detections_from_files(

@@ -14,6 +14,7 @@ memory until they exceed ``max_misses``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -50,13 +51,20 @@ class Detection:
     score: float
 
     def __post_init__(self):
-        self.embedding = np.asarray(self.embedding, dtype=float)
-        if self.embedding.ndim != 1:
-            raise ValueError(f"embedding must be 1-D, got shape {self.embedding.shape}")
-        if not np.all(np.isfinite(self.embedding)):
-            raise ValueError("embedding contains non-finite values")
-        if not np.any(self.embedding):
-            raise ValueError("embedding is all zeros")
+        e = self.embedding = np.asarray(self.embedding, dtype=float)
+        if e.ndim != 1:
+            raise ValueError(f"embedding must be 1-D, got shape {e.shape}")
+        # One squared norm covers every case: NaN fails both comparisons.
+        # np.vdot, unlike ``@``, does not warn when the sum overflows.
+        norm2 = np.vdot(e, e)
+        if not 0.0 < norm2 < math.inf:
+            if not np.all(np.isfinite(e)):
+                raise ValueError("embedding contains non-finite values")
+            if not np.any(e):
+                raise ValueError("embedding is all zeros")
+            if norm2:
+                raise ValueError("embedding squared norm overflows to inf")
+            raise ValueError("embedding squared norm underflows to 0")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
 

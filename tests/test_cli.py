@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface via ``main(argv)``."""
 
+import hashlib
 import math
 import os
 import re
@@ -189,6 +190,20 @@ def test_track_rejects_zero_norm_sidecar_row_with_its_line(tmp_path, capsys):
     (run / "embeddings.csv").write_text("\n".join(lines) + "\n")
     assert _track(run) == 1
     assert "embeddings.csv: line 5: zero-norm embedding" in capsys.readouterr().err
+
+
+def test_track_names_the_sidecar_line_whose_norm_overflows(tmp_path, capsys):
+    # Both rows pass a finiteness check, but e·e overflows: the distance
+    # would be inf/inf and the solver would stop on an unnamed NaN.
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "det.txt").write_text(
+        "# image_size=100x100\n1,-1,10,10,20,20,0.9,-1,-1,-1\n2,-1,11,10,20,20,0.9,-1,-1,-1\n"
+    )
+    (run / "embeddings.csv").write_text("1,0,1e300,-1e300\n2,0,1e300,-1e300\n")
+    assert _track(run) == 1
+    err = capsys.readouterr().err
+    assert f"{run / 'embeddings.csv'}: line 1: embedding squared norm overflows to inf" in err
 
 
 def test_track_rejects_sidecar_row_without_detection(tmp_path, capsys):
@@ -523,3 +538,40 @@ def test_readme_library_snippet_runs():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("MetricsReport(")
+
+
+# The bytes of every CLI output file, recorded before the file writers and
+# the sidecar reader were rewritten for speed. An I/O speed-up must keep
+# them; a change that means to move them must say so and update them here.
+OUTPUT_DIGESTS = {
+    16: {
+        "gt.txt": "6e888def848e93992df300e19010850bf3a0ee2be5167df7f28234027e92d09f",
+        "det.txt": "a5b36c52e5d9c52e42789f48284e92c1a54402d036edfcb71d203a248de2b0e0",
+        "embeddings.csv": "0851780cbc402082f06e640be393af43c2005bea5bad9a6061449a2d2f145ac4",
+        "pred.txt": "d436b28474c50726209ff10cdf1658b54cb9b3ea7f771ea6581e81cbaf8f1206",
+        "report.csv": "6e969bdbb602dfd5817142211215c2fd8f7999501cf9c51f5301f42f1613d93c",
+    },
+    33: {
+        "gt.txt": "885ae6a5c2df39e1ae01d78a9f84e2e18b724698aeb194664b17cd3d3024a1ea",
+        "det.txt": "892619973efed6d2eac906a5c73125620d8cbaf163ff567c99f2fa4eb9bbe53b",
+        "embeddings.csv": "f4ee9cc53a54be5f10748e4327169c4fe8e7dc160374042f0a799a3f37b43085",
+        "pred.txt": "e8e6233cda6615a7bade262c43202cf4de6567240bb587d19a73ba4e532ad669",
+        "report.csv": "add55f3f37acf41f3fe44e41575eb750e369a5d986cfdb45a0bed55e14a92d00",
+    },
+}
+
+
+@pytest.mark.parametrize("dim", sorted(OUTPUT_DIGESTS))
+def test_cli_output_bytes_are_pinned(tmp_path, dim):
+    run = tmp_path / "run"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"scenario.embedding_dim = {dim}\n")
+    _simulate(run, n_objects=5, n_frames=80, seed=3, config=cfg)
+    assert _track(run) == 0
+    assert main([
+        "eval", "--gt", str(run / "gt.txt"), "--pred", str(run / "pred.txt"),
+        "--out", str(run / "report.csv"),
+    ]) == 0
+    got = {name: hashlib.sha256((run / name).read_bytes()).hexdigest()
+           for name in OUTPUT_DIGESTS[dim]}
+    assert got == OUTPUT_DIGESTS[dim]

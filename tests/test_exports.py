@@ -1,6 +1,7 @@
 """Every name a ``sasmot`` module exports in ``__all__`` exists, every name
-a module imports is used, and every name the benchmark under ``bench/``
-reaches for is still there.
+a module imports is used and comes from the stdlib, numpy, scipy or the
+package itself, and every name the benchmark under ``bench/`` reaches for
+is still there.
 
 The benchmark checks are read from ``bench/`` source without importing it,
 so a change that deletes a name the benchmark needs fails here.
@@ -51,6 +52,26 @@ def test_no_unused_imports():
             f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used
         ]
     assert unused == [], "names imported but never used"
+
+
+def test_imports_are_stdlib_numpy_scipy_or_relative():
+    # Every import, at module level or inside a function: a third-party
+    # import would add to start-up time and to what a user must install.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy"}
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names if name.split(".")[0] not in allowed
+            ]
+    assert foreign == [], "imports outside the stdlib, numpy and scipy"
 
 
 def test_bench_tracer_targets_resolve():

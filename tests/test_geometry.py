@@ -163,12 +163,21 @@ def test_max_iou_vs_others_matches_scalar_scan(group):
 
 
 def test_box_validation():
-    with pytest.raises(ValueError):
-        Box2D(0.0, 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        Box2D(0.0, 0.0, 1.0, -2.0)
-    with pytest.raises(ValueError):
-        Box2D(float("nan"), 0.0, 1.0, 1.0)
+    nan, inf = math.nan, math.inf
+    # A non-finite field is named first, the first such field in order.
+    for fields, message in [
+        ((0.0, 0.0, 0.0, 1.0), "non-positive box size w=0.0, h=1.0"),
+        ((0.0, 0.0, 1.0, -2.0), "non-positive box size w=1.0, h=-2.0"),
+        ((nan, 0.0, 1.0, 1.0), "non-finite box field cx=nan"),
+        ((0.0, -inf, 1.0, 1.0), "non-finite box field cy=-inf"),
+        ((0.0, 0.0, inf, 1.0), "non-finite box field w=inf"),
+        ((0.0, 0.0, -1.0, nan), "non-finite box field h=nan"),
+        ((inf, 0.0, 1.0, nan), "non-finite box field cx=inf"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            Box2D(*fields)
+        assert str(exc.value) == message
+    assert Box2D(-1e300, 1e300, 5e-324, 1e300).w == 5e-324
 
 
 def test_corners_roundtrip():

@@ -1,5 +1,8 @@
 """File formats: MOT rows and embedding sidecars."""
 
+from pathlib import Path
+from typing import Dict, Optional, Tuple
+
 import numpy as np
 import pytest
 
@@ -210,6 +213,162 @@ def test_embeddings_sidecar_errors(tmp_path):
     path.write_text("1,0,0.5,0.5\n1,x,0.5,0.5\n")
     with pytest.raises(ValueError, match="emb.csv: line 2: non-numeric field"):
         read_embeddings_csv(path)
+
+
+def read_embeddings_csv_reference(path) -> Dict[Tuple[int, int], np.ndarray]:
+    """The per-line sidecar reader that ``read_embeddings_csv`` replaced.
+
+    It parses and checks one row at a time, so it is the oracle for the
+    bulk reader's keys, value bits and error text. It predates the
+    squared-norm rule, so it accepts rows that overflow or underflow.
+    """
+    out: Dict[Tuple[int, int], np.ndarray] = {}
+    dim: Optional[int] = None
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"{path}: line {lineno}"
+        parts = line.split(",")
+        if len(parts) < 3:
+            raise ValueError(f"{where}: embedding row needs frame,det_index,values")
+        try:
+            frame = int(parts[0])
+            det_index = int(parts[1])
+            values = np.array([float(p) for p in parts[2:]], dtype=float)
+        except ValueError:
+            raise ValueError(f"{where}: non-numeric field in embeddings file") from None
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{where}: non-finite value in embedding")
+        if dim is None:
+            dim = values.size
+        elif values.size != dim:
+            raise ValueError(f"{where}: embedding dim {values.size} != {dim}")
+        if not np.any(values):
+            raise ValueError(f"{where}: zero-norm embedding")
+        if (frame, det_index) in out:
+            raise ValueError(f"{where}: duplicate key ({frame}, {det_index})")
+        out[(frame, det_index)] = values
+    return out
+
+
+def _assert_same_table(got, want):
+    assert list(got) == list(want)  # the same keys in the same order
+    for key, values in want.items():
+        assert got[key].dtype == values.dtype and got[key].tobytes() == values.tobytes(), key
+
+
+@pytest.mark.parametrize("dim", [16, 33])
+def test_bulk_reader_equals_per_line_reference_on_simulated_sidecars(tmp_path, dim):
+    cfg = ScenarioConfig(n_objects=4, n_frames=40, seed=3, embedding_dim=dim)
+    path = tmp_path / "emb.csv"
+    write_embeddings_csv(path, generate_scenario(cfg))
+    _assert_same_table(read_embeddings_csv(path), read_embeddings_csv_reference(path))
+
+
+def test_bulk_reader_equals_per_line_reference_on_any_float_spelling(tmp_path):
+    rng = np.random.default_rng(5)
+    spellings = ("%.9g", "%.17g", "%r", "%.3e", "%.25f", " %s", "%s ", "%+.6E")
+    lines = ["# written by hand", ""]
+    for frame in range(1, 60):
+        values = rng.uniform(-1.0, 1.0, 7) * 10.0 ** rng.integers(-150, 150, 7)
+        picks = rng.integers(0, len(spellings), 7)
+        fields = [spellings[k] % v for k, v in zip(picks, values.tolist())]
+        fields[rng.integers(0, 7)] = rng.choice(["0", "-0.0", "1_5", "7"])
+        key = (" %d" % frame, "+0 ") if frame % 3 else ("%d" % frame, "0")
+        lines.append(",".join([*key, *fields]))
+        if frame % 11 == 0:
+            lines += ["  ", "#", "   # indented comment"]
+    path = tmp_path / "emb.csv"
+    path.write_text("\n".join(lines) + "\n")
+    want = read_embeddings_csv_reference(path)
+    assert len(want) == 59
+    _assert_same_table(read_embeddings_csv(path), want)
+
+
+def test_empty_sidecar_reads_as_no_rows(tmp_path):
+    path = tmp_path / "emb.csv"
+    path.write_text("# nothing\n\n")
+    assert read_embeddings_csv(path) == read_embeddings_csv_reference(path) == {}
+
+
+GOOD_ROWS = ["1,0,0.5,0.5", "# a comment", "", "1,1,0.25,-1", "2,0,1,0", "2,1,0,3"]
+BAD_ROWS = {
+    "non-numeric value": "3,0,0.5,abc",
+    "non-numeric key": "3,x,0.5,0.5",
+    "non-finite": "3,0,0.5,nan",
+    "infinite": "3,0,-inf,0.5",
+    "zero": "3,0,0,0.0",
+    "wrong D": "3,0,0.5,0.5,0.5",
+    "duplicate key": "1,1,0.5,0.5",
+    "short": "3,0",
+}
+
+
+def _sidecar_with(tmp_path, row7: str, row9: str = "3,1,0.5,0.5") -> Path:
+    path = tmp_path / "emb.csv"
+    path.write_text("\n".join(GOOD_ROWS + [row7, "4,0,1,1", row9, "5,0,2,2"]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_ROWS))
+def test_bad_row_on_line_7_is_named_as_the_reference_names_it(tmp_path, kind):
+    # Bulk conversion drops the row-to-line map; the comment and the blank
+    # line before the bad row make a wrong map name the wrong line.
+    path = _sidecar_with(tmp_path, BAD_ROWS[kind])
+    with pytest.raises(ValueError) as want:
+        read_embeddings_csv_reference(path)
+    with pytest.raises(ValueError) as got:
+        read_embeddings_csv(path)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"{path}: line 7: ")
+
+
+@pytest.mark.parametrize("row, problem", [
+    ("3,0,1e300,-1e300", "embedding squared norm overflows to inf"),
+    ("3,0,1e-300,1e-300", "embedding squared norm underflows to 0"),
+])
+def test_norm_that_overflows_or_underflows_is_named_with_its_line(tmp_path, row, problem):
+    path = _sidecar_with(tmp_path, row)
+    assert len(read_embeddings_csv_reference(path)) == 8  # the old reader let it through
+    with pytest.raises(ValueError) as got:
+        read_embeddings_csv(path)
+    assert str(got.value) == f"{path}: line 7: {problem}"
+
+
+@pytest.mark.parametrize("row7, row9", [
+    ("3,0,0.5,nan", "3,1,0.5,abc"),
+    ("3,0,0.5,abc", "3,1,0,0"),
+    ("3,0,0,0", "1,0,0.5,0.5"),
+    ("1,0,0.5,0.5", "3,1,inf,0.5"),
+    ("3,0,1e300,1", "3,1,0,0"),
+])
+def test_first_of_two_bad_rows_is_named(tmp_path, row7, row9):
+    path = _sidecar_with(tmp_path, row7, row9)
+    with pytest.raises(ValueError) as got:
+        read_embeddings_csv(path)
+    assert str(got.value).startswith(f"{path}: line 7: ")
+    if "1e300" not in row7:
+        with pytest.raises(ValueError) as want:
+            read_embeddings_csv_reference(path)
+        assert str(got.value) == str(want.value)
+
+
+def test_mot_rows_are_written_as_the_f_string_wrote_them(tmp_path):
+    # One %-format per row; %s keeps a float or numpy frame as str() prints it.
+    rows = [
+        (np.int64(3), np.int64(-1), np.float64(1 / 3), -0.0, 1e-7, 123456.789, 0.9999995),
+        (2.0, 5, 10, 20.5, 1e300, 2.5e-7, np.float32(0.1)),
+        (1, 1, 5.0, 6.0, 7.0, 8.0, 1.0),
+    ]
+    path = tmp_path / "out.txt"
+    write_mot_file(path, rows, (640, 480))
+    want = ["# image_size=640x480"] + [
+        f"{frame},{track_id},{left:.6f},{top:.6f},{width:.6f},{height:.6f},{conf:.6f},-1,-1,-1"
+        for frame, track_id, left, top, width, height, conf in sorted(rows, key=lambda r: r[:2])
+    ]
+    assert path.read_text() == "\n".join(want) + "\n"
+    assert path.read_text().splitlines()[2].startswith("2.0,5,")
 
 
 def test_missing_embedding_for_detection(tmp_path):

@@ -12,6 +12,7 @@ from scipy.optimize import linear_sum_assignment
 
 from sasmot.geometry import Box2D, boxes_to_corners, iou, iou_matrix, max_iou_vs_others
 from sasmot.memory import MemoryConfig, MemoryPolicy, TrackMemory
+from sasmot.metrics import SequencePair, evaluate
 from sasmot.rng import SplitMix64
 from sasmot.simulator import ScenarioConfig, generate_scenario
 from sasmot.tracker import (
@@ -384,6 +385,85 @@ def test_tracker_invariants_on_simulated_scenes(n_objects, n_frames, seed, polic
             assert track.misses == frame_idx - last_seen[track.track_id]
 
 
+# Generated streams at the edges of what ingest accepts: degenerate and
+# repeated boxes, antipodal embeddings scaled by 1e±150, scores 0 and 1,
+# and every config knob at its validation edge. Boxes stay within a few
+# image sizes of the frame.
+_edge_boxes = st.builds(
+    Box2D,
+    cx=st.sampled_from([0.0, 0.5, 0.5 + 1e-12, 1.0, -1.0, 2.0]),
+    cy=st.sampled_from([0.0, 0.5, 1.0]),
+    w=st.sampled_from([5e-324, 1e-12, 0.1, 1.0, 4.0]),
+    h=st.sampled_from([5e-324, 0.1, 1.0, 4.0]),
+)
+_directions = st.sampled_from([(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                               (0.6, -0.8, 0.0), (-0.6, 0.8, 0.0), (1.0, 1.0, 1.0)])
+_edge_detections = st.builds(
+    lambda box, direction, scale, score, extra: Detection(
+        box, np.array(direction + (1.0,) * extra) * scale, score),
+    _edge_boxes,
+    _directions,
+    st.sampled_from([1.0, 1e150, 1e-150]),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    # Now and then an embedding one longer than the rest, which the tracker
+    # must reject naming the frame.
+    st.sampled_from((0,) * 63 + (1,)),
+)
+_edge_configs = st.builds(
+    lambda alpha, epsilon, m_max, delay, threshold, gate, min_score, max_misses, blend: (
+        TrackerConfig(
+            memory=MemoryConfig(epsilon=epsilon, m_max=m_max, alpha=alpha,
+                                delay_overlap_threshold=delay),
+            match_threshold=threshold, iou_gate=gate, min_score=min_score,
+            max_misses=max_misses, cost_blend=blend)),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.sampled_from([0.0, 0.1, math.inf]),
+    st.sampled_from([1, 10]),
+    st.sampled_from([0.0, 1.0]),
+    st.sampled_from([0.0, 0.4, math.inf]),
+    st.sampled_from([0.0, 1.0]),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.sampled_from([0, 30]),
+    st.sampled_from([0.0, 0.7, 1.0]),
+)
+
+
+@given(
+    st.lists(st.lists(_edge_detections, max_size=4), min_size=1, max_size=8),
+    _edge_configs,
+    st.sampled_from(list(MemoryPolicy)),
+)
+@settings(max_examples=60, deadline=None)
+def test_generated_edge_streams_keep_step_invariants_and_metric_ranges(stream, cfg, policy):
+    tracker = Tracker(cfg, policy=policy)
+    live, seen = set(), set()
+    gt, pred = [], []
+    for frame_idx, dets in enumerate(stream, start=1):
+        try:
+            result = tracker.step(dets, frame_idx)
+        except ValueError as exc:
+            assert f"frame {frame_idx}" in str(exc)
+            return
+        # The benchmark's three step invariants: unique ids in a frame, an
+        # id not live after the previous step is new, and every emitted box
+        # is one of this step's input boxes.
+        ids = [track_id for track_id, _ in result.tracks]
+        assert len(set(ids)) == len(ids)
+        assert {id(box) for _, box in result.tracks} <= {id(d.box) for d in dets}
+        assert all(track_id in live or track_id not in seen for track_id in ids)
+        seen.update(ids)
+        live = {t.track_id for t in tracker.tracks}
+        gt.append([(slot + 1, d.box) for slot, d in enumerate(dets)])
+        pred.append(result.tracks)
+    if not any(gt):
+        return  # MOTA and HOTA are undefined without ground truth
+    report = evaluate(SequencePair(gt=gt, pred=pred))
+    for name in ("hota", "deta", "assa", "idf1"):
+        assert 0.0 <= getattr(report, name) <= 1.0, name
+    assert -math.inf < report.mota <= 1.0
+    assert report.idsw >= 0
+
+
 def test_tracker_is_deterministic():
     scenario = generate_scenario(ScenarioConfig(n_objects=4, n_frames=60, seed=5))
     a = _run(scenario, TrackerConfig(), MemoryPolicy.SPARSE_OFS)
@@ -413,6 +493,27 @@ def test_config_validation():
         Detection(Box2D(0, 0, 1, 1), np.zeros(3), 1.0)
     with pytest.raises(ValueError, match=r"embedding must be 1-D, got shape \(1, 2\)"):
         Detection(Box2D(0, 0, 1, 1), np.array([[1.0, 0.0]]), 1.0)
+
+
+def test_detection_embedding_needs_a_finite_nonzero_squared_norm():
+    box = Box2D(0.5, 0.5, 0.1, 0.1)
+    for scale in (1e150, 1e-150):
+        Detection(box, [scale] * 16, 1.0)
+        Detection(box, [scale, -scale], 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        Detection(box, [1.0, math.inf], 1.0)
+    with pytest.raises(ValueError, match="all zeros"):
+        Detection(box, [0.0, -0.0], 1.0)
+    with pytest.raises(ValueError, match="embedding squared norm overflows to inf"):
+        Detection(box, [1e300, -1e300], 1.0)
+    with pytest.raises(ValueError, match="embedding squared norm underflows to 0"):
+        Detection(box, [1e-300] * 16, 1.0)
+
+
+def test_extreme_accepted_embeddings_give_finite_distances():
+    big, tiny = np.full(16, 1e150), np.full(16, 1e-150)
+    d = cosine_distance(np.array([big, tiny]), np.array([big, -big, tiny, -tiny]))
+    assert d.tolist() == [[0.0, 2.0, 0.0, 2.0]] * 2
 
 
 def _emitted_digest(scenario, policy):
