@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -35,14 +36,18 @@ class Box2D:
     h: float
 
     def __post_init__(self):
-        # The usual valid box passes one chain; the loop below only builds the error.
-        if (math.isfinite(self.cx) and math.isfinite(self.cy) and math.isfinite(self.w)
-                and math.isfinite(self.h) and self.w > 0 and self.h > 0):
+        # The usual valid box passes one chain; the code below only builds the
+        # error. A finite positive area implies a finite positive w and h; an
+        # infinite one would make the IoU union inf - inf, a NaN.
+        if (math.isfinite(self.cx) and math.isfinite(self.cy) and self.w > 0 and self.h > 0
+                and math.isfinite(self.w * self.h)):
             return
         for name, value in (("cx", self.cx), ("cy", self.cy), ("w", self.w), ("h", self.h)):
             if not math.isfinite(value):
                 raise ValueError(f"non-finite box field {name}={value}")
-        raise ValueError(f"non-positive box size w={self.w}, h={self.h}")
+        if not (self.w > 0 and self.h > 0):
+            raise ValueError(f"non-positive box size w={self.w}, h={self.h}")
+        raise ValueError(f"box area overflows: w={self.w}, h={self.h}")
 
     def corners(self) -> tuple[float, float, float, float]:
         """(left, top, right, bottom)."""
@@ -73,21 +78,26 @@ def boxes_to_corners(boxes: Sequence[Box2D]) -> np.ndarray:
     """Stack boxes into an (N, 4) array of (left, top, right, bottom) rows."""
     if not boxes:
         return np.zeros((0, 4), dtype=float)
-    return np.array([b.corners() for b in boxes], dtype=float)
+    # Streamed, so a long sequence's corners never exist as one list of tuples.
+    flat = chain.from_iterable(b.corners() for b in boxes)
+    return np.fromiter(flat, dtype=float, count=4 * len(boxes)).reshape(-1, 4)
 
 
 def iou_matrix(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU for two (N, 4) / (M, 4) corner arrays; returns (N, M)."""
-    if corners_a.shape[0] == 0 or corners_b.shape[0] == 0:
-        return np.zeros((corners_a.shape[0], corners_b.shape[0]), dtype=float)
-    a = corners_a[:, None, :]
-    b = corners_b[None, :, :]
+    """Pairwise IoU of (..., N, 4) and (..., M, 4) corner arrays; returns (..., N, M).
+
+    Leading dimensions broadcast, so one call scores a batch of frames with
+    the same elementwise operations, and so the same bits, as one call per
+    frame.
+    """
+    a = corners_a[..., :, None, :]
+    b = corners_b[..., None, :, :]
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-    area_a = (corners_a[:, 2] - corners_a[:, 0]) * (corners_a[:, 3] - corners_a[:, 1])
-    area_b = (corners_b[:, 2] - corners_b[:, 0]) * (corners_b[:, 3] - corners_b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
+    area_a = (corners_a[..., 2] - corners_a[..., 0]) * (corners_a[..., 3] - corners_a[..., 1])
+    area_b = (corners_b[..., 2] - corners_b[..., 0]) * (corners_b[..., 3] - corners_b[..., 1])
+    union = area_a[..., :, None] + area_b[..., None, :] - inter
     # Two boxes whose areas underflow to 0 have inter = union = 0. The floor
     # at the smallest double makes that quotient 0 without a 0/0; every
     # other union is already at least the floor.

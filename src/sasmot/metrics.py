@@ -24,18 +24,23 @@ Three evaluators over a ground-truth/prediction sequence pair:
   trajectories chosen to maximize the number of frame-level overlaps at
   IoU 0.5; IDF1 = 2*IDTP / (2*IDTP + IDFP + IDFN).
 
-All three read :attr:`SequencePair.frames`, each frame's ids and gt × pred
-IoU matrix, computed once per pair. One IoU-maximal frame matcher serves
-HOTA (unfiltered, since the assignment does not depend on alpha) and CLEAR
-(over the boxes left after carry-over).
+All three read :class:`SequencePair`'s arrays, built once per pair: each
+side's ids coded to dense ranks, its per-frame counts, and its boxes'
+corners from one ``boxes_to_corners`` call. The IoU is held in blocks of
+``_IOU_CHUNK`` frames, one ``iou_matrix`` call each; a block is padded
+with zeros to its own frames' largest counts, so one crowded frame widens
+only its block, and the block bounds the temporaries on crowded scenes.
+One IoU-maximal frame matcher serves HOTA (unfiltered, since the
+assignment does not depend on alpha) and CLEAR (over the boxes left after
+carry-over); IDF1 counts its IoU >= 0.5 co-occurrences from one mask per
+block.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -58,13 +63,52 @@ ALPHA_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))
 
 CLEAR_IOU_THRESHOLD = 0.5
 
+# Frames per iou_matrix call and per stored IoU block: bounds the
+# (chunk, G, P) temporaries, and one crowded frame pads only its block.
+_IOU_CHUNK = 32
+
+
+class _Side:
+    """One side of a pair as arrays over its entries, in frame then entry order.
+
+    ``codes`` holds each entry's id as its rank among the side's distinct
+    ids, so arrays index ids of any size without an integer cast; frame f's
+    entries are ``codes[starts[f] : starts[f] + counts[f]]``.
+    """
+
+    def __init__(self, frames: List[FrameEntries]):
+        self.frames = frames
+        ids = [obj_id for entries in frames for obj_id, _ in entries]
+        distinct = sorted(set(ids))
+        rank = dict(zip(distinct, range(len(distinct))))
+        self.n_ids = len(distinct)
+        self.codes = np.fromiter(map(rank.__getitem__, ids), dtype=np.intp, count=len(ids))
+        self.counts = np.fromiter(map(len, frames), dtype=np.intp, count=len(frames))
+        self.starts = np.cumsum(self.counts) - self.counts
+
+    def corner_chunks(self) -> List[np.ndarray]:
+        """Per run of ``_IOU_CHUNK`` frames, (chunk, W, 4) box corners, where W
+        is the run's largest count, zero past each frame's count."""
+        corners = boxes_to_corners([box for entries in self.frames for _, box in entries])
+        frame_of = np.repeat(np.arange(len(self.counts)), self.counts)
+        slot = np.arange(len(corners)) - self.starts[frame_of]
+        ends = np.append(self.starts, len(corners))
+        chunks = []
+        for start in range(0, len(self.counts), _IOU_CHUNK):
+            counts = self.counts[start : start + _IOU_CHUNK]
+            entries = slice(ends[start], ends[start + len(counts)])
+            out = np.zeros((len(counts), int(counts.max()), 4))
+            out[frame_of[entries] - start, slot[entries]] = corners[entries]
+            chunks.append(out)
+        return chunks
+
 
 @dataclass(eq=False)
 class SequencePair:
     """Frame-aligned ground truth and predictions: per-frame (id, box) lists.
 
-    Scoring caches per-frame overlaps on the pair, so do not modify ``gt``
-    or ``pred`` after the first metric has read them.
+    Scoring caches arrays built from ``gt`` and ``pred`` on the pair, so do
+    not modify them after the first metric has read them.
     """
 
     gt: List[FrameEntries]
@@ -87,25 +131,33 @@ class SequencePair:
                         raise ValueError(f"{side} frame {frame}: id {obj_id} appears twice")
                     seen.add(obj_id)
 
-    def total_gt(self) -> int:
-        return sum(len(f) for f in self.gt)
-
-    def total_pred(self) -> int:
-        return sum(len(f) for f in self.pred)
+    @cached_property
+    def _gt(self) -> _Side:
+        return _Side(self.gt)
 
     @cached_property
-    def frames(self) -> List[Tuple[List[int], List[int], np.ndarray]]:
-        """Per frame: (gt ids, pred ids, gt × pred IoU matrix)."""
+    def _pred(self) -> _Side:
+        return _Side(self.pred)
+
+    def total_gt(self) -> int:
+        return self._gt.codes.size
+
+    def total_pred(self) -> int:
+        return self._pred.codes.size
+
+    @cached_property
+    def ious(self) -> List[np.ndarray]:
+        """Per run of ``_IOU_CHUNK`` frames, a (chunk, G, P) block of each
+        frame's gt × pred IoU, padded with 0 to the run's largest counts.
+
+        Frame f's matrix is ``ious[f // _IOU_CHUNK][f % _IOU_CHUNK, :G_f, :P_f]``.
+        Padding per run, not per sequence, keeps one crowded frame from
+        widening every other frame's storage.
+        """
+        # A zero-size pad box meets nothing, so its IoU with any box is 0.
         return [
-            (
-                [gid for gid, _ in gt_entries],
-                [pid for pid, _ in pred_entries],
-                iou_matrix(
-                    boxes_to_corners([box for _, box in gt_entries]),
-                    boxes_to_corners([box for _, box in pred_entries]),
-                ),
-            )
-            for gt_entries, pred_entries in zip(self.gt, self.pred)
+            iou_matrix(gt, pred)
+            for gt, pred in zip(self._gt.corner_chunks(), self._pred.corner_chunks())
         ]
 
 
@@ -135,39 +187,47 @@ def clear_mota(pair: SequencePair) -> Tuple[float, int, int, int]:
     if total_gt == 0:
         raise ValueError("MOTA undefined: sequence has no ground-truth detections")
 
-    last_pred: Dict[int, int] = {}
+    gt, pred, blocks = pair._gt, pair._pred, pair.ious
+    gt_codes, pred_codes = gt.codes.tolist(), pred.codes.tolist()
+    last_pred = [-1] * gt.n_ids  # pred code each gt id was last bound to
     idsw = fp = fn = 0
-    for gids, pids, ious in pair.frames:
-        bound: List[Tuple[int, int]] = []
-        claimed_pred = set()
+    g0 = p0 = 0
+    for f, (n_g, n_p) in enumerate(zip(gt.counts.tolist(), pred.counts.tolist())):
+        gcs, pcs = gt_codes[g0 : g0 + n_g], pred_codes[p0 : p0 + n_p]
+        g0 += n_g
+        p0 += n_p
+        ious = blocks[f // _IOU_CHUNK][f % _IOU_CHUNK, :n_g, :n_p]
+        rows = ious.tolist()
         # Carry-over: a gt identity keeps its most recent prediction while
         # the pair still overlaps enough.
-        pid_to_idx = {pid: pj for pj, pid in enumerate(pids)}
-        bound_gt = set()
-        for gi, gid in enumerate(gids):
-            pj = pid_to_idx.get(last_pred.get(gid))
+        col_of = dict(zip(pcs, range(n_p)))
+        bound: List[Tuple[int, int]] = []
+        claimed_pred = set()
+        for gi, gc in enumerate(gcs):
+            pj = col_of.get(last_pred[gc])
             if pj is None or pj in claimed_pred:
                 continue
-            if ious[gi, pj] >= CLEAR_IOU_THRESHOLD:
+            if rows[gi][pj] >= CLEAR_IOU_THRESHOLD:
                 bound.append((gi, pj))
-                bound_gt.add(gi)
                 claimed_pred.add(pj)
-        # IoU-maximal matching over whatever remains.
-        rest_g = [gi for gi in range(len(gids)) if gi not in bound_gt]
-        rest_p = [pj for pj in range(len(pids)) if pj not in claimed_pred]
-        for r, c in _assign(ious[np.ix_(rest_g, rest_p)]):
-            gi, pj = rest_g[r], rest_p[c]
-            if ious[gi, pj] >= CLEAR_IOU_THRESHOLD:
-                bound.append((gi, pj))
+        # IoU-maximal matching over whatever remains, when both sides do.
+        if len(bound) < min(n_g, n_p):
+            bound_gt = {gi for gi, _ in bound}
+            rest_g = [gi for gi in range(n_g) if gi not in bound_gt]
+            rest_p = [pj for pj in range(n_p) if pj not in claimed_pred]
+            for r, c in _assign(ious[np.ix_(rest_g, rest_p)]):
+                gi, pj = rest_g[r], rest_p[c]
+                if rows[gi][pj] >= CLEAR_IOU_THRESHOLD:
+                    bound.append((gi, pj))
 
         for gi, pj in bound:
-            gid, pid = gids[gi], pids[pj]
-            prev = last_pred.get(gid)
-            if prev is not None and prev != pid:
+            gc, pc = gcs[gi], pcs[pj]
+            prev = last_pred[gc]
+            if prev >= 0 and prev != pc:
                 idsw += 1
-            last_pred[gid] = pid
-        fn += len(gids) - len(bound)
-        fp += len(pids) - len(bound)
+            last_pred[gc] = pc
+        fn += n_g - len(bound)
+        fp += n_p - len(bound)
 
     mota = 1.0 - (fn + fp + idsw) / total_gt
     return mota, idsw, fp, fn
@@ -180,17 +240,19 @@ def idf1(pair: SequencePair) -> float:
     if total_gt == 0 and total_pred == 0:
         return 1.0
 
-    # Frame-level overlap counts per (gt id, pred id); pairwise, not assigned.
-    counts: Counter = Counter()
-    for gids, pids, ious in pair.frames:
-        for gi, pj in zip(*np.nonzero(ious >= CLEAR_IOU_THRESHOLD)):
-            counts[(gids[gi], pids[pj])] += 1
-
-    gt_row = {g: i for i, g in enumerate(sorted({g for g, _ in counts}))}
-    pred_col = {p: j for j, p in enumerate(sorted({p for _, p in counts}))}
-    mat = np.zeros((len(gt_row), len(pred_col)), dtype=float)
-    for (g, p), c in counts.items():
-        mat[gt_row[g], pred_col[p]] = c
+    # Frame-level overlap counts per (gt id, pred id); pairwise, not
+    # assigned. Rows and columns are the ids that co-occur at least once.
+    gt, pred = pair._gt, pair._pred
+    overlaps = []
+    for start, block in zip(range(0, len(gt.counts), _IOU_CHUNK), pair.ious):
+        f, g, p = np.nonzero(block >= CLEAR_IOU_THRESHOLD)
+        f += start
+        overlaps.append(gt.codes[gt.starts[f] + g] * pred.n_ids + pred.codes[pred.starts[f] + p])
+    keys, counts = np.unique(np.concatenate(overlaps), return_counts=True)
+    gt_rows, row = np.unique(keys // pred.n_ids, return_inverse=True)
+    pred_cols, col = np.unique(keys % pred.n_ids, return_inverse=True)
+    mat = np.zeros((gt_rows.size, pred_cols.size), dtype=float)
+    mat[row, col] = counts
     idtp = int(sum(mat[r, c] for r, c in hungarian_assign(-mat)))
 
     idfp = total_pred - idtp
@@ -205,21 +267,31 @@ def hota(pair: SequencePair) -> Tuple[float, float, float]:
         raise ValueError("HOTA undefined: sequence has no ground-truth detections")
     total_pred = pair.total_pred()
 
-    gt_appearances = Counter(gid for entries in pair.gt for gid, _ in entries)
-    pred_appearances = Counter(pid for entries in pair.pred for pid, _ in entries)
-
-    # Matched (gt id, pred id, IoU) events in frame order; each alpha keeps
-    # the events at or above it. Each distinct (gt id, pred id) pair gets a
-    # number, so TPA is a bincount over the kept events' numbers.
-    events = [
-        (gids[g], pids[p], ious[g, p])
-        for gids, pids, ious in pair.frames
-        for g, p in _assign(ious)
-    ]
-    numbers: Dict[Tuple[int, int], int] = {}
-    pair_of = np.array([numbers.setdefault((g, p), len(numbers)) for g, p, _ in events])
-    appearances = np.array([gt_appearances[g] + pred_appearances[p] for g, p, _ in events])
-    event_iou = np.array([v for _, _, v in events])
+    # Matched (frame, gt slot, pred slot) events in frame order; each alpha
+    # keeps the events at or above it. Each distinct (gt id, pred id) pair
+    # gets a number, so TPA is a bincount over the kept events' numbers.
+    gt, pred = pair._gt, pair._pred
+    n_g, n_p = gt.counts.tolist(), pred.counts.tolist()
+    chunks = []
+    for start, block in zip(range(0, len(n_g), _IOU_CHUNK), pair.ious):
+        local = np.array(
+            [
+                (i, g, p)
+                for i in range(len(block))
+                for g, p in _assign(block[i, : n_g[start + i], : n_p[start + i]])
+            ],
+            dtype=np.intp,
+        ).reshape(-1, 3)
+        i, g, p = local.T
+        chunks.append((i + start, g, p, block[i, g, p]))
+    ef, eg, ep, event_iou = map(np.concatenate, zip(*chunks))
+    gt_code = gt.codes[gt.starts[ef] + eg]
+    pred_code = pred.codes[pred.starts[ef] + ep]
+    _, pair_of = np.unique(gt_code * pred.n_ids + pred_code, return_inverse=True)
+    appearances = (
+        np.bincount(gt.codes, minlength=gt.n_ids)[gt_code]
+        + np.bincount(pred.codes, minlength=pred.n_ids)[pred_code]
+    )
 
     deta_sum = assa_sum = hota_sum = 0.0
     for alpha in ALPHA_GRID:

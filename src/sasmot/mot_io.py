@@ -95,10 +95,11 @@ def parse_mot_text(
         try:
             frame = int(parts[0])
             track_id = int(parts[1])
-            left, top, width, height, conf = (float(p) for p in parts[2:7])
+            left, top, width, height, conf = map(float, parts[2:7])
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric field in {line!r}") from None
-        if not all(math.isfinite(v) for v in (left, top, width, height, conf)):
+        if not (math.isfinite(left) and math.isfinite(top) and math.isfinite(width)
+                and math.isfinite(height) and math.isfinite(conf)):
             raise ValueError(f"line {lineno}: non-finite field in {line!r}")
         if frame < 1:
             raise ValueError(f"line {lineno}: frame must be >= 1, got {frame}")

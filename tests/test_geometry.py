@@ -180,6 +180,18 @@ def test_box_validation():
     assert Box2D(-1e300, 1e300, 5e-324, 1e300).w == 5e-324
 
 
+def test_box_whose_area_overflows_is_rejected():
+    # These two boxes once reached Tracker.step, where their IoU came out
+    # NaN and the memory's overlap check failed without naming a frame.
+    for cx in (0.5, 0.6):
+        with pytest.raises(ValueError) as exc:
+            Box2D(cx, 0.5, 1e200, 1e200)
+        assert str(exc.value) == "box area overflows: w=1e+200, h=1e+200"
+    with pytest.raises(ValueError, match="non-positive box size"):
+        Box2D(0.0, 0.0, 1e200, -1e200)
+    assert Box2D(0.0, 0.0, 1e154, 1e154).w == 1e154
+
+
 def test_corners_roundtrip():
     b = Box2D(0.5, 0.25, 0.2, 0.1)
     left, top, right, bottom = b.corners()

@@ -1,9 +1,11 @@
 """Metric correctness: canonical sequences, thresholds, exhaustive oracles."""
 
+import functools
 import itertools
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import sasmot.metrics
@@ -11,7 +13,9 @@ from sasmot.experiments import track_scenario
 from sasmot.geometry import Box2D, boxes_to_corners, iou, iou_matrix
 from sasmot.memory import MemoryPolicy
 from sasmot.metrics import (
+    _IOU_CHUNK,
     ALPHA_GRID,
+    MetricsReport,
     SequencePair,
     _assign,
     clear_mota,
@@ -21,6 +25,7 @@ from sasmot.metrics import (
 )
 from sasmot.rng import SplitMix64
 from sasmot.simulator import ScenarioConfig, generate_scenario
+from sasmot.tracker import hungarian_assign
 
 BOX_A = Box2D(0.25, 0.25, 0.2, 0.2)
 BOX_B = Box2D(0.75, 0.75, 0.2, 0.2)
@@ -43,18 +48,45 @@ def test_perfect_tracking_scores_one_everywhere():
     assert report.fp == 0 and report.fn == 0 and report.tp == 20
 
 
-def test_evaluate_computes_each_frame_iou_once(monkeypatch):
+def test_evaluate_computes_iou_in_frame_chunks(monkeypatch):
     calls = []
     real = sasmot.metrics.iou_matrix
 
     def counting(a, b):
-        calls.append(1)
+        calls.append(len(a))
         return real(a, b)
 
     monkeypatch.setattr(sasmot.metrics, "iou_matrix", counting)
-    pair = _perfect_pair(n_frames=7)
+    pair = _perfect_pair(n_frames=500)
     evaluate(pair)
-    assert len(calls) == len(pair.gt)
+    assert len(calls) == math.ceil(500 / _IOU_CHUNK) < 500
+    assert sum(calls) == 500 and max(calls) == _IOU_CHUNK
+
+
+def test_one_crowded_frame_widens_only_its_iou_block():
+    # 320 frames of one gt and one pred box, and one frame with 200 preds:
+    # padding the whole sequence to that frame would store 320 x 1 x 200.
+    crowd = [(k, Box2D(0.1 + 0.004 * k, 0.5, 0.01, 0.01)) for k in range(1, 201)]
+    pred = [[(1, BOX_A)] for _ in range(320)]
+    pred[100] = crowd
+    pair = SequencePair(gt=[[(1, BOX_A)] for _ in range(320)], pred=pred)
+    blocks = pair.ious
+    assert len(blocks) == math.ceil(320 / _IOU_CHUNK)
+    assert sum(b.size for b in blocks) == _IOU_CHUNK * 200 + (320 - _IOU_CHUNK)
+    assert blocks[100 // _IOU_CHUNK].shape == (_IOU_CHUNK, 1, 200)
+    assert evaluate(pair) == evaluate_reference(pair)
+
+
+def test_evaluate_calls_each_metric_by_its_module_name_in_order(monkeypatch):
+    # The benchmark's tracer times the metrics by patching these names.
+    order = []
+    for name in ("clear_mota", "hota", "idf1"):
+        real = getattr(sasmot.metrics, name)
+        monkeypatch.setattr(
+            sasmot.metrics, name, lambda pair, real=real, name=name: order.append(name) or real(pair)
+        )
+    evaluate(_perfect_pair())
+    assert order == ["clear_mota", "hota", "idf1"]
 
 
 def test_midpoint_id_swap_canonical_values():
@@ -204,6 +236,50 @@ def test_sequence_pair_validation():
         SequencePair(gt=[[], [(3, BOX_A), (3, BOX_B)]], pred=[[], []])
     with pytest.raises(ValueError, match="pred frame 1: id 1 appears twice"):
         SequencePair(gt=[[(1, BOX_A)]], pred=[[(1, BOX_A), (1, BOX_A)]])
+
+
+@pytest.mark.parametrize(
+    "gt, pred, message",
+    [
+        # gt is checked before pred, whatever the frames.
+        (
+            [[(1, BOX_A)], [(1, BOX_A)], [(2, BOX_A), (2, BOX_B)]],
+            [[(0, BOX_A)], [], []],
+            "gt frame 3: id 2 appears twice",
+        ),
+        # An earlier frame before a later one, whatever the kind.
+        (
+            [[(1, BOX_A)], [(4, BOX_A), (4, BOX_B)], [(-3, BOX_A)]],
+            [[], [], []],
+            "gt frame 2: id 4 appears twice",
+        ),
+        (
+            [[], [], []],
+            [[(1, BOX_A)], [(0, BOX_A)], [(5, BOX_A), (5, BOX_B)]],
+            "pred frame 2: ids must be positive, got 0",
+        ),
+        # Within a frame, the first faulty entry in order.
+        (
+            [[(3, BOX_A), (0, BOX_B), (3, FAR_BOX)]],
+            [[]],
+            "gt frame 1: ids must be positive, got 0",
+        ),
+        (
+            [[(2**70, BOX_A), (2**70, BOX_B), (-1, FAR_BOX)]],
+            [[]],
+            f"gt frame 1: id {2**70} appears twice",
+        ),
+    ],
+)
+def test_sequence_pair_names_the_first_of_two_faults(gt, pred, message):
+    with pytest.raises(ValueError) as exc:
+        SequencePair(gt=gt, pred=pred)
+    assert str(exc.value) == message
+
+
+def test_the_same_id_in_different_frames_is_no_fault():
+    pair = SequencePair(gt=[[(2**70, BOX_A)], [(2**70, BOX_A)]], pred=[[], [(2**70, BOX_A)]])
+    assert pair.total_gt() == 2 and pair.total_pred() == 1
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +492,117 @@ def test_hota_matches_exhaustive_oracle():
 
 
 # ---------------------------------------------------------------------------
-# Exact equality with the per-event scalar loop. ``hota`` scores the 19
-# thresholds in one vector pass; any later speed-up must keep these
-# results equal with ``==``, not ``approx``.
+# Exact equality with the per-frame scorer and the per-event scalar loop.
+# ``evaluate`` scores whole-sequence arrays and ``hota`` its 19 thresholds
+# in one vector pass; any later speed-up must keep these results equal with
+# ``==``, not ``approx``.
+
+
+def reference_frames(pair):
+    """Per frame: (gt ids, pred ids, gt × pred IoU matrix), one IoU call per frame."""
+    return [
+        (
+            [gid for gid, _ in gt_entries],
+            [pid for pid, _ in pred_entries],
+            iou_matrix(
+                boxes_to_corners([box for _, box in gt_entries]),
+                boxes_to_corners([box for _, box in pred_entries]),
+            ),
+        )
+        for gt_entries, pred_entries in zip(pair.gt, pair.pred)
+    ]
+
+
+def _clear_reference(pair, frames):
+    last_pred = {}
+    idsw = fp = fn = 0
+    for gids, pids, ious in frames:
+        bound = []
+        claimed_pred = set()
+        pid_to_idx = {pid: pj for pj, pid in enumerate(pids)}
+        bound_gt = set()
+        for gi, gid in enumerate(gids):
+            pj = pid_to_idx.get(last_pred.get(gid))
+            if pj is None or pj in claimed_pred:
+                continue
+            if ious[gi, pj] >= 0.5:
+                bound.append((gi, pj))
+                bound_gt.add(gi)
+                claimed_pred.add(pj)
+        rest_g = [gi for gi in range(len(gids)) if gi not in bound_gt]
+        rest_p = [pj for pj in range(len(pids)) if pj not in claimed_pred]
+        for r, c in _assign(ious[np.ix_(rest_g, rest_p)]):
+            gi, pj = rest_g[r], rest_p[c]
+            if ious[gi, pj] >= 0.5:
+                bound.append((gi, pj))
+        for gi, pj in bound:
+            gid, pid = gids[gi], pids[pj]
+            prev = last_pred.get(gid)
+            if prev is not None and prev != pid:
+                idsw += 1
+            last_pred[gid] = pid
+        fn += len(gids) - len(bound)
+        fp += len(pids) - len(bound)
+    return 1.0 - (fn + fp + idsw) / pair.total_gt(), idsw, fp, fn
+
+
+def _idf1_reference(pair, frames):
+    total_gt, total_pred = pair.total_gt(), pair.total_pred()
+    if total_gt == 0 and total_pred == 0:
+        return 1.0
+    counts = Counter()
+    for gids, pids, ious in frames:
+        for gi, pj in zip(*np.nonzero(ious >= 0.5)):
+            counts[(gids[gi], pids[pj])] += 1
+    gt_row = {g: i for i, g in enumerate(sorted({g for g, _ in counts}))}
+    pred_col = {p: j for j, p in enumerate(sorted({p for _, p in counts}))}
+    mat = np.zeros((len(gt_row), len(pred_col)), dtype=float)
+    for (g, p), c in counts.items():
+        mat[gt_row[g], pred_col[p]] = c
+    idtp = int(sum(mat[r, c] for r, c in hungarian_assign(-mat)))
+    return 2.0 * idtp / (2.0 * idtp + (total_pred - idtp) + (total_gt - idtp))
+
+
+def _hota_reference(pair, frames):
+    total_gt, total_pred = pair.total_gt(), pair.total_pred()
+    gt_appearances = Counter(gid for entries in pair.gt for gid, _ in entries)
+    pred_appearances = Counter(pid for entries in pair.pred for pid, _ in entries)
+    events = [
+        (gids[g], pids[p], ious[g, p]) for gids, pids, ious in frames for g, p in _assign(ious)
+    ]
+    numbers = {}
+    pair_of = np.array([numbers.setdefault((g, p), len(numbers)) for g, p, _ in events])
+    appearances = np.array([gt_appearances[g] + pred_appearances[p] for g, p, _ in events])
+    event_iou = np.array([v for _, _, v in events])
+    deta_sum = assa_sum = hota_sum = 0.0
+    for alpha in ALPHA_GRID:
+        kept = event_iou >= alpha
+        tp = int(np.count_nonzero(kept))
+        deta = tp / (tp + (total_gt - tp) + (total_pred - tp))
+        if tp:
+            kept_pairs = pair_of[kept]
+            tpa = np.bincount(kept_pairs)[kept_pairs]
+            assa = float(np.cumsum(tpa / (appearances[kept] - tpa))[-1]) / tp
+        else:
+            assa = 0.0
+        deta_sum += deta
+        assa_sum += assa
+        hota_sum += (deta * assa) ** 0.5
+    n = len(ALPHA_GRID)
+    return hota_sum / n, deta_sum / n, assa_sum / n
+
+
+def evaluate_reference(pair):
+    """The per-frame scorer ``evaluate`` replaced: one IoU matrix per frame,
+    CLEAR's solver on every frame, IDF1 and HOTA tallied in Counters keyed
+    by the ids themselves."""
+    frames = reference_frames(pair)
+    mota, idsw, fp, fn = _clear_reference(pair, frames)
+    hota_v, deta_v, assa_v = _hota_reference(pair, frames)
+    return MetricsReport(
+        hota=hota_v, deta=deta_v, assa=assa_v, mota=mota, idf1=_idf1_reference(pair, frames),
+        idsw=idsw, tp=pair.total_gt() - fn, fp=fp, fn=fn,
+    )
 
 
 def hota_loop_reference(pair):
@@ -429,7 +613,7 @@ def hota_loop_reference(pair):
     pred_appearances = Counter(pid for entries in pair.pred for pid, _ in entries)
     events = [
         (gids[g], pids[p], ious[g, p])
-        for gids, pids, ious in pair.frames
+        for gids, pids, ious in reference_frames(pair)
         for g, p in _assign(ious)
     ]
     deta_sum = assa_sum = hota_sum = 0.0
@@ -453,6 +637,69 @@ def hota_loop_reference(pair):
     return hota_sum / n, deta_sum / n, assa_sum / n
 
 
+@functools.lru_cache(maxsize=None)
+def tracked_pairs(n_objects):
+    """(policy, pair) for one tracked 120-frame scene, two IoU chunks long."""
+    scenario = generate_scenario(ScenarioConfig(n_objects=n_objects, n_frames=120))
+    return [
+        (policy, SequencePair(gt=scenario.gt, pred=[list(r.tracks) for r in results]))
+        for policy in MemoryPolicy
+        for results in [track_scenario(scenario, policy=policy)]
+    ]
+
+
+def test_evaluate_equals_reference_on_random_pairs():
+    for seed in range(300):
+        for make in (random_small_pair, random_crowded_pair):
+            pair = make(seed)
+            assert evaluate(pair) == evaluate_reference(pair), (make.__name__, seed)
+
+
+@pytest.mark.parametrize("n_objects", [4, 8, 24])
+def test_evaluate_equals_reference_on_tracked_scenes(n_objects):
+    for policy, pair in tracked_pairs(n_objects):
+        assert evaluate(pair) == evaluate_reference(pair), policy
+
+
+def _edge_pairs():
+    """name -> (gt, pred) for the layouts the padded arrays must get right."""
+    a, b, far = BOX_A, BOX_B, FAR_BOX
+    near_a = Box2D(0.27, 0.25, 0.2, 0.2)
+    big, bigger = 2**40, 2**70
+    # Frames across chunk boundaries, with empties on either side of them.
+    long_gt = [[(1, a)] if f % 3 else [] for f in range(2 * _IOU_CHUNK + 5)]
+    long_pred = [[(1 + f // 50, near_a), (99, b)] if f % 4 else [] for f in range(len(long_gt))]
+    return {
+        "every pred frame empty": ([[(1, a)], [(1, a), (2, b)]], [[], []]),
+        "gt-only frames": (
+            [[(1, a), (2, b)]] * 4, [[(1, a), (2, b)], [], [], [(2, a), (1, b)]]
+        ),
+        "pred-only frames": ([[(1, a)], [], [(1, a)]], [[(1, a)], [(1, a), (2, b)], [(1, a)]]),
+        "a frame empty on both sides": ([[(1, a)], [], [(1, a)]], [[(1, near_a)], [], [(1, a)]]),
+        "trailing empty frames": ([[(1, a)], [(1, a)], [], []], [[(1, a)], [(2, a)], [], []]),
+        "uneven box counts per frame": (
+            [[(1, a)], [(1, a), (2, b), (3, far)], [(2, b)], [(1, near_a), (3, far)]],
+            [[(4, a), (5, b), (6, far)], [(4, near_a)], [(4, b), (6, a), (5, far), (7, near_a)], []],
+        ),
+        "non-contiguous ids": (
+            [[(3, a), (17, b)], [(17, b), (3, near_a)], [(900, far), (3, a)]],
+            [[(12, a), (5, b)], [(5, b), (40, a)], [(12, far), (40, a)]],
+        ),
+        "ids 2**40 and 2**70": (
+            [[(big, a), (bigger, b)], [(bigger, b), (big, near_a)], [(bigger, a)]],
+            [[(bigger, a), (big, b)], [(big, b), (bigger, a), (bigger + 1, far)], [(bigger, a)]],
+        ),
+        "empties across chunk boundaries": (long_gt, long_pred),
+    }
+
+
+@pytest.mark.parametrize("name", list(_edge_pairs()))
+def test_evaluate_equals_reference_on_edge_pairs(name):
+    gt, pred = _edge_pairs()[name]
+    pair = SequencePair(gt=[list(f) for f in gt], pred=[list(f) for f in pred])
+    assert evaluate(pair) == evaluate_reference(pair)
+
+
 def test_hota_equals_loop_reference_on_random_pairs():
     for seed in range(300):
         for make in (random_small_pair, random_crowded_pair):
@@ -462,10 +709,7 @@ def test_hota_equals_loop_reference_on_random_pairs():
 
 @pytest.mark.parametrize("n_objects", [4, 8, 24])
 def test_hota_equals_loop_reference_on_tracked_scenes(n_objects):
-    scenario = generate_scenario(ScenarioConfig(n_objects=n_objects, n_frames=120))
-    for policy in MemoryPolicy:
-        results = track_scenario(scenario, policy=policy)
-        pair = SequencePair(gt=scenario.gt, pred=[list(r.tracks) for r in results])
+    for policy, pair in tracked_pairs(n_objects):
         assert hota(pair) == hota_loop_reference(pair), policy
 
 
@@ -480,7 +724,7 @@ def test_hota_with_preds_that_never_overlap_scores_zero():
         gt=[[(1, BOX_A), (2, BOX_B)] for _ in range(4)],
         pred=[[(7, FAR_BOX)] for _ in range(4)],
     )
-    ious = pair.frames[0][2]
+    ious = pair.ious[0][0, :2, :1]
     assert ious.max() == 0.0 and len(_assign(ious)) == 1
     assert hota(pair) == hota_loop_reference(pair) == (0.0, 0.0, 0.0)
 

@@ -96,6 +96,30 @@ def test_non_numeric_field_reports_line_number():
         parse_mot_text("1,1,0,0,10,10,1,-1,-1,-1\n0,1,0,0,10,10,1,-1,-1,-1\n", (100, 100))
 
 
+def test_bad_numbers_keep_their_messages():
+    for row, problem in [
+        ("1,1,0,0,ten,10,1,-1,-1,-1", "non-numeric field"),
+        ("x,1,0,0,10,10,1,-1,-1,-1", "non-numeric field"),
+        ("1,1.5,0,0,10,10,1,-1,-1,-1", "non-numeric field"),
+        ("1,1,0,0,10,10,nan,-1,-1,-1", "non-finite field"),
+        ("1,1,-inf,0,10,10,1,-1,-1,-1", "non-finite field"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            parse_mot_text(f"1,1,0,0,10,10,1,-1,-1,-1\n{row}\n", image_size=(100, 100))
+        assert str(exc.value) == f"line 2: {problem} in {row!r}"
+
+
+def test_box_whose_area_overflows_is_named_with_its_line(tmp_path):
+    # Finite pixel sizes near 1e203 whose normalized area overflows.
+    path = tmp_path / "det.txt"
+    path.write_text("# image_size=1920x1080\n1,1,0,0,10,10,1,-1,-1,-1\n1,2,0,0,1e203,1e203,1,-1,-1,-1\n")
+    with pytest.raises(ValueError) as exc:
+        parse_mot_file(path)
+    assert str(exc.value) == (
+        f"{path}: line 3: box area overflows: w={1e203 / 1920}, h={1e203 / 1080}"
+    )
+
+
 def test_non_positive_size_rejected():
     with pytest.raises(ValueError, match="width"):
         parse_mot_text("1,1,0,0,0,10,1,-1,-1,-1\n", image_size=(100, 100))
