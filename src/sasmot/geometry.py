@@ -37,16 +37,23 @@ class Box2D:
 
     def __post_init__(self):
         # The usual valid box passes one chain; the code below only builds the
-        # error. A finite positive area implies a finite positive w and h; an
-        # infinite one would make the IoU union inf - inf, a NaN.
-        if (math.isfinite(self.cx) and math.isfinite(self.cy) and self.w > 0 and self.h > 0
-                and math.isfinite(self.w * self.h)):
+        # error. Finite corners (|c| + size/2) imply finite fields. The IoU
+        # union adds two areas, so an area must stay finite when doubled; an
+        # overflow there makes the IoU 0 or NaN.
+        if (self.w > 0 and self.h > 0 and math.isfinite(abs(self.cx) + self.w / 2.0)
+                and math.isfinite(abs(self.cy) + self.h / 2.0)
+                and math.isfinite(self.w * self.h * 2.0)):
             return
         for name, value in (("cx", self.cx), ("cy", self.cy), ("w", self.w), ("h", self.h)):
             if not math.isfinite(value):
                 raise ValueError(f"non-finite box field {name}={value}")
         if not (self.w > 0 and self.h > 0):
             raise ValueError(f"non-positive box size w={self.w}, h={self.h}")
+        if not (math.isfinite(abs(self.cx) + self.w / 2.0)
+                and math.isfinite(abs(self.cy) + self.h / 2.0)):
+            raise ValueError(
+                f"box corner overflows: cx={self.cx}, cy={self.cy}, w={self.w}, h={self.h}"
+            )
         raise ValueError(f"box area overflows: w={self.w}, h={self.h}")
 
     def corners(self) -> tuple[float, float, float, float]:

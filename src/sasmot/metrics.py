@@ -24,10 +24,9 @@ Three evaluators over a ground-truth/prediction sequence pair:
   trajectories chosen to maximize the number of frame-level overlaps at
   IoU 0.5; IDF1 = 2*IDTP / (2*IDTP + IDFP + IDFN).
 
-All three read :class:`SequencePair`'s arrays, built once per pair: each
-side's ids coded to dense ranks, its per-frame counts, and its boxes'
-corners from one ``boxes_to_corners`` call. The IoU is held in blocks of
-``_IOU_CHUNK`` frames, one ``iou_matrix`` call each; a block is padded
+All three read :class:`SequencePair`'s arrays, built at construction in one
+walk per side that also checks the ids: ids coded to dense ranks, per-frame
+counts, and box corners. The IoU is held in blocks of ``_IOU_CHUNK`` frames, one ``iou_matrix`` call each; a block is padded
 with zeros to its own frames' largest counts, so one crowded frame widens
 only its block, and the block bounds the temporaries on crowded scenes.
 One IoU-maximal frame matcher serves HOTA (unfiltered, since the
@@ -73,32 +72,42 @@ class _Side:
 
     ``codes`` holds each entry's id as its rank among the side's distinct
     ids, so arrays index ids of any size without an integer cast; frame f's
-    entries are ``codes[starts[f] : starts[f] + counts[f]]``.
+    entries are ``codes[starts[f] : starts[f] + counts[f]]``, their boxes the
+    same rows of ``corners``. Ids must be positive and distinct within a frame.
     """
 
-    def __init__(self, frames: List[FrameEntries]):
-        self.frames = frames
-        ids = [obj_id for entries in frames for obj_id, _ in entries]
+    def __init__(self, name: str, frames: List[FrameEntries]):
+        ids, boxes = [], []
+        for frame, entries in enumerate(frames, start=1):
+            seen = set()
+            for obj_id, box in entries:
+                if obj_id < 1:
+                    raise ValueError(f"{name} frame {frame}: ids must be positive, got {obj_id}")
+                if obj_id in seen:
+                    raise ValueError(f"{name} frame {frame}: id {obj_id} appears twice")
+                seen.add(obj_id)
+                ids.append(obj_id)
+                boxes.append(box)
         distinct = sorted(set(ids))
         rank = dict(zip(distinct, range(len(distinct))))
         self.n_ids = len(distinct)
         self.codes = np.fromiter(map(rank.__getitem__, ids), dtype=np.intp, count=len(ids))
         self.counts = np.fromiter(map(len, frames), dtype=np.intp, count=len(frames))
         self.starts = np.cumsum(self.counts) - self.counts
+        self.corners = boxes_to_corners(boxes)
 
     def corner_chunks(self) -> List[np.ndarray]:
         """Per run of ``_IOU_CHUNK`` frames, (chunk, W, 4) box corners, where W
         is the run's largest count, zero past each frame's count."""
-        corners = boxes_to_corners([box for entries in self.frames for _, box in entries])
         frame_of = np.repeat(np.arange(len(self.counts)), self.counts)
-        slot = np.arange(len(corners)) - self.starts[frame_of]
-        ends = np.append(self.starts, len(corners))
+        slot = np.arange(len(self.corners)) - self.starts[frame_of]
+        ends = np.append(self.starts, len(self.corners))
         chunks = []
         for start in range(0, len(self.counts), _IOU_CHUNK):
             counts = self.counts[start : start + _IOU_CHUNK]
             entries = slice(ends[start], ends[start + len(counts)])
             out = np.zeros((len(counts), int(counts.max()), 4))
-            out[frame_of[entries] - start, slot[entries]] = corners[entries]
+            out[frame_of[entries] - start, slot[entries]] = self.corners[entries]
             chunks.append(out)
         return chunks
 
@@ -107,8 +116,8 @@ class _Side:
 class SequencePair:
     """Frame-aligned ground truth and predictions: per-frame (id, box) lists.
 
-    Scoring caches arrays built from ``gt`` and ``pred`` on the pair, so do
-    not modify them after the first metric has read them.
+    ``gt`` and ``pred`` are read once, at construction, into the arrays that
+    scoring uses; changing the lists afterwards changes no score.
     """
 
     gt: List[FrameEntries]
@@ -119,25 +128,8 @@ class SequencePair:
             raise ValueError(
                 f"gt has {len(self.gt)} frames but pred has {len(self.pred)}"
             )
-        for side, frames in (("gt", self.gt), ("pred", self.pred)):
-            for frame, entries in enumerate(frames, start=1):
-                seen = set()
-                for obj_id, _ in entries:
-                    if obj_id < 1:
-                        raise ValueError(
-                            f"{side} frame {frame}: ids must be positive, got {obj_id}"
-                        )
-                    if obj_id in seen:
-                        raise ValueError(f"{side} frame {frame}: id {obj_id} appears twice")
-                    seen.add(obj_id)
-
-    @cached_property
-    def _gt(self) -> _Side:
-        return _Side(self.gt)
-
-    @cached_property
-    def _pred(self) -> _Side:
-        return _Side(self.pred)
+        self._gt = _Side("gt", self.gt)
+        self._pred = _Side("pred", self.pred)
 
     def total_gt(self) -> int:
         return self._gt.codes.size

@@ -23,9 +23,9 @@ with 6 decimals per float. Embeddings ride in a sidecar CSV
 within the frame, because MOT rows cannot carry vectors. Each sidecar
 value is parsed as ``float()`` parses it, and every embedding must satisfy
 ``0 < e·e < inf``, the rule ``Detection`` applies; a bad row is an error
-naming its line. Writers format each row with one ``%`` operation, and
-the sidecar reader converts all rows into one array, so both files cost
-one pass per row.
+naming its line. Writers format each row with one ``%`` operation; the
+sidecar reader parses its rows into one array in one pass, checks their
+norms at once and parses only a bad row again, to word its error.
 """
 
 from __future__ import annotations
@@ -195,82 +195,73 @@ def write_embeddings_csv(path: Path | str, scenario: Scenario) -> None:
 def read_embeddings_csv(path: Path | str) -> Dict[Tuple[int, int], np.ndarray]:
     """Sidecar rows keyed by (frame, det_index); every row has the same size D.
 
-    Values are parsed as ``float()`` parses them, straight into one (rows, D)
-    array, and every embedding must satisfy ``0 < e·e < inf``. A bad row is
-    named by its file line, the first one in the file when several are bad.
+    One pass parses values as ``float()`` does into one (rows, D) array and
+    stops at a row that is short, non-numeric, of another size or a repeated
+    key; one vector check holds the rows read to ``0 < e·e < inf``. A bad row
+    is named by its file line, the first one in the file when several are.
     """
     lines = Path(path).read_text().splitlines()
-    linenos: List[int] = []  # the file line of each data row
-    keys: List[Tuple[int, int]] = []
-    width = 0
+    out: Dict[Tuple[int, int], np.ndarray] = {}
+    linenos: List[int] = []  # the file line of each converted row
+    width = -1
     values = np.empty((0, 0))
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        linenos.append(lineno)
         parts = line.split(",")
-        if len(linenos) == 1:
+        if width < 0:
             width = len(parts)
             values = np.empty((len(lines), max(width - 2, 0)))
-        if len(parts) < 3 or len(parts) != width:
+        if not 3 <= len(parts) == width:
             break
         try:
             key = (int(parts[0]), int(parts[1]))
-            values[len(keys)] = parts[2:]  # numpy parses each string as float() does
+            values[len(out)] = parts[2:]  # numpy parses each string as float() does
         except ValueError:
             break
-        keys.append(key)
-    values = values[: len(keys)]
-    if len(keys) == len(linenos):
-        out = dict(zip(keys, values))
-        sq = np.einsum("ij,ij->i", values, values)
-        # NaN fails both comparisons.
-        if len(out) == len(keys) and np.all((sq > 0.0) & (sq < math.inf)):
-            return out
-    raise _first_bad_row(path, lines, linenos, keys, values)
+        linenos.append(lineno)
+        # A repeated key's row joins the norm check, whose faults come first.
+        if key in out:
+            break
+        out[key] = values[len(out)]
+    else:
+        lineno = 0  # no row stopped the pass
+    read = values[: len(linenos)]
+    sq = np.einsum("ij,ij->i", read, read)
+    # NaN fails both comparisons. A row before the one that stopped the pass
+    # comes first in the file.
+    bad = np.flatnonzero(~((sq > 0.0) & (sq < math.inf)))
+    if bad.size:
+        lineno = linenos[bad[0]]
+    if not lineno:
+        return out
+    raise ValueError(f"{path}: line {lineno}: {_row_fault(lines[lineno - 1], width - 2)}")
 
 
-def _first_bad_row(
-    path: Path | str,
-    lines: List[str],
-    linenos: List[int],
-    keys: List[Tuple[int, int]],
-    values: np.ndarray,
-) -> ValueError:
-    """The error for the first bad sidecar row, checked in the order a row is read.
-
-    ``keys`` and ``values`` hold the rows that converted; when there are
-    fewer of them than ``linenos``, the next row did not convert.
-    """
-    sq = np.einsum("ij,ij->i", values, values)
-    seen = set()
-    for i, key in enumerate(keys):
-        where = f"{path}: line {linenos[i]}"
-        if not np.all(np.isfinite(values[i])):
-            return ValueError(f"{where}: non-finite value in embedding")
-        if not np.any(values[i]):
-            return ValueError(f"{where}: zero-norm embedding")
-        if not sq[i] < math.inf:
-            return ValueError(f"{where}: embedding squared norm overflows to inf")
-        if not sq[i] > 0.0:
-            return ValueError(f"{where}: embedding squared norm underflows to 0")
-        if key in seen:
-            return ValueError(f"{where}: duplicate key {key}")
-        seen.add(key)
-    lineno = linenos[len(keys)]
-    where = f"{path}: line {lineno}"
-    parts = lines[lineno - 1].strip().split(",")
+def _row_fault(line: str, dim: int) -> str:
+    """Why a sidecar row that failed the read is bad, its rules checked in the
+    order a row is read; a row that passes them all repeats an earlier key."""
+    parts = line.strip().split(",")
     if len(parts) < 3:
-        return ValueError(f"{where}: embedding row needs frame,det_index,values")
+        return "embedding row needs frame,det_index,values"
     try:
-        int(parts[0]), int(parts[1])
-        row = np.array([float(p) for p in parts[2:]])
+        key = (int(parts[0]), int(parts[1]))
+        row = np.array([[float(p) for p in parts[2:]]])
     except ValueError:
-        return ValueError(f"{where}: non-numeric field in embeddings file")
+        return "non-numeric field in embeddings file"
     if not np.all(np.isfinite(row)):
-        return ValueError(f"{where}: non-finite value in embedding")
-    return ValueError(f"{where}: embedding dim {row.size} != {values.shape[1]}")
+        return "non-finite value in embedding"
+    if row.size != dim:
+        return f"embedding dim {row.size} != {dim}"
+    if not np.any(row):
+        return "zero-norm embedding"
+    sq = np.einsum("ij,ij->i", row, row)[0]  # as the read computes it, on one row
+    if not sq < math.inf:
+        return "embedding squared norm overflows to inf"
+    if not sq > 0.0:
+        return "embedding squared norm underflows to 0"
+    return f"duplicate key {key}"
 
 
 def detections_from_files(

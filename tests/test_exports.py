@@ -1,7 +1,7 @@
 """Every name a ``sasmot`` module exports in ``__all__`` exists, every name
 a module imports is used and comes from the stdlib, numpy, scipy or the
-package itself, and every name the benchmark under ``bench/`` reaches for
-is still there.
+package itself, every function and class it defines is referenced, and
+every name the benchmark under ``bench/`` reaches for is still there.
 
 The benchmark checks are read from ``bench/`` source without importing it,
 so a change that deletes a name the benchmark needs fails here.
@@ -18,6 +18,7 @@ import pytest
 import sasmot
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+TESTS = Path(__file__).resolve().parent
 SRC = Path(sasmot.__file__).resolve().parent
 
 MODULES = ["sasmot"] + [
@@ -52,6 +53,27 @@ def test_no_unused_imports():
             f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used
         ]
     assert unused == [], "names imported but never used"
+
+
+def test_every_definition_is_referenced():
+    # A function, method or class in src/ that no code or test names is
+    # surface that nothing needs. A definition is not a Name or Attribute
+    # node, so it never counts as its own use.
+    used = set()
+    for path in [*SRC.glob("*.py"), *TESTS.glob("*.py"), *BENCH.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unreferenced = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and node.name not in used):
+                unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unreferenced == [], "definitions that nothing references"
 
 
 def test_imports_are_stdlib_numpy_scipy_or_relative():

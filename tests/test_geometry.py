@@ -173,6 +173,13 @@ def test_box_validation():
         ((0.0, 0.0, inf, 1.0), "non-finite box field w=inf"),
         ((0.0, 0.0, -1.0, nan), "non-finite box field h=nan"),
         ((inf, 0.0, 1.0, nan), "non-finite box field cx=inf"),
+        # A finite center and size whose corner overflows: the IoU came out NaN.
+        ((1.7e308, 0.5, 1e308, 1.0), "box corner overflows: cx=1.7e+308, cy=0.5, w=1e+308, h=1.0"),
+        ((0.5, -1.7e308, 1.0, 1e308), "box corner overflows: cx=0.5, cy=-1.7e+308, w=1.0, h=1e+308"),
+        # A finite area whose double, the IoU union of the box with itself,
+        # overflows: that IoU came out 0.0 with an overflow warning.
+        ((0.5, 0.5, 1e154, 1.5e154), "box area overflows: w=1e+154, h=1.5e+154"),
+        ((0.0, 0.0, 1e154, 1e154), "box area overflows: w=1e+154, h=1e+154"),
     ]:
         with pytest.raises(ValueError) as exc:
             Box2D(*fields)
@@ -189,7 +196,18 @@ def test_box_whose_area_overflows_is_rejected():
         assert str(exc.value) == "box area overflows: w=1e+200, h=1e+200"
     with pytest.raises(ValueError, match="non-positive box size"):
         Box2D(0.0, 0.0, 1e200, -1e200)
-    assert Box2D(0.0, 0.0, 1e154, 1e154).w == 1e154
+    assert Box2D(0.0, 0.0, 1e154, 8.9e153).w == 1e154
+
+
+@pytest.mark.parametrize("box", [
+    Box2D(0.5, 0.5, 1e154, 8.9e153),  # doubled area 1.78e308
+    Box2D(1.2e308, 0.5, 1e308, 0.5),  # right edge 1.7e308
+], ids=["union", "corner"])
+def test_box_just_inside_the_bounds_has_iou_one_with_itself(box):
+    corners = boxes_to_corners([box])
+    with np.errstate(all="raise"):
+        assert iou_matrix(corners, corners)[0, 0] == 1.0
+    assert iou(box, box) == 1.0
 
 
 def test_corners_roundtrip():

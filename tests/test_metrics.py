@@ -105,6 +105,15 @@ def test_midpoint_id_swap_canonical_values():
     assert report.hota == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
 
+def test_pair_reads_its_lists_once_at_construction():
+    gt = [[(1, BOX_A), (2, BOX_B)] for _ in range(10)]
+    pred = [[(1, BOX_A), (2, BOX_B)] for _ in range(5)] + [[(3, BOX_A)] for _ in range(5)]
+    pair = SequencePair(gt=[list(f) for f in gt], pred=[list(f) for f in pred])
+    pair.gt.clear()
+    pair.pred.clear()
+    assert evaluate(pair) == evaluate(SequencePair(gt=gt, pred=pred))
+
+
 def test_partial_overlap_passes_eight_of_nineteen_thresholds():
     # Nested boxes with IoU exactly 7/16 = 0.4375: thresholds 0.05..0.40
     # accept the match, 0.45..0.95 reject it, so every averaged metric

@@ -120,6 +120,21 @@ def test_box_whose_area_overflows_is_named_with_its_line(tmp_path):
     )
 
 
+@pytest.mark.parametrize("row, problem", [
+    # Normalized by a 1x1 image: box (1.7e308, 0.5, 1e308, 1.0).
+    ("1,2,1.2e308,0,1e308,1,1,-1,-1,-1",
+     f"box corner overflows: cx={1.2e308 + 1e308 / 2.0}, cy=0.5, w=1e+308, h=1.0"),
+    # Box (0.0, 0.0, 1e154, 1.5e154).
+    ("1,2,-5e153,-7.5e153,1e154,1.5e154,1,-1,-1,-1", "box area overflows: w=1e+154, h=1.5e+154"),
+], ids=["corner", "union"])
+def test_box_whose_corner_or_union_overflows_is_named_with_its_line(tmp_path, row, problem):
+    path = tmp_path / "det.txt"
+    path.write_text(f"# image_size=1x1\n1,1,0,0,0.5,0.5,1,-1,-1,-1\n{row}\n")
+    with pytest.raises(ValueError) as exc:
+        parse_mot_file(path)
+    assert str(exc.value) == f"{path}: line 3: {problem}"
+
+
 def test_non_positive_size_rejected():
     with pytest.raises(ValueError, match="width"):
         parse_mot_text("1,1,0,0,0,10,1,-1,-1,-1\n", image_size=(100, 100))
@@ -326,6 +341,11 @@ BAD_ROWS = {
     "wrong D": "3,0,0.5,0.5,0.5",
     "duplicate key": "1,1,0.5,0.5",
     "short": "3,0",
+    # One row, two faults: the reference's order of checks decides.
+    "wrong D and non-finite": "3,0,nan,0.5,0.5",
+    "wrong D and non-numeric": "3,0,0.5,abc,0.5",
+    "duplicate key and zero": "1,1,0,0",
+    "duplicate key and infinite": "1,1,inf,0.5",
 }
 
 
@@ -358,6 +378,13 @@ def test_norm_that_overflows_or_underflows_is_named_with_its_line(tmp_path, row,
     with pytest.raises(ValueError) as got:
         read_embeddings_csv(path)
     assert str(got.value) == f"{path}: line 7: {problem}"
+
+
+def test_repeated_key_whose_norm_overflows_is_named_for_its_norm(tmp_path):
+    path = _sidecar_with(tmp_path, "1,1,1e300,-1e300")
+    with pytest.raises(ValueError) as got:
+        read_embeddings_csv(path)
+    assert str(got.value) == f"{path}: line 7: embedding squared norm overflows to inf"
 
 
 @pytest.mark.parametrize("row7, row9", [
