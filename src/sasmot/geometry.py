@@ -37,11 +37,13 @@ class Box2D:
 
     def __post_init__(self):
         # The usual valid box passes one chain; the code below only builds the
-        # error. Finite corners (|c| + size/2) imply finite fields. The IoU
-        # union adds two areas, so an area must stay finite when doubled; an
-        # overflow there makes the IoU 0 or NaN.
-        if (self.w > 0 and self.h > 0 and math.isfinite(abs(self.cx) + self.w / 2.0)
-                and math.isfinite(abs(self.cy) + self.h / 2.0)
+        # error. The corners are those of ``corners()``: finite ones imply
+        # finite fields, and ``left < right`` fails for a width below the
+        # spacing of doubles at the centre, whose IoU with itself reads 0. The
+        # IoU union adds two areas, so an area must stay finite when doubled.
+        hw, hh = self.w / 2.0, self.h / 2.0
+        if (-math.inf < self.cx - hw < self.cx + hw < math.inf
+                and -math.inf < self.cy - hh < self.cy + hh < math.inf
                 and math.isfinite(self.w * self.h * 2.0)):
             return
         for name, value in (("cx", self.cx), ("cy", self.cy), ("w", self.w), ("h", self.h)):
@@ -49,11 +51,11 @@ class Box2D:
                 raise ValueError(f"non-finite box field {name}={value}")
         if not (self.w > 0 and self.h > 0):
             raise ValueError(f"non-positive box size w={self.w}, h={self.h}")
-        if not (math.isfinite(abs(self.cx) + self.w / 2.0)
-                and math.isfinite(abs(self.cy) + self.h / 2.0)):
-            raise ValueError(
-                f"box corner overflows: cx={self.cx}, cy={self.cy}, w={self.w}, h={self.h}"
-            )
+        fields = f"cx={self.cx}, cy={self.cy}, w={self.w}, h={self.h}"
+        if not (self.cx - hw < self.cx + hw and self.cy - hh < self.cy + hh):
+            raise ValueError(f"box corners collapse: {fields}")
+        if not (math.isfinite(abs(self.cx) + hw) and math.isfinite(abs(self.cy) + hh)):
+            raise ValueError(f"box corner overflows: {fields}")
         raise ValueError(f"box area overflows: w={self.w}, h={self.h}")
 
     def corners(self) -> tuple[float, float, float, float]:

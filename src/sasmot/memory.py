@@ -6,7 +6,9 @@ the box center accumulates per frame, and only when the accumulated travel
 exceeds a threshold does the memory commit a feature. Stored features span a
 long window of genuinely different poses instead of near-duplicates of the
 current frame, and the track's matching query is a weighted blend of the
-current embedding with the memory mean.
+current embedding with the memory mean. That state (the travel
+accumulator, the pending candidate and the stored ring) is all a memory
+holds; it re-checks no input, since the tracker owns every input rule.
 
 Policies:
 
@@ -99,9 +101,19 @@ class TrackMemory:
     The three public operations are ``observe`` (feed one frame's box,
     embedding, and overlap; returns whether a feature was stored),
     ``fused_query`` (blend a current embedding with the memory mean), and
-    ``commit_store`` (normally invoked internally by ``observe``). The
-    embedding size D is taken from the first observed embedding; every later
-    one must match it.
+    ``commit_store`` (normally invoked internally by ``observe``).
+
+    The memory checks none of its inputs. The caller guarantees them, and
+    in the package each part has one owner:
+
+    * every embedding is a 1-D float64 array with ``0 < e·e < inf``
+      (``tracker.Detection``), and all have one size (``Tracker.step``,
+      which names the frame and detection index of a mismatch);
+    * ``overlap`` is in [0, 1] (``geometry.iou_matrix`` clips every IoU, and
+      ``max_iou_vs_others`` picks one of them);
+    * ``frame_idx`` strictly increases from one call to the next
+      (``Tracker.step`` rejects a frame not above the last one), and a track
+      is observed at most once per frame (the one-to-one assignment).
     """
 
     def __init__(self, cfg: MemoryConfig, policy: MemoryPolicy = MemoryPolicy.SPARSE_OFS):
@@ -117,29 +129,9 @@ class TrackMemory:
         # The pending commit: for SPARSE_OFS the least-overlapped frame since
         # the last store, otherwise the latest frame.
         self.candidate: Optional[MemoryEntry] = None
-        self.dim: Optional[int] = None
-        self._last_frame: Optional[int] = None
-
-    def _checked(self, embedding: np.ndarray) -> np.ndarray:
-        emb = np.asarray(embedding, dtype=float)
-        if emb.ndim != 1:
-            raise ValueError(f"embedding must be 1-D, got shape {emb.shape}")
-        if self.dim is not None and emb.size != self.dim:
-            raise ValueError(f"embedding shape {emb.shape} does not match dim {self.dim}")
-        return emb
 
     def observe(self, box: Box2D, embedding: np.ndarray, overlap: float, frame_idx: int) -> bool:
         """Feed one observed frame; returns True when a feature was stored."""
-        emb = self._checked(embedding)
-        if not 0.0 <= overlap <= 1.0:
-            raise ValueError(f"overlap must be in [0, 1], got {overlap}")
-        if self._last_frame is not None and frame_idx <= self._last_frame:
-            raise ValueError(
-                f"frame_idx must increase: got {frame_idx} after {self._last_frame}"
-            )
-        self._last_frame = frame_idx
-        self.dim = emb.size
-
         if self.policy is MemoryPolicy.NONE:
             return False
 
@@ -152,7 +144,7 @@ class TrackMemory:
         # ties going to the earlier frame; every other policy keeps the latest.
         if (self.policy is not MemoryPolicy.SPARSE_OFS or self.candidate is None
                 or overlap < self.candidate.overlap_at_store):
-            self.candidate = MemoryEntry(emb, frame_idx, overlap)
+            self.candidate = MemoryEntry(embedding, frame_idx, overlap)
         # DENSE stores every frame; the others once past the motion gate, and
         # DELAYING only on a frame at or below its overlap threshold.
         calm = overlap <= self.cfg.delay_overlap_threshold
@@ -178,9 +170,8 @@ class TrackMemory:
         """Blend the current embedding with the memory mean.
 
         Returns ``alpha * current + (1 - alpha) * mean(entries)``; with an
-        empty memory the current embedding is returned unchanged.
+        empty memory the current embedding itself is returned.
         """
-        cur = self._checked(current)
         if self._memory_term is None:
-            return cur
-        return self.cfg.alpha * cur + self._memory_term
+            return current
+        return self.cfg.alpha * current + self._memory_term

@@ -76,6 +76,25 @@ def test_every_definition_is_referenced():
     assert unreferenced == [], "definitions that nothing references"
 
 
+def test_every_instance_attribute_is_read():
+    # State that a method stores on ``self`` and no code or test ever reads
+    # back is dead weight on every instance. An augmented assignment stores,
+    # so it does not count as a read either.
+    read = set()
+    for path in [*SRC.glob("*.py"), *TESTS.glob("*.py"), *BENCH.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"
+                    and node.attr not in read):
+                unread.append(f"{path.name}:{node.lineno} self.{node.attr}")
+    assert unread == [], "instance attributes that nothing reads"
+
+
 def test_imports_are_stdlib_numpy_scipy_or_relative():
     # Every import, at module level or inside a function: a third-party
     # import would add to start-up time and to what a user must install.

@@ -173,6 +173,11 @@ def test_box_validation():
         ((0.0, 0.0, inf, 1.0), "non-finite box field w=inf"),
         ((0.0, 0.0, -1.0, nan), "non-finite box field h=nan"),
         ((inf, 0.0, 1.0, nan), "non-finite box field cx=inf"),
+        # A size below the spacing of doubles at the centre: left == right
+        # (or top == bottom), and the box's IoU with itself came out 0.0.
+        ((-1e300, 1e300, 5e-324, 1e300), "box corners collapse: cx=-1e+300, cy=1e+300, w=5e-324, h=1e+300"),
+        ((1e6, 0.5, 1e-12, 0.1), "box corners collapse: cx=1000000.0, cy=0.5, w=1e-12, h=0.1"),
+        ((0.5, 1e6, 0.1, 1e-12), "box corners collapse: cx=0.5, cy=1000000.0, w=0.1, h=1e-12"),
         # A finite center and size whose corner overflows: the IoU came out NaN.
         ((1.7e308, 0.5, 1e308, 1.0), "box corner overflows: cx=1.7e+308, cy=0.5, w=1e+308, h=1.0"),
         ((0.5, -1.7e308, 1.0, 1e308), "box corner overflows: cx=0.5, cy=-1.7e+308, w=1.0, h=1e+308"),
@@ -184,7 +189,8 @@ def test_box_validation():
         with pytest.raises(ValueError) as exc:
             Box2D(*fields)
         assert str(exc.value) == message
-    assert Box2D(-1e300, 1e300, 5e-324, 1e300).w == 5e-324
+    # The narrowest box at the origin keeps its corners apart.
+    assert Box2D(0.0, 0.0, 1e-323, 1e-323).corners() == (-5e-324, -5e-324, 5e-324, 5e-324)
 
 
 def test_box_whose_area_overflows_is_rejected():

@@ -271,19 +271,6 @@ def test_sparse_commits_at_most_dense(seed):
     assert sparse.accumulator >= 0.0
 
 
-def test_observe_validation():
-    mem = TrackMemory(MemoryConfig(), MemoryPolicy.SPARSE)
-    mem.observe(_box(0.1, 0.5), _emb(4), 0.0, 3)
-    with pytest.raises(ValueError):
-        mem.observe(_box(0.1, 0.5), _emb(3), 0.0, 4)  # wrong dim
-    with pytest.raises(ValueError):
-        mem.observe(_box(0.1, 0.5), _emb(4), 1.5, 4)  # overlap out of range
-    with pytest.raises(ValueError):
-        mem.observe(_box(0.1, 0.5), _emb(4), 0.0, 3)  # frame not advancing
-    with pytest.raises(ValueError, match="1-D"):
-        mem.observe(_box(0.1, 0.5), _emb(4).reshape(2, 2), 0.0, 4)
-
-
 def test_commit_store_requires_candidate():
     mem = TrackMemory(MemoryConfig(), MemoryPolicy.SPARSE)
     with pytest.raises(ValueError):

@@ -120,6 +120,19 @@ def test_box_whose_area_overflows_is_named_with_its_line(tmp_path):
     )
 
 
+def test_box_whose_corners_collapse_is_named_with_its_line(tmp_path):
+    # A 1e-7 px wide box 1e9 px from the origin: once normalized, its width
+    # is below the spacing of doubles at its centre, so left == right.
+    path = tmp_path / "det.txt"
+    path.write_text("# image_size=1920x1080\n1,1,0,0,10,10,1,-1,-1,-1\n1,1,1e9,0,1e-7,10,1,-1,-1,-1\n")
+    with pytest.raises(ValueError) as exc:
+        parse_mot_file(path)
+    assert str(exc.value) == (
+        f"{path}: line 3: box corners collapse: cx={(1e9 + 1e-7 / 2.0) / 1920}, "
+        f"cy={5.0 / 1080}, w={1e-7 / 1920}, h={10.0 / 1080}"
+    )
+
+
 @pytest.mark.parametrize("row, problem", [
     # Normalized by a 1x1 image: box (1.7e308, 0.5, 1e308, 1.0).
     ("1,2,1.2e308,0,1e308,1,1,-1,-1,-1",
