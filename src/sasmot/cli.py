@@ -11,9 +11,12 @@ Subcommands:
 
 Run configuration is a flat ``key = value`` text format with ``#`` comments
 and dotted keys for nesting (``memory.epsilon = 0.1``), trivially parseable
-from any language. Options may come from such a file (``--config``);
-explicit flags always win over the file. All outputs are deterministic
-for a given configuration.
+from any language. Each config flag sets one key (``--out`` of ``simulate``
+and the table commands sets ``output_dir``), and the given flags are merged
+over the ``--config`` file's keys before anything is checked: every key is
+checked, and every value that reaches the run is checked once, so a file
+value that a flag replaces is not read. All outputs are deterministic for a
+given configuration.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .experiments import (
     ablation_table,
@@ -122,7 +125,8 @@ def _coerce(dotted: str, current, value: str):
 
 
 def apply_flat_config(run: RunConfig, items: Dict[str, str]) -> RunConfig:
-    """Set dotted keys on a RunConfig; each dataclass is checked once, on its final values."""
+    """Set dotted keys on a RunConfig; every key is checked, and each
+    dataclass is built and checked once, on its final values."""
     sections = {"": run, "scenario": run.scenario, "tracker": run.tracker,
                 "memory": run.tracker.memory}
     changes: Dict[str, Dict[str, object]] = {prefix: {} for prefix in sections}
@@ -137,9 +141,9 @@ def apply_flat_config(run: RunConfig, items: Dict[str, str]) -> RunConfig:
     return dataclasses.replace(run, scenario=scenario, tracker=tracker, **changes[""])
 
 
-# Every config flag as (flag, dotted config key, argparse options), in
-# groups. The parser is built from these rows and ``_resolve_run`` reads
-# them back; a flag's dest is argparse's default for it.
+# Every config flag as (flag, config key, argparse options), in groups. A
+# flag's dest is its config key, so ``_resolve_run`` reads the given flags
+# back by key.
 _SCENARIO_FLAGS = (
     ("--seed", "seed", dict(type=int, help="base scenario seed")),
     ("--n-objects", "scenario.n_objects", dict(type=int)),
@@ -169,7 +173,8 @@ _TRACKER_FLAGS = (
     ("--max-misses", "tracker.max_misses", dict(type=int)),
     ("--cost-blend", "tracker.cost_blend", dict(type=float)),
 )
-_CONFIG_FLAGS = _SCENARIO_FLAGS + _SEED_FLAGS + _POLICY_FLAGS + _MEMORY_FLAGS + _TRACKER_FLAGS
+# A string, so that an empty path reaches the key's own check.
+_OUT_DIR_FLAGS = (("--out", "output_dir", dict(help="output directory")),)
 
 # ``eval`` table columns; lower-cased, each names a MetricsReport field and
 # is its report.csv header.
@@ -178,22 +183,17 @@ _EVAL_COLUMNS = ("HOTA", "DetA", "AssA", "MOTA", "IDF1", "IDSW")
 
 def _add_flags(parser: argparse.ArgumentParser, *groups) -> None:
     for group in groups:
-        for flag, _, options in group:
-            parser.add_argument(flag, default=None, **options)
+        for flag, key, options in group:
+            parser.add_argument(flag, dest=key, default=None, **options)
 
 
 def _resolve_run(args: argparse.Namespace) -> RunConfig:
-    """Config file first, then explicit flags on top, one validation path."""
-    run = RunConfig()
-    if getattr(args, "config", None) is not None:
-        run = apply_flat_config(run, parse_flat_config(args.config.read_text()))
-    given = vars(args)
-    overrides = {}
-    for flag, dotted, _ in _CONFIG_FLAGS:
-        value = given.get(flag[2:].replace("-", "_"))
-        if value is not None:
-            overrides[dotted] = str(value)
-    return apply_flat_config(run, overrides)
+    """The ``--config`` file's keys, then every given flag on top, applied
+    once: every key is checked, and a file value a flag replaces is not read."""
+    items = parse_flat_config(args.config.read_text()) if args.config is not None else {}
+    items.update((key, str(value)) for key, value in vars(args).items()
+                 if key in _CONFIG_KEYS and value is not None)
+    return apply_flat_config(RunConfig(), items)
 
 
 def _image_size(
@@ -205,23 +205,16 @@ def _image_size(
     return parse_image_size(args.image_size)
 
 
-def _resolve_out_dir(args: argparse.Namespace, run: RunConfig) -> Path:
-    if args.out is not None:
-        return Path(args.out)
-    if run.output_dir is not None:
-        return run.output_dir
-    raise ValueError("no output directory: pass --out or set output_dir in the config")
-
-
-def _seed_list(run: RunConfig) -> List[int]:
-    base = run.scenario.seed
-    return list(range(base, base + run.n_seeds))
+def _resolve_out_dir(run: RunConfig) -> Path:
+    if run.output_dir is None:
+        raise ValueError("no output directory: pass --out or set output_dir in the config")
+    return run.output_dir
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     run = _resolve_run(args)
     image_size = _image_size(args, DEFAULT_IMAGE_SIZE)
-    out_dir = _resolve_out_dir(args, run)
+    out_dir = _resolve_out_dir(run)
     for path in write_scenario(generate_scenario(run.scenario), out_dir, image_size):
         print(f"wrote {path}")
     return 0
@@ -258,12 +251,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     run = _resolve_run(args)
-    out_dir = _resolve_out_dir(args, run)
+    out_dir = _resolve_out_dir(run)
     # Fail on an unusable output directory before computing any seed.
     out_dir.mkdir(parents=True, exist_ok=True)
     # Only the commands that take --policy pass it; the policy tables run fixed rows.
     policy = {"policy": run.policy} if "policy" in vars(args) else {}
-    table, lines = args.build(run.scenario, run.tracker, _seed_list(run), **policy)
+    seeds = list(range(run.scenario.seed, run.scenario.seed + run.n_seeds))
+    table, lines = args.build(run.scenario, run.tracker, seeds, **policy)
     markdown = render_table_markdown(table)
     if lines:
         markdown += "\n\n" + "\n".join(lines)
@@ -289,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p_sim, _SCENARIO_FLAGS)
     p_sim.add_argument("--image-size", type=str, default=None,
                        help="pixel canvas as WxH (default 1920x1080)")
-    p_sim.add_argument("--out", type=Path, default=None, help="output directory")
+    _add_flags(p_sim, _OUT_DIR_FLAGS)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_track = sub.add_parser("track", help="track detections from files")
@@ -316,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", type=Path, default=None,
                        help="flat key = value config file")
-        _add_flags(p, _SCENARIO_FLAGS, _SEED_FLAGS, policy_flags, _MEMORY_FLAGS, _TRACKER_FLAGS)
-        p.add_argument("--out", type=Path, default=None, help="output directory")
+        _add_flags(p, _SCENARIO_FLAGS, _SEED_FLAGS, policy_flags, _MEMORY_FLAGS, _TRACKER_FLAGS,
+                   _OUT_DIR_FLAGS)
         p.set_defaults(func=cmd_table, stem=stem, build=build)
 
     return parser

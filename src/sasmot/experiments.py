@@ -156,16 +156,15 @@ def _policy_table(
     tracker_cfg: Optional[TrackerConfig],
     seeds: Sequence[int],
 ) -> Tuple[_Table, List[str]]:
-    policy_of = dict(rows)
-    suite = run_policy_suite(base_cfg, tracker_cfg, list(policy_of.values()), seeds)
-    table = _summary_rows(
-        [{"variant": label} for label in policy_of], [suite[p] for p in policy_of.values()]
-    )
+    labels = [label for label, _ in rows]
+    runs = _run_variants(base_cfg, [(tracker_cfg, policy) for _, policy in rows], seeds)
+    reports = dict(zip(labels, runs))
+    table = _summary_rows([{"variant": label} for label in labels], runs)
     lines = []
     for base_label, treat_label in pairs:
         for metric in metrics:
-            base = [getattr(r, metric) for r in suite[policy_of[base_label]]]
-            treat = [getattr(r, metric) for r in suite[policy_of[treat_label]]]
+            base = [getattr(r, metric) for r in reports[base_label]]
+            treat = [getattr(r, metric) for r in reports[treat_label]]
             wins, n, p = paired_sign_test(base, treat)
             lines.append(
                 f"{base_label} -> {treat_label} on {metric}: "

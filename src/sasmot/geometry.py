@@ -40,11 +40,14 @@ class Box2D:
         # error. The corners are those of ``corners()``: finite ones imply
         # finite fields, and ``left < right`` fails for a width below the
         # spacing of doubles at the centre, whose IoU with itself reads 0. The
-        # IoU union adds two areas, so an area must stay finite when doubled.
+        # area is the one the IoU computes from those corners: the union adds
+        # two, so it must stay finite when doubled, and it must not underflow
+        # to 0, where the IoU of the box with itself is 0/0.
         hw, hh = self.w / 2.0, self.h / 2.0
-        if (-math.inf < self.cx - hw < self.cx + hw < math.inf
-                and -math.inf < self.cy - hh < self.cy + hh < math.inf
-                and math.isfinite(self.w * self.h * 2.0)):
+        left, top, right, bottom = self.cx - hw, self.cy - hh, self.cx + hw, self.cy + hh
+        area = (right - left) * (bottom - top)
+        if (-math.inf < left < right < math.inf and -math.inf < top < bottom < math.inf
+                and 0.0 < area * 2.0 < math.inf):
             return
         for name, value in (("cx", self.cx), ("cy", self.cy), ("w", self.w), ("h", self.h)):
             if not math.isfinite(value):
@@ -52,11 +55,13 @@ class Box2D:
         if not (self.w > 0 and self.h > 0):
             raise ValueError(f"non-positive box size w={self.w}, h={self.h}")
         fields = f"cx={self.cx}, cy={self.cy}, w={self.w}, h={self.h}"
-        if not (self.cx - hw < self.cx + hw and self.cy - hh < self.cy + hh):
+        if not (left < right and top < bottom):
             raise ValueError(f"box corners collapse: {fields}")
-        if not (math.isfinite(abs(self.cx) + hw) and math.isfinite(abs(self.cy) + hh)):
+        if not all(map(math.isfinite, (left, top, right, bottom))):
             raise ValueError(f"box corner overflows: {fields}")
-        raise ValueError(f"box area overflows: w={self.w}, h={self.h}")
+        if not area * 2.0 < math.inf:
+            raise ValueError(f"box area overflows: w={self.w}, h={self.h}")
+        raise ValueError(f"box area underflows: w={self.w}, h={self.h}")
 
     def corners(self) -> tuple[float, float, float, float]:
         """(left, top, right, bottom)."""
@@ -107,9 +112,9 @@ def iou_matrix(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarray:
     area_a = (corners_a[..., 2] - corners_a[..., 0]) * (corners_a[..., 3] - corners_a[..., 1])
     area_b = (corners_b[..., 2] - corners_b[..., 0]) * (corners_b[..., 3] - corners_b[..., 1])
     union = area_a[..., :, None] + area_b[..., None, :] - inter
-    # Two boxes whose areas underflow to 0 have inter = union = 0. The floor
-    # at the smallest double makes that quotient 0 without a 0/0; every
-    # other union is already at least the floor.
+    # ``Box2D`` keeps every area above 0, so only two zero-size padding boxes
+    # have inter = union = 0. The floor at the smallest double makes that
+    # quotient 0 without a 0/0; every other union is already at least it.
     return np.clip(inter / np.maximum(union, 5e-324), 0.0, 1.0)
 
 

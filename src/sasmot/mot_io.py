@@ -16,9 +16,10 @@ order, and writing takes the pixel rows that one converter builds from
 (frame, id, box, conf) tuples. Files written here carry a
 ``# image_size=WxH`` header so they can be normalized back to unit
 coordinates without external context; a caller-supplied image size
-overrides the header. Ground truth and tracker output carry conf 1,
-detections carry id -1 and their score, and rows are sorted by (frame, id)
-with 6 decimals per float. Embeddings ride in a sidecar CSV
+overrides the header, which otherwise must come before the first row, so
+each row is checked and normalized in the pass that reads it. Ground truth
+and tracker output carry conf 1, detections carry id -1 and their score,
+and rows are sorted by (frame, id) with 6 decimals per float. Embeddings ride in a sidecar CSV
 (``frame,det_index,e_1,...,e_D``, 9 significant digits) keyed by position
 within the frame, because MOT rows cannot carry vectors. Each sidecar
 value is parsed as ``float()`` parses it, and every embedding must satisfy
@@ -74,53 +75,50 @@ def parse_mot_text(
     text: str, image_size: Optional[Tuple[int, int]] = None
 ) -> Tuple[_Frames, Tuple[int, int]]:
     """Frames 1..max of (id, box, conf) in file order, and the argument's or header's size."""
-    header_size: Optional[Tuple[int, int]] = None
-    rows: List[Tuple[int, _PixelRow]] = []
+    size = image_size
+    frames: _Frames = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if body.startswith("image_size"):
-                _, _, value = body.partition("=")
-                try:
-                    header_size = parse_image_size(value.strip())
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: {exc}") from None
-            continue
-        parts = line.split(",")
-        if len(parts) not in (9, 10):
-            raise ValueError(f"line {lineno}: expected 9 or 10 fields, got {len(parts)}")
         try:
-            frame = int(parts[0])
-            track_id = int(parts[1])
-            left, top, width, height, conf = map(float, parts[2:7])
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric field in {line!r}") from None
-        if not (math.isfinite(left) and math.isfinite(top) and math.isfinite(width)
-                and math.isfinite(height) and math.isfinite(conf)):
-            raise ValueError(f"line {lineno}: non-finite field in {line!r}")
-        if frame < 1:
-            raise ValueError(f"line {lineno}: frame must be >= 1, got {frame}")
-        if width <= 0:
-            raise ValueError(f"line {lineno}: non-positive width {width}")
-        if height <= 0:
-            raise ValueError(f"line {lineno}: non-positive height {height}")
-        rows.append((lineno, (frame, track_id, left, top, width, height, conf)))
-
-    size = image_size if image_size is not None else header_size
-    if size is None:
-        raise ValueError("no image size: pass one or include an image_size header")
-    w_img, h_img = size
-    frames: _Frames = [[] for _ in range(max((row[0] for _, row in rows), default=0))]
-    for lineno, (frame, track_id, left, top, width, height, conf) in rows:
-        try:
+            if line.startswith("#"):
+                body = line.lstrip("#").strip()
+                if body.startswith("image_size"):
+                    if frames:
+                        raise ValueError("image_size header after the first row")
+                    header_size = parse_image_size(body.partition("=")[2].strip())
+                    size = image_size or header_size
+                continue
+            if size is None:
+                raise ValueError("no image size: pass one or put an image_size header first")
+            parts = line.split(",")
+            if len(parts) not in (9, 10):
+                raise ValueError(f"expected 9 or 10 fields, got {len(parts)}")
+            try:
+                frame = int(parts[0])
+                track_id = int(parts[1])
+                left, top, width, height, conf = map(float, parts[2:7])
+            except ValueError:
+                raise ValueError(f"non-numeric field in {line!r}") from None
+            if not (math.isfinite(left) and math.isfinite(top) and math.isfinite(width)
+                    and math.isfinite(height) and math.isfinite(conf)):
+                raise ValueError(f"non-finite field in {line!r}")
+            if frame < 1:
+                raise ValueError(f"frame must be >= 1, got {frame}")
+            if width <= 0:
+                raise ValueError(f"non-positive width {width}")
+            if height <= 0:
+                raise ValueError(f"non-positive height {height}")
+            w_img, h_img = size
             box = Box2D((left + width / 2.0) / w_img, (top + height / 2.0) / h_img,
                         width / w_img, height / h_img)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        frames.extend([] for _ in range(frame - len(frames)))
         frames[frame - 1].append((track_id, box, conf))
+    if size is None:
+        raise ValueError("no image size: pass one or put an image_size header first")
     return frames, size
 
 

@@ -101,7 +101,6 @@ class Scenario:
     gt: List[List[Tuple[int, Box2D]]]
     detections: List[List[Detection]]
     true_appearance: List[List[np.ndarray]]  # per frame, per object index
-    config: ScenarioConfig
 
 
 def _orthonormal_plane(rng: SplitMix64, dim: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -218,4 +217,4 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
         det_frames.append(dets)
         app_frames.append(apps)
 
-    return Scenario(gt_frames, det_frames, app_frames, cfg)
+    return Scenario(gt_frames, det_frames, app_frames)

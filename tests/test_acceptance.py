@@ -140,7 +140,7 @@ def test_criterion_2_accumulation_semantics():
             scenario = generate_scenario(
                 ScenarioConfig(n_objects=6, n_frames=n_frames, speed=speed, seed=seed)
             )
-            for obj in range(scenario.config.n_objects):
+            for obj in range(6):
                 sparse = TrackMemory(MemoryConfig(epsilon=0.1), MemoryPolicy.SPARSE)
                 dense = TrackMemory(MemoryConfig(epsilon=0.1), MemoryPolicy.DENSE)
                 n_sparse = n_dense = 0

@@ -234,6 +234,9 @@ def test_missing_output_dir_exits_nonzero(tmp_path, capsys):
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
         "det.txt", "embeddings.csv", "gt.txt",
     ]
+    # With --out, the flag replaces the file's output_dir.
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "flag")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["flag", "run", "run.cfg"]
 
 
 def test_flags_override_config_file(tmp_path):
@@ -249,6 +252,25 @@ def test_flags_override_config_file(tmp_path):
     assert run.tracker.memory.epsilon == 0.05
     assert run.scenario.n_objects == 5
     assert run.scenario.seed == 9
+
+
+def test_flag_replaces_a_file_value_before_it_is_checked(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario.n_objects = 0\n")
+    argv = ["simulate", "--config", str(cfg), "--n-frames", "5", "--out", str(tmp_path / "d")]
+    assert main(argv + ["--n-objects", "3"]) == 0
+    # A file value that no flag replaces is still checked.
+    cfg.write_text("scenario.n_objects = 0\nmemory.epsilon = -1\n")
+    assert main(argv + ["--n-objects", "3"]) == 1
+    assert "error: epsilon must be >= 0, got -1.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "ablate"])
+def test_empty_out_flag_is_the_empty_output_dir_key(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--out", "", "--n-frames", "5"]) == 1
+    assert "error: output_dir: empty path" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_writes_deterministic_tables(tmp_path):
@@ -330,7 +352,7 @@ def test_every_config_flag_lands_in_its_field():
         "--seed", "9", "--n-objects", "3", "--n-frames", "40", "--n-seeds", "4",
         "--policy", "dense", "--epsilon", "0.25", "--memory-len", "7", "--alpha", "0.3",
         "--match-threshold", "0.55", "--iou-gate", "0.1", "--min-score", "0.2",
-        "--max-misses", "12", "--cost-blend", "0.45",
+        "--max-misses", "12", "--cost-blend", "0.45", "--out", "runs/x",
     ])
     run = _resolve_run(args)
     memory, tracker = run.tracker.memory, run.tracker
@@ -343,6 +365,7 @@ def test_every_config_flag_lands_in_its_field():
     assert tracker.min_score == 0.2
     assert tracker.max_misses == 12
     assert tracker.cost_blend == 0.45
+    assert run.output_dir == Path("runs/x")
 
 
 def test_simulate_rejects_bad_image_size(tmp_path, capsys):
@@ -528,6 +551,20 @@ def test_readme_command_line_pipeline_runs(tmp_path):
     for argv in pipeline:
         assert main(argv) == 0, argv
     assert (tmp_path / "report.csv").read_text().startswith("hota,deta,assa,mota,idf1,idsw")
+
+
+def test_readme_config_files_apply():
+    # experiment.cfg under "Command line", cell.cfg under "Where the selector helps".
+    experiment = apply_flat_config(
+        RunConfig(), parse_flat_config(_readme_block("Command line", "ini")))
+    assert experiment.policy is MemoryPolicy.SPARSE_OFS
+    assert (experiment.scenario.n_objects, experiment.scenario.n_frames) == (8, 500)
+    assert (experiment.scenario.seed, experiment.n_seeds) == (1, 20)
+    assert experiment.tracker.match_threshold == 0.4
+    assert experiment.output_dir == Path("runs/tables")
+    cell = apply_flat_config(
+        RunConfig(), parse_flat_config(_readme_block("Where the selector helps", "ini")))
+    assert (cell.scenario.occlusion_blend, cell.scenario.drift_rate) == (0.6, 3.1416)
 
 
 def test_readme_library_snippet_runs():

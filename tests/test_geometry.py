@@ -185,12 +185,17 @@ def test_box_validation():
         # overflows: that IoU came out 0.0 with an overflow warning.
         ((0.5, 0.5, 1e154, 1.5e154), "box area overflows: w=1e+154, h=1.5e+154"),
         ((0.0, 0.0, 1e154, 1e154), "box area overflows: w=1e+154, h=1e+154"),
+        # Corners apart, but an area that underflows to 0: the IoU of the box
+        # with itself raised ZeroDivisionError here and read 0.0 in iou_matrix.
+        ((0.0, 0.0, 1e-200, 1e-200), "box area underflows: w=1e-200, h=1e-200"),
+        ((0.0, 0.0, 1e-323, 1e-323), "box area underflows: w=1e-323, h=1e-323"),
     ]:
         with pytest.raises(ValueError) as exc:
             Box2D(*fields)
         assert str(exc.value) == message
-    # The narrowest box at the origin keeps its corners apart.
-    assert Box2D(0.0, 0.0, 1e-323, 1e-323).corners() == (-5e-324, -5e-324, 5e-324, 5e-324)
+    # The narrowest box at the origin keeps its corners apart and, with a
+    # height of 1, its area above 0.
+    assert Box2D(0.0, 0.0, 1e-323, 1.0).corners() == (-5e-324, -0.5, 5e-324, 0.5)
 
 
 def test_box_whose_area_overflows_is_rejected():

@@ -61,9 +61,27 @@ def test_malformed_line_reports_line_number():
     with pytest.raises(ValueError, match="line 3"):
         parse_mot_text(text)
     for header in ("# image_size", "# image_size=axb"):
-        text = f"1,1,0,0,10,10,1,-1,-1,-1\n{header}\n"
+        text = f"# written by hand\n{header}\n1,1,0,0,10,10,1,-1,-1,-1\n"
         with pytest.raises(ValueError, match="line 2: image size must look like 1920x1080"):
             parse_mot_text(text)
+
+
+def test_first_bad_line_is_named_when_a_later_line_is_bad_too():
+    # Line 2's corners collapse once normalized; line 3 is non-numeric.
+    text = "# image_size=1920x1080\n1,1,1e9,0,1e-7,10,1,-1,-1,-1\n2,1,10,10,x,10,1,-1,-1,-1\n"
+    with pytest.raises(ValueError, match="^line 2: box corners collapse"):
+        parse_mot_text(text)
+
+
+def test_image_size_header_comes_before_the_first_row():
+    row = "1,1,0,0,10,10,1,-1,-1,-1"
+    with pytest.raises(ValueError, match="^line 2: no image size: pass one or put an image_size"):
+        parse_mot_text(f"# a comment\n{row}\n# image_size=100x100\n")
+    for size in (None, (100, 100)):
+        with pytest.raises(ValueError, match="^line 3: image_size header after the first row"):
+            parse_mot_text(f"# image_size=100x100\n{row}\n# image_size=200x200\n", size)
+    # A size from the caller needs no header at all.
+    assert parse_mot_text(f"{row}\n", (100, 100))[1] == (100, 100)
 
 
 def test_nine_field_rows_parse_like_ten_field_rows(tmp_path):
@@ -130,6 +148,18 @@ def test_box_whose_corners_collapse_is_named_with_its_line(tmp_path):
     assert str(exc.value) == (
         f"{path}: line 3: box corners collapse: cx={(1e9 + 1e-7 / 2.0) / 1920}, "
         f"cy={5.0 / 1080}, w={1e-7 / 1920}, h={10.0 / 1080}"
+    )
+
+
+def test_box_whose_area_underflows_is_named_with_its_line(tmp_path):
+    # A 1e-197 px box at 1920x1080 keeps its corners apart once normalized,
+    # but its area underflows to 0, where its IoU with itself is 0/0.
+    path = tmp_path / "det.txt"
+    path.write_text("# image_size=1920x1080\n1,1,0,0,10,10,1,-1,-1,-1\n1,1,0,0,1e-197,1e-197,1,-1,-1,-1\n")
+    with pytest.raises(ValueError) as exc:
+        parse_mot_file(path)
+    assert str(exc.value) == (
+        f"{path}: line 3: box area underflows: w={1e-197 / 1920}, h={1e-197 / 1080}"
     )
 
 
@@ -445,10 +475,10 @@ def test_missing_embedding_for_detection(tmp_path):
 
 
 def test_sidecar_row_without_detection(tmp_path):
-    scenario = generate_scenario(ScenarioConfig(n_objects=2, n_frames=3, seed=2))
-    _, det_path, emb_path = write_scenario(scenario, tmp_path, (100, 100))
+    cfg = ScenarioConfig(n_objects=2, n_frames=3, seed=2)
+    _, det_path, emb_path = write_scenario(generate_scenario(cfg), tmp_path, (100, 100))
     with open(emb_path, "a") as fh:
-        fh.write("2,7,0.5,0.5" + ",0" * (scenario.config.embedding_dim - 2) + "\n")
+        fh.write("2,7,0.5,0.5" + ",0" * (cfg.embedding_dim - 2) + "\n")
     with pytest.raises(ValueError, match="frame 2 detection 7 matches no detection"):
         detections_from_files(det_path, emb_path)
 

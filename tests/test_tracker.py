@@ -404,7 +404,7 @@ def _edge_box(cx, cy, w, h):
     try:
         return Box2D(cx, cy, w, h)
     except ValueError:
-        return None  # corners that collapse away from the origin
+        return None  # corners that collapse, or an area that underflows to 0
 
 
 # Generated streams at the edges of what ingest accepts: degenerate and
@@ -415,7 +415,8 @@ _edge_boxes = st.builds(
     _edge_box,
     cx=st.sampled_from([0.0, 0.5, 0.5 + 1e-12, 1.0, -1.0, 2.0]),
     cy=st.sampled_from([0.0, 0.5, 1.0]),
-    # 1e-323 is the narrowest size whose corners stay apart, and only at 0.
+    # 1e-323 is the narrowest size whose corners stay apart, and only at 0;
+    # its area stays above 0 only against a side of 1 or more.
     w=st.sampled_from([1e-323, 1e-12, 0.1, 1.0, 4.0]),
     h=st.sampled_from([1e-323, 0.1, 1.0, 4.0]),
 ).filter(lambda box: box is not None)
