@@ -10,19 +10,49 @@ other, which its memory records. The tracker then solves a minimum-cost
 one-to-one assignment and updates matched tracks' memories and queries.
 Unmatched detections become new tracks; unmatched tracks coast with frozen
 memory until they exceed ``max_misses``.
+
+The solver is scipy's compiled ``linear_sum_assignment``, loaded straight
+from the ``_lsap`` extension in scipy's ``optimize/`` directory under its
+own name, ``scipy.optimize._lsap``. No other scipy module is imported, which
+saves the start-up time and memory of all of ``scipy.optimize``; a later
+``import scipy.optimize`` reuses the same module, so the function is the
+same object. A scipy without that extension fails here, at import.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import Box2D, boxes_to_corners, iou_matrix, max_iou_vs_others
 from .memory import MemoryConfig, MemoryPolicy, TrackMemory
+
+
+def _load_lsap():
+    """scipy's compiled solver module, loaded without importing any scipy package."""
+    name = "scipy.optimize._lsap"
+    if name in sys.modules:
+        return sys.modules[name]
+    where = importlib.util.find_spec("scipy").submodule_search_locations[0] + "/optimize"
+    finder = importlib.machinery.FileFinder(
+        where, (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    )
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"sasmot needs scipy's compiled linear_sum_assignment; "
+                          f"no _lsap extension in {where}")
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+linear_sum_assignment = _load_lsap().linear_sum_assignment
 
 __all__ = [
     "FORBIDDEN_COST",

@@ -577,6 +577,30 @@ def test_readme_library_snippet_runs():
     assert done.stdout.startswith("MetricsReport(")
 
 
+
+def test_a_run_loads_no_scipy_module_but_the_compiled_solver(tmp_path):
+    # The start-up contract: simulate, track and eval in one fresh
+    # interpreter import nothing of scipy but its compiled assignment solver.
+    # All of ``scipy.optimize`` would add about 570 modules to every command.
+    run = tmp_path / "run"
+    code = f"""
+import sys
+from sasmot.cli import main
+run = {str(run)!r}
+assert main(["simulate", "--out", run, "--n-objects", "3", "--n-frames", "20"]) == 0
+assert main(["track", "--det", run + "/det.txt", "--emb", run + "/embeddings.csv",
+             "--out", run + "/pred.txt"]) == 0
+assert main(["eval", "--gt", run + "/gt.txt", "--pred", run + "/pred.txt"]) == 0
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "['scipy.optimize._lsap']"
+
+
 # The bytes of every CLI output file, recorded before the file writers and
 # the sidecar reader were rewritten for speed. An I/O speed-up must keep
 # them; a change that means to move them must say so and update them here.

@@ -1,7 +1,8 @@
 """Every name a ``sasmot`` module exports in ``__all__`` exists, every name
-a module imports is used and comes from the stdlib, numpy, scipy or the
-package itself, every function and class it defines is referenced, and
-every name the benchmark under ``bench/`` reaches for is still there.
+a module imports is used and comes from the stdlib, numpy or the package
+itself (scipy's compiled solver is loaded from its file, never imported),
+every function and class it defines is referenced, and every name the
+benchmark under ``bench/`` reaches for is still there.
 
 The benchmark checks are read from ``bench/`` source without importing it,
 so a change that deletes a name the benchmark needs fails here.
@@ -95,10 +96,12 @@ def test_every_instance_attribute_is_read():
     assert unread == [], "instance attributes that nothing reads"
 
 
-def test_imports_are_stdlib_numpy_scipy_or_relative():
+def test_imports_are_stdlib_numpy_or_relative():
     # Every import, at module level or inside a function: a third-party
     # import would add to start-up time and to what a user must install.
-    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy"}
+    # ``import scipy...`` is refused too: ``tracker`` loads only scipy's
+    # compiled solver, and any scipy import would load far more.
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
     foreign = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -112,7 +115,7 @@ def test_imports_are_stdlib_numpy_scipy_or_relative():
                 f"{path.name}:{node.lineno} {name}"
                 for name in names if name.split(".")[0] not in allowed
             ]
-    assert foreign == [], "imports outside the stdlib, numpy and scipy"
+    assert foreign == [], "imports outside the stdlib and numpy"
 
 
 def test_bench_tracer_targets_resolve():

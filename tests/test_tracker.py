@@ -3,7 +3,11 @@
 import hashlib
 import itertools
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +210,43 @@ def test_hungarian_empty_and_forbidden():
     assert hungarian_assign(cost) == [(0, 1), (1, 0)]
     all_bad = np.full((2, 2), FORBIDDEN_COST)
     assert hungarian_assign(all_bad) == []
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_python(code, pythonpath):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, pythonpath)))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+@pytest.mark.parametrize("first, second", [
+    ("sasmot.tracker", "scipy.optimize"),
+    ("scipy.optimize", "sasmot.tracker"),
+])
+def test_solver_is_scipys_own_function_in_either_import_order(first, second):
+    # The tracker loads scipy's compiled solver module by itself; in either
+    # order it must be the very function ``scipy.optimize`` exports, so a
+    # scipy that wraps the public name differently fails here.
+    done = _run_python(
+        f"import {first}, {second}, sasmot.tracker as t, scipy.optimize as o\n"
+        "assert t.linear_sum_assignment is o.linear_sum_assignment\n",
+        [SRC],
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_scipy_without_compiled_solver_fails_at_import(tmp_path):
+    optimize = tmp_path / "scipy" / "optimize"
+    optimize.mkdir(parents=True)
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    done = _run_python("import sasmot.tracker", [tmp_path, SRC])
+    assert done.returncode != 0
+    last = done.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError: sasmot needs scipy's compiled linear_sum_assignment")
+    assert str(optimize) in last
 
 
 def test_query_that_cancels_to_zero_keeps_tracking():
