@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box2D:
     """Axis-aligned box in center/size form, normalized image coordinates."""
 

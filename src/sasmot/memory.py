@@ -86,7 +86,7 @@ class MemoryConfig:
             )
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class MemoryEntry:
     """A stored feature: what the object looked like, when, and how crowded it was."""
 

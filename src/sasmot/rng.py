@@ -16,10 +16,18 @@ is closed: an output at or above 2**64 - 2**10 rounds to exactly 1.0, so
 ``miss_prob_*``, ``turn_prob`` or ``rotation_event_prob`` = 1.0 in a scenario
 config mean "all but 2**-54". Gaussian variates use the Box-Muller cosine
 branch and always consume exactly two outputs, so the draw sequence of a
-simulation depends only on its configuration. Box-Muller and every
-int-to-float step run in Python ``math`` on the buffered ints: ``np.log``
-differs from ``math.log`` in the last bit on some inputs, a ``uint64``
-``value + 1`` wraps at 2**64 - 1, and ``float(value) + 1.0`` rounds twice.
+simulation depends only on its configuration.
+
+``box_muller`` transforms a whole block of raw outputs at once, and
+``gauss_block`` and the simulator share it. numpy runs only the steps that
+IEEE 754 rounds correctly, and so gives the same bits as scalar Python: the
+``uint64`` to float casts, the divisions by 2**64, the products and the
+square root. ``log`` and ``cos`` run in Python ``math``, mapped over the
+block: neither is correctly rounded, and numpy's SIMD versions round some
+inputs differently (``np.log`` differs from ``math.log`` in the last bit on
+about 3,500 of 10**6 uniforms on an AVX-512 x86-64 CPU with numpy 2.4). The
+``uint64`` sum ``v1 + 1`` wraps to 0 at 2**64 - 1, and that one value is set
+back to 2**64; ``float(v1) + 1.0`` would round twice.
 """
 
 from __future__ import annotations
@@ -38,22 +46,42 @@ _MIX2 = 0x94D049BB133111EB
 _CHUNK = 4096  # outputs per refill
 
 
-def _mix(z: np.ndarray) -> List[int]:
-    """SplitMix64 finalizer over a uint64 array of counters, as Python ints."""
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer over a uint64 array of counters."""
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return (z ^ (z >> np.uint64(31))).tolist()
+    return z ^ (z >> np.uint64(31))
+
+
+def box_muller(raw: np.ndarray) -> np.ndarray:
+    """One standard normal per pair (v1, v2) of a uint64 block of raw outputs.
+
+    Element j equals ``sqrt(-2 log((v1 + 1) / 2**64)) * cos(2 pi v2 / 2**64)``
+    computed in Python ``math`` on ints, bit for bit.
+    """
+    v1, v2 = raw[0::2], raw[1::2]
+    # (v1 + 1) / 2**64 lies in (0, 1], keeping the log finite; the sum wraps
+    # to 0 only at v1 = 2**64 - 1.
+    u1 = (v1 + np.uint64(1)).astype(float)
+    u1[u1 == 0.0] = 2.0**64
+    u1 /= 2.0**64
+    angle = (2.0 * math.pi) * (v2.astype(float) / 2.0**64)
+    n = len(u1)
+    log_u1 = np.fromiter(map(math.log, u1.tolist()), float, n)
+    cos = np.fromiter(map(math.cos, angle.tolist()), float, n)
+    return np.sqrt(-2.0 * log_u1) * cos
 
 
 class SplitMix64:
     """Sequential SplitMix64 stream with uniform and gaussian draws."""
 
-    __slots__ = ("_base", "_buf", "_pos")
+    __slots__ = ("_base", "_raw", "_buf", "_pos")
 
     def __init__(self, seed: int):
-        # _buf[j] is the output at counter _base + (j + 1) * gamma; the
-        # first _pos of them have been consumed.
+        # _raw[j] is the output at counter _base + (j + 1) * gamma, and _buf
+        # holds the same values as ints; the first _pos have been consumed.
         self._base = seed & MASK64
+        self._raw = np.zeros(0, dtype=np.uint64)
         self._buf: List[int] = []
         self._pos = 0
 
@@ -62,20 +90,33 @@ class SplitMix64:
         """Stream position: seed + consumed * gamma, mod 2**64."""
         return (self._base + self._pos * _GAMMA) & MASK64
 
-    def _take(self, k: int) -> List[int]:
-        """The next k outputs, refilling from the current position when short."""
+    def _advance(self, k: int) -> int:
+        """Consume k outputs, refilling from the current position when short.
+
+        Returns the buffer index of the first of them.
+        """
         pos = self._pos
         if pos + k > len(self._buf):
             self._base = self.state
             steps = np.arange(1, max(k, _CHUNK) + 1, dtype=np.uint64)
-            self._buf = _mix(steps * np.uint64(_GAMMA) + np.uint64(self._base))
+            self._raw = _mix(steps * np.uint64(_GAMMA) + np.uint64(self._base))
+            self._raw.flags.writeable = False
+            self._buf = self._raw.tolist()
             pos = 0
         self._pos = pos + k
-        return self._buf[pos : pos + k]
+        return pos
 
     def next_u64(self) -> int:
         """Advance the stream by one step and return the 64-bit output."""
-        return self._take(1)[0]
+        pos = self._advance(1)  # before reading _buf, which a refill replaces
+        return self._buf[pos]
+
+    def raw_block(self, k: int) -> np.ndarray:
+        """The next k outputs as a read-only uint64 array."""
+        if k < 0:
+            raise ValueError(f"raw_block count must be >= 0, got {k}")
+        pos = self._advance(k)
+        return self._raw[pos : pos + k]
 
     def uniform(self) -> float:
         """Uniform float in [0, 1]: raw value / 2**64 (1.0 with probability 2**-54)."""
@@ -87,10 +128,6 @@ class SplitMix64:
 
     def gauss_block(self, n: int) -> List[float]:
         """n standard normals, equal element for element to n ``gauss()`` calls."""
-        values = iter(self._take(2 * n))
-        log, sqrt, cos, two_pi = math.log, math.sqrt, math.cos, 2.0 * math.pi
-        # (value + 1) / 2**64 lies in (0, 1], keeping the log finite.
-        return [
-            sqrt(-2.0 * log((v1 + 1) / 2.0**64)) * cos(two_pi * (v2 / 2.0**64))
-            for v1, v2 in zip(values, values)
-        ]
+        if n < 0:
+            raise ValueError(f"gauss_block count must be >= 0, got {n}")
+        return box_muller(self.raw_block(2 * n)).tolist()

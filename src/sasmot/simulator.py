@@ -22,6 +22,17 @@ stream seeded by the config, so identical configs generate identical
 scenarios bit for bit. The coupling of appearance to motion is this
 package's synthetic operationalization; it makes no claims beyond the
 benchmark itself.
+
+Each frame is built in two passes. The first walks the objects in stream
+order, moving them and drawing each one's miss, its block of raw outputs
+for box jitter and embedding noise, and its confidence. The second is one
+array pass over the frame's kept detections: Box-Muller over all their raw
+outputs (``rng.box_muller``), the blend toward the occluder and the
+division by each row's norm. Every array step is elementwise and rounded
+as the scalar one, and each norm is ``sqrt(row.dot(row))``, the 1-D formula
+of ``np.linalg.norm``, so the bits equal those of a per-object loop.
+``Scenario.true_appearance`` is one (frames, objects, D) array, and the
+embeddings of a frame's detections are row views of one (k, D) block.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .geometry import Box2D, boxes_to_corners, iou_matrix, max_iou_vs_others
-from .rng import SplitMix64
+from .rng import SplitMix64, box_muller
 from .tracker import Detection
 
 __all__ = ["ScenarioConfig", "Scenario", "generate_scenario"]
@@ -96,11 +107,16 @@ class ScenarioConfig:
 
 @dataclass(eq=False)
 class Scenario:
-    """Generated sequence: per-frame ground truth, detections, true appearances."""
+    """Generated sequence: per-frame ground truth, detections, true appearances.
+
+    ``true_appearance[t][i]`` is the unit appearance of object i + 1 in frame
+    t + 1, before occlusion and noise; a frame's detection embeddings are row
+    views of one array.
+    """
 
     gt: List[List[Tuple[int, Box2D]]]
     detections: List[List[Detection]]
-    true_appearance: List[List[np.ndarray]]  # per frame, per object index
+    true_appearance: np.ndarray  # (frames, objects, D)
 
 
 def _orthonormal_plane(rng: SplitMix64, dim: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -149,7 +165,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
         y = h / 2.0 + (1.0 - h) * rng.uniform()
         heading = 2.0 * math.pi * rng.uniform()
         theta = 2.0 * math.pi * rng.uniform()
-        u, v = _orthonormal_plane(rng, dim)
+        planes.append(_orthonormal_plane(rng, dim))
         widths.append(w)
         heights.append(h)
         xs.append(x)
@@ -157,11 +173,12 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
         vxs.append(cfg.speed * math.cos(heading))
         vys.append(cfg.speed * math.sin(heading))
         thetas.append(theta)
-        planes.append((u, v))
+    plane_u, plane_v = (np.array(basis) for basis in zip(*planes))
 
     gt_frames: List[List[Tuple[int, Box2D]]] = []
     det_frames: List[List[Detection]] = []
-    app_frames: List[List[np.ndarray]] = []
+    appearance = np.empty((cfg.n_frames, n, dim))
+    per_det = 2 * (4 + dim)  # raw outputs behind one detection's gaussians
 
     for t in range(1, cfg.n_frames + 1):
         if t > 1:
@@ -183,38 +200,72 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
                     thetas[i] += direction * cfg.rotation_magnitude
 
         boxes = [Box2D(xs[i], ys[i], widths[i], heights[i]) for i in range(n)]
-        apps = [
-            math.cos(thetas[i]) * planes[i][0] + math.sin(thetas[i]) * planes[i][1]
-            for i in range(n)
-        ]
+        apps = appearance[t - 1]
+        cos = np.fromiter(map(math.cos, thetas), float, n)
+        sin = np.fromiter(map(math.sin, thetas), float, n)
+        apps[:] = cos[:, None] * plane_u + sin[:, None] * plane_v
 
         corners = boxes_to_corners(boxes)
         best, who = max_iou_vs_others(iou_matrix(corners, corners))
-        overlaps, occluders = best.tolist(), who.tolist()
 
-        dets: List[Detection] = []
-        for i in range(n):
-            ov = overlaps[i]
+        # Draws first, object by object in stream order; then one array pass.
+        kept: List[int] = []
+        raws: List[np.ndarray] = []
+        confs: List[float] = []
+        for i, ov in enumerate(best.tolist()):
             p_miss = cfg.miss_prob_occluded if ov > 0.5 else cfg.miss_prob_base
             if rng.uniform() < p_miss:
                 continue
-            # Box jitter and embedding noise in one draw, in stream order.
-            g = rng.gauss_block(4 + dim)
-            jcx = xs[i] + cfg.box_jitter * g[0]
-            jcy = ys[i] + cfg.box_jitter * g[1]
-            jw = widths[i] * math.exp(cfg.size_jitter * g[2])
-            jh = heights[i] * math.exp(cfg.size_jitter * g[3])
-            noise = np.array(g[4:], dtype=float)
-            mix = (1.0 - cfg.occlusion_blend * ov) * apps[i] + cfg.noise_sigma * noise
-            if occluders[i] >= 0:
-                mix = mix + (cfg.occlusion_blend * ov) * apps[occluders[i]]
-            norm = float(np.linalg.norm(mix))
-            emb = apps[i].copy() if norm < 1e-12 else mix / norm
-            conf = 0.5 + 0.5 * rng.uniform()
-            dets.append(Detection(Box2D(jcx, jcy, jw, jh), emb, conf))
+            kept.append(i)
+            raws.append(rng.raw_block(per_det))  # box jitter, then embedding noise
+            confs.append(0.5 + 0.5 * rng.uniform())
+
+        dets: List[Detection] = []
+        if kept:
+            g = box_muller(np.concatenate(raws)).reshape(len(kept), 4 + dim)
+            embeddings = _embeddings(cfg, apps, best, who, kept, g[:, 4:])
+            for i, (g0, g1, g2, g3), emb, conf in zip(kept, g[:, :4].tolist(), embeddings, confs):
+                box = Box2D(
+                    xs[i] + cfg.box_jitter * g0,
+                    ys[i] + cfg.box_jitter * g1,
+                    widths[i] * math.exp(cfg.size_jitter * g2),
+                    heights[i] * math.exp(cfg.size_jitter * g3),
+                )
+                dets.append(Detection(box, emb, conf))
 
         gt_frames.append([(i + 1, boxes[i]) for i in range(n)])
         det_frames.append(dets)
-        app_frames.append(apps)
 
-    return Scenario(gt_frames, det_frames, app_frames)
+    return Scenario(gt_frames, det_frames, appearance)
+
+
+def _embeddings(
+    cfg: ScenarioConfig,
+    apps: np.ndarray,
+    best: np.ndarray,
+    who: np.ndarray,
+    kept: List[int],
+    noise: np.ndarray,
+) -> np.ndarray:
+    """Unit embeddings of the kept objects of one frame, one (k, D) block.
+
+    Each row is the object's appearance blended toward its occluder's by
+    ``occlusion_blend`` times the overlap, plus gaussian noise, normalized;
+    a row whose norm is below 1e-12 is the true appearance instead.
+    """
+    idx = np.array(kept)
+    own = apps[idx]
+    w = cfg.occlusion_blend * best[idx]
+    mix = (1.0 - w)[:, None] * own + cfg.noise_sigma * noise
+    occ = who[idx]
+    hit = occ >= 0
+    # Only rows with an occluder: adding 0 * app would turn a -0.0 into 0.0.
+    mix[hit] += w[hit, None] * apps[occ[hit]]
+    # np.linalg.norm's own 1-D formula, row by row: a batched sum may add in
+    # another order.
+    norms = np.array([math.sqrt(row.dot(row)) for row in mix])
+    degenerate = norms < 1e-12
+    norms[degenerate] = 1.0  # no 0/0; those rows take the true appearance
+    block = mix / norms[:, None]
+    block[degenerate] = own[degenerate]
+    return block

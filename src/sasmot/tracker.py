@@ -72,7 +72,7 @@ __all__ = [
 FORBIDDEN_COST = 1e9
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Detection:
     """One detected object in one frame: box, appearance embedding, confidence."""
 
@@ -129,7 +129,7 @@ class TrackerConfig:
             raise ValueError(f"max_misses must be >= 0, got {self.max_misses}")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class TrackState:
     """A live track: identity, fused query, memory, last box, miss counter."""
 
@@ -140,7 +140,7 @@ class TrackState:
     misses: int = 0
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class FrameResult:
     """Boxes emitted for one frame: (track_id, box) for matched-or-new tracks."""
 

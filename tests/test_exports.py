@@ -1,8 +1,9 @@
 """Every name a ``sasmot`` module exports in ``__all__`` exists, every name
 a module imports is used and comes from the stdlib, numpy or the package
 itself (scipy's compiled solver is loaded from its file, never imported),
-every function and class it defines is referenced, and every name the
-benchmark under ``bench/`` reaches for is still there.
+every function and class it defines is referenced, the record dataclasses
+declare slots, and every name the benchmark under ``bench/`` reaches for is
+still there.
 
 The benchmark checks are read from ``bench/`` source without importing it,
 so a change that deletes a name the benchmark needs fails here.
@@ -94,6 +95,30 @@ def test_every_instance_attribute_is_read():
                     and node.attr not in read):
                 unread.append(f"{path.name}:{node.lineno} self.{node.attr}")
     assert unread == [], "instance attributes that nothing reads"
+
+
+# Records made once per box, detection, stored feature, track or frame: a
+# scene or a run holds thousands, and a per-instance ``__dict__`` would cost
+# more than their fields.
+RECORDS = {
+    "geometry.py": ["Box2D"],
+    "memory.py": ["MemoryEntry"],
+    "tracker.py": ["Detection", "TrackState", "FrameResult"],
+}
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in RECORDS.items() for n in names])
+def test_record_dataclasses_declare_slots(module, name):
+    tree = ast.parse((SRC / module).read_text())
+    [cls] = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == name]
+    slots = [
+        kw.value.value
+        for dec in cls.decorator_list
+        if isinstance(dec, ast.Call) and getattr(dec.func, "id", None) == "dataclass"
+        for kw in dec.keywords
+        if kw.arg == "slots" and isinstance(kw.value, ast.Constant)
+    ]
+    assert slots == [True], f"{module}: {name} is not @dataclass(..., slots=True)"
 
 
 def test_imports_are_stdlib_numpy_or_relative():

@@ -2,13 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sasmot.rng import _CHUNK, MASK64, SplitMix64
+from sasmot.rng import _CHUNK, MASK64, SplitMix64, box_muller
 
 # The first output of this seed is 2**64 - 1: its first uniform() is exactly
-# 1.0 and its first gauss() takes the value + 1 = 2**64 path.
+# 1.0 and its first gauss() takes the value + 1 = 2**64 path, where the
+# uint64 sum in box_muller wraps to 0.
 TOP_SEED = 0x31628AF67B2131AB
 
 
@@ -124,12 +126,28 @@ class _ReferenceStream:
     def gauss_block(self, n):
         return [self.gauss() for _ in range(n)]
 
+    def raw_block(self, k):
+        return [self.next_u64() for _ in range(k)]
+
+
+def _draw(stream, method, arg):
+    """One pattern call. ``box_muller`` is the vector transform over a raw
+    block, and its scalar reference is ``gauss_block``."""
+    if method == "box_muller":
+        if isinstance(stream, _ReferenceStream):
+            return stream.gauss_block(arg)
+        return box_muller(stream.raw_block(2 * arg)).tolist()
+    got = getattr(stream, method)(*(() if arg is None else (arg,)))
+    return got.tolist() if isinstance(got, np.ndarray) else got
+
 
 # (method, argument) calls in a fixed order, placed by output count: the
 # first big block ends two outputs short of the first chunk, so the next
 # block straddles the refill; the second does the same to the second chunk;
 # then a block larger than a chunk, a next_u64 at its exact end and a fourth
-# refill follow.
+# refill follow. The vector transform then does the same: a block ending
+# four outputs short of the fourth chunk's end, one straddling the refill,
+# one larger than a chunk, and a raw block at its exact end.
 _PATTERN = [
     ("next_u64", None),
     ("uniform", None),
@@ -148,6 +166,15 @@ _PATTERN = [
     ("gauss", None),
     ("uniform", None),
     ("gauss_block", 17),
+    ("raw_block", 0),
+    ("box_muller", (_CHUNK - 42) // 2),
+    ("raw_block", 3),
+    ("box_muller", 4),
+    ("box_muller", _CHUNK),
+    ("raw_block", 1),
+    ("box_muller", 0),
+    ("next_u64", None),
+    ("raw_block", 5),
 ]
 
 
@@ -155,10 +182,7 @@ _PATTERN = [
 def test_interleaved_draws_equal_the_scalar_reference(seed):
     rng, ref = SplitMix64(seed), _ReferenceStream(seed)
     for method, arg in _PATTERN:
-        args = () if arg is None else (arg,)
-        got = getattr(rng, method)(*args)
-        expected = getattr(ref, method)(*args)
-        assert got == expected, (method, arg)
+        assert _draw(rng, method, arg) == _draw(ref, method, arg), (method, arg)
         assert rng.state == ref.state, (method, arg)
 
 
@@ -166,3 +190,20 @@ def test_top_seed_first_gauss_takes_the_closed_end():
     # u1 = (2**64 - 1 + 1) / 2**64 = 1.0, so the variate is exactly zero.
     assert SplitMix64(TOP_SEED).gauss() == 0.0
     assert SplitMix64(TOP_SEED).gauss_block(1) == [0.0]
+    raw = SplitMix64(TOP_SEED).raw_block(2)
+    assert raw[0] == MASK64
+    assert box_muller(raw).tolist() == [0.0]
+
+
+@pytest.mark.parametrize("method, count", [("gauss_block", -1), ("raw_block", -3)])
+def test_negative_count_is_refused_and_leaves_the_stream(method, count):
+    rng = SplitMix64(0)
+    rng.uniform()
+    rng.uniform()
+    state = rng.state
+    with pytest.raises(ValueError, match=f"{method} count must be >= 0, got {count}"):
+        getattr(rng, method)(count)
+    assert rng.state == state
+    # Before the check, gauss_block(-1) rewound the stream to its seed, and
+    # the next uniform() repeated the first output.
+    assert rng.uniform() == _ReferenceStream(state).uniform()

@@ -3,11 +3,12 @@
 import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sasmot.simulator import ScenarioConfig, _orthonormal_plane, generate_scenario
+from sasmot.simulator import ScenarioConfig, _embeddings, _orthonormal_plane, generate_scenario
 
 
 def _angle(a, b):
@@ -90,6 +91,19 @@ def _scenario_digest(scenario):
         (
             dict(n_objects=8, n_frames=60, embedding_dim=33, seed=7919),
             "c6aee0699f667893ef47ada513a0dc9bca2a041f5e3980994e7674ffe3d3b511",
+        ),
+        # Large boxes at full blend: many occluders and zero-overlap rows in
+        # one frame, so the occluder term is added to some rows only.
+        (
+            dict(n_objects=24, n_frames=60, size_min=0.3, size_max=0.45,
+                 occlusion_blend=1.0, seed=11),
+            "465ae69c6c5aa9e9993451bc83a53908bf849a8481a103ae873756ab6e845b15",
+        ),
+        # An odd D puts the rows of a frame's embedding block off 16-byte
+        # boundaries.
+        (
+            dict(n_objects=24, n_frames=60, embedding_dim=33, seed=7919),
+            "c189a17c0f3e373b012bfc50ef0e78e34689f1e7a922006b340995864af39da5",
         ),
     ],
 )
@@ -199,6 +213,29 @@ def test_orthonormal_plane_redraws_degenerate_blocks():
     assert abs(float(np.linalg.norm(v)) - 1.0) < 1e-15
 
 
+def test_embedding_block_equals_the_per_row_formula():
+    # Row 0 has no occluder and a -0.0 that adding 0 * app would turn into
+    # 0.0; rows 1 and 2 cancel to a zero mix and take the true appearance.
+    cfg = ScenarioConfig(noise_sigma=0.0, occlusion_blend=1.0)
+    apps = np.array(
+        [[-0.0, 0.6, 0.8], [0.0, 0.6, 0.8], [-0.0, -0.6, -0.8], [0.6, 0.8, 0.0]]
+    )
+    best = np.array([0.0, 0.5, 0.5, 0.25])
+    who = np.array([-1, 2, 1, 0])
+    kept = [0, 1, 3]
+    noise = -np.ones((len(kept), 3))
+    block = _embeddings(cfg, apps, best, who, kept, noise)
+    for r, i in enumerate(kept):
+        w = cfg.occlusion_blend * best[i]
+        mix = (1.0 - w) * apps[i] + cfg.noise_sigma * noise[r]
+        if who[i] >= 0:
+            mix = mix + w * apps[who[i]]
+        norm = float(np.linalg.norm(mix))
+        expected = apps[i] if norm < 1e-12 else mix / norm
+        assert block[r].tobytes() == expected.tobytes(), r
+    assert math.copysign(1.0, block[0, 0]) == -1.0
+
+
 def test_detection_embeddings_are_unit_norm():
     scenario = generate_scenario(ScenarioConfig(n_objects=6, n_frames=60, seed=21))
     for dets in scenario.detections:
@@ -225,7 +262,7 @@ def test_miss_rate_matches_probability():
 
 def test_true_appearance_is_recorded_per_object():
     scenario = generate_scenario(ScenarioConfig(n_objects=3, n_frames=5, seed=2))
-    assert len(scenario.true_appearance) == 5
+    assert scenario.true_appearance.shape == (5, 3, 16)
     for frame in scenario.true_appearance:
         assert len(frame) == 3
         for app in frame:
@@ -252,3 +289,19 @@ def test_config_validation():
         ScenarioConfig(size_min=0.3, size_max=0.2)
     with pytest.raises(ValueError):
         ScenarioConfig(speed=0.0)
+
+
+def test_scene_memory_per_object_frame():
+    # Slotted boxes and detections, one appearance array per scene and one
+    # embedding block per frame: about 760 traced bytes per object-frame
+    # (Python 3.11, numpy 2.4), against about 990 with a dict per record and
+    # an array per vector.
+    cfg = ScenarioConfig(n_objects=24, n_frames=100, seed=1)
+    tracemalloc.start()
+    try:
+        scenario = generate_scenario(cfg)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scenario.gt) == cfg.n_frames
+    assert held / (cfg.n_objects * cfg.n_frames) <= 850
