@@ -91,6 +91,9 @@ def _run_variants(
         scenario = generate_scenario(dataclasses.replace(base_cfg, seed=seed))
         for (cfg, policy), reports in zip(variants, per_variant):
             reports.append(evaluate_tracking(scenario, track_scenario(scenario, cfg, policy)))
+        # Drop the scene before the next one is generated, so only one is
+        # ever held.
+        del scenario
     return per_variant
 
 

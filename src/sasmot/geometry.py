@@ -93,7 +93,7 @@ def boxes_to_corners(boxes: Sequence[Box2D]) -> np.ndarray:
     if not boxes:
         return np.zeros((0, 4), dtype=float)
     # Streamed, so a long sequence's corners never exist as one list of tuples.
-    flat = chain.from_iterable(b.corners() for b in boxes)
+    flat = chain.from_iterable(map(Box2D.corners, boxes))
     return np.fromiter(flat, dtype=float, count=4 * len(boxes)).reshape(-1, 4)
 
 
@@ -108,28 +108,31 @@ def iou_matrix(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarray:
     b = corners_b[..., None, :, :]
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+    # A side that does not overlap is clamped to +0.0, so disjoint and
+    # touching boxes get an intersection of exactly +0.0.
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
     area_a = (corners_a[..., 2] - corners_a[..., 0]) * (corners_a[..., 3] - corners_a[..., 1])
     area_b = (corners_b[..., 2] - corners_b[..., 0]) * (corners_b[..., 3] - corners_b[..., 1])
     union = area_a[..., :, None] + area_b[..., None, :] - inter
     # ``Box2D`` keeps every area above 0, so only two zero-size padding boxes
     # have inter = union = 0. The floor at the smallest double makes that
     # quotient 0 without a 0/0; every other union is already at least it.
-    return np.clip(inter / np.maximum(union, 5e-324), 0.0, 1.0)
+    # Only the upper bound needs a clamp: in floating point inter is at most
+    # each box's own corner area, so the union is at least inter and the
+    # quotient is never below +0.0.
+    return np.minimum(inter / np.maximum(union, 5e-324), 1.0)
 
 
 def max_iou_vs_others(ious: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Each box's largest IoU with any other box of the same set.
 
     ``ious`` is the (N, N) IoU of the set with itself; its diagonal is
-    zeroed in place. Returns ``(best, who)``: ``best[i]`` is that IoU (0.0
-    for a box that overlaps nothing) and ``who[i]`` the index of the other
-    box, the first one on ties and -1 when ``best[i]`` is 0.
+    zeroed in place, so it then holds each box's IoU with the others.
+    Returns ``(best, ious)``: ``best[i]`` is the largest entry of row i,
+    0.0 for a box that overlaps nothing. A caller that needs the other box
+    takes the row's argmax.
     """
-    n = ious.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=float), np.zeros(0, dtype=int)
-    ious.flat[:: n + 1] = 0.0
-    who = np.argmax(ious, axis=1)
-    best = ious[np.arange(n), who]
-    return best, np.where(best > 0.0, who, -1)
+    ious.flat[:: ious.shape[0] + 1] = 0.0
+    # The initial 0.0 gives an empty set its empty result; every IoU is
+    # already at least +0.0, so it changes no other value.
+    return ious.max(axis=1, initial=0.0), ious

@@ -109,8 +109,9 @@ class TrackMemory:
     * every embedding is a 1-D float64 array with ``0 < e·e < inf``
       (``tracker.Detection``), and all have one size (``Tracker.step``,
       which names the frame and detection index of a mismatch);
-    * ``overlap`` is in [0, 1] (``geometry.iou_matrix`` clips every IoU, and
-      ``max_iou_vs_others`` picks one of them);
+    * ``overlap`` is in [0, 1] (``geometry.iou_matrix`` clamps every IoU at
+      1.0, its quotient is never below +0.0, and ``max_iou_vs_others``
+      picks one of them);
     * ``frame_idx`` strictly increases from one call to the next
       (``Tracker.step`` rejects a frame not above the last one), and a track
       is observed at most once per frame (the one-to-one assignment).

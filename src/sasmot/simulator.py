@@ -205,8 +205,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
         sin = np.fromiter(map(math.sin, thetas), float, n)
         apps[:] = cos[:, None] * plane_u + sin[:, None] * plane_v
 
-        corners = boxes_to_corners(boxes)
-        best, who = max_iou_vs_others(iou_matrix(corners, corners))
+        best, who = _occluders(boxes_to_corners(boxes))
 
         # Draws first, object by object in stream order; then one array pass.
         kept: List[int] = []
@@ -237,6 +236,16 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
         det_frames.append(dets)
 
     return Scenario(gt_frames, det_frames, appearance)
+
+
+def _occluders(corners: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each object's largest IoU with another, and that other's index.
+
+    The index is the first one on ties and -1 for an object that overlaps
+    nothing.
+    """
+    best, others = max_iou_vs_others(iou_matrix(corners, corners))
+    return best, np.where(best > 0.0, others.argmax(axis=1), -1)
 
 
 def _embeddings(

@@ -161,9 +161,13 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     na = np.sqrt(np.einsum("ij,ij->i", a, a))
     nb = np.sqrt(np.einsum("ij,ij->i", b, b))
-    norms = np.outer(na, nb)
-    cos = np.divide(a @ b.T, norms, out=np.zeros_like(norms), where=norms > 0.0)
-    return np.clip(1.0 - cos, 0.0, 2.0)
+    norms = na[:, None] * nb
+    d = np.divide(a @ b.T, norms, out=np.zeros_like(norms), where=norms > 0.0)
+    # 1 - cos, clamped in place; it is never -0.0, the one input on which
+    # these two bounds and np.clip differ.
+    np.subtract(1.0, d, out=d)
+    np.maximum(d, 0.0, out=d)
+    return np.minimum(d, 2.0, out=d)
 
 
 def build_cost_matrix(
@@ -184,8 +188,10 @@ def build_cost_matrix(
         np.array([t.query for t in tracks]), np.array([d.embedding for d in dets])
     )
     cost = lam * appearance / 2.0 + (1.0 - lam) * (1.0 - ov)
-    # IoU is never below 0, so a disabled gate (0.0) forbids nothing.
-    forbidden = (ov < cfg.iou_gate) | (cost > cfg.match_threshold)
+    forbidden = cost > cfg.match_threshold
+    # IoU is never below 0, so a disabled gate (0.0) would forbid nothing.
+    if cfg.iou_gate > 0.0:
+        forbidden |= ov < cfg.iou_gate
     cost[forbidden] = FORBIDDEN_COST
     return cost
 
@@ -200,8 +206,13 @@ def hungarian_assign(cost: np.ndarray) -> List[Tuple[int, int]]:
     if cost.size == 0:
         return []
     rows, cols = linear_sum_assignment(cost)
-    keep = cost[rows, cols] < FORBIDDEN_COST
-    return list(zip(rows[keep].tolist(), cols[keep].tolist()))
+    # Filtered in Python: at tracking sizes that is cheaper than indexing
+    # both index arrays with a mask.
+    return [
+        (r, c)
+        for r, c, v in zip(rows.tolist(), cols.tolist(), cost[rows, cols].tolist())
+        if v < FORBIDDEN_COST
+    ]
 
 
 class Tracker:
@@ -226,17 +237,21 @@ class Tracker:
             raise ValueError(
                 f"frame_idx must increase: got {frame_idx} after {self._last_frame}"
             )
+        # One pass checks every embedding size and keeps the confident ones.
+        dets: List[Detection] = []
+        min_score = self.cfg.min_score
         for di, det in enumerate(detections):
+            size = det.embedding.size
             if self.dim is None:
-                self.dim = det.embedding.size
-            elif det.embedding.size != self.dim:
+                self.dim = size
+            elif size != self.dim:
                 raise ValueError(
                     f"frame {frame_idx}: detection {di} has embedding size "
-                    f"{det.embedding.size}, expected {self.dim}"
+                    f"{size}, expected {self.dim}"
                 )
+            if det.score >= min_score:
+                dets.append(det)
         self._last_frame = frame_idx
-
-        dets = [d for d in detections if d.score >= self.cfg.min_score]
 
         # One IoU pass, (tracks + dets) x dets: the top block is the cost's
         # spatial term, and the bottom block gives each detection's largest

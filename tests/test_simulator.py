@@ -7,8 +7,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from sasmot.simulator import ScenarioConfig, _embeddings, _orthonormal_plane, generate_scenario
+from sasmot.geometry import Box2D, boxes_to_corners, iou
+from sasmot.simulator import (
+    ScenarioConfig,
+    _embeddings,
+    _occluders,
+    _orthonormal_plane,
+    generate_scenario,
+)
 
 
 def _angle(a, b):
@@ -234,6 +242,50 @@ def test_embedding_block_equals_the_per_row_formula():
         expected = apps[i] if norm < 1e-12 else mix / norm
         assert block[r].tobytes() == expected.tobytes(), r
     assert math.copysign(1.0, block[0, 0]) == -1.0
+
+
+def test_occluder_is_the_largest_overlap():
+    group = [
+        Box2D(0.0, 0.0, 1.0, 1.0),
+        Box2D(0.5, 0.0, 1.0, 1.0),  # iou 1/3 with first
+        Box2D(0.9, 0.0, 1.0, 1.0),  # iou 1/19 with first
+        Box2D(5.0, 5.0, 1.0, 1.0),  # disjoint
+    ]
+    best, who = _occluders(boxes_to_corners(group))
+    assert who.tolist() == [1, 2, 1, -1]
+    assert math.isclose(best[0], 1.0 / 3.0, abs_tol=1e-12) and best[3] == 0.0
+    best, who = _occluders(boxes_to_corners([Box2D(0.5, 0.5, 0.1, 0.1)]))
+    assert best.tolist() == [0.0] and who.tolist() == [-1]
+
+
+# Centers on a coarse grid with a few sizes, so equal overlaps (ties) and
+# disjoint boxes come up often, plus boxes anywhere.
+grid_boxes = st.builds(
+    Box2D,
+    cx=st.integers(0, 6).map(lambda k: k / 4),
+    cy=st.integers(0, 2).map(lambda k: k / 4),
+    w=st.sampled_from([0.5, 1.0]),
+    h=st.sampled_from([0.5, 1.0]),
+)
+any_boxes = st.builds(
+    Box2D,
+    cx=st.floats(-100.0, 100.0),
+    cy=st.floats(-100.0, 100.0),
+    w=st.floats(1e-3, 50.0),
+    h=st.floats(1e-3, 50.0),
+)
+
+
+@given(st.lists(st.one_of(grid_boxes, any_boxes), min_size=1, max_size=8))
+def test_occluders_match_scalar_scan(group):
+    best, who = _occluders(boxes_to_corners(group))
+    for i, a in enumerate(group):
+        want, want_who = 0.0, -1
+        for j, b in enumerate(group):
+            if j != i and iou(a, b) > want:  # strict: the first index wins ties
+                want, want_who = iou(a, b), j
+        assert best[i] == want
+        assert who[i] == want_who
 
 
 def test_detection_embeddings_are_unit_norm():

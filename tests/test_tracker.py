@@ -113,6 +113,67 @@ def test_cost_matrix_matches_scalar_blend(tracks, dets, blend, threshold, gate):
                 assert abs(cost[i, j] - want) <= 1e-12
 
 
+def _cosine_distance_reference(a, b):
+    """The formula ``cosine_distance`` replaced: ``np.outer`` and a two-sided ``np.clip``."""
+    na = np.sqrt(np.einsum("ij,ij->i", a, a))
+    nb = np.sqrt(np.einsum("ij,ij->i", b, b))
+    norms = np.outer(na, nb)
+    cos = np.divide(a @ b.T, norms, out=np.zeros_like(norms), where=norms > 0.0)
+    return np.clip(1.0 - cos, 0.0, 2.0)
+
+
+def _cost_reference(queries, embeddings, ov, cfg):
+    """The formula ``build_cost_matrix`` replaced, with the gate mask always built."""
+    lam = cfg.cost_blend
+    cost = lam * _cosine_distance_reference(queries, embeddings) / 2.0 + (1.0 - lam) * (1.0 - ov)
+    cost[(ov < cfg.iou_gate) | (cost > cfg.match_threshold)] = FORBIDDEN_COST
+    return cost
+
+
+# Row scales: the extremes a Detection accepts at D <= 16, and 1.
+SCALES = np.array([1e-150, 1.0, 1e150])
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(1, 16),
+    st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0]),
+    st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    st.sampled_from([0.0, 0.2, 0.4, 1.0, math.inf]),
+)
+def test_cost_kernels_equal_the_reference_formulas_bit_for_bit(
+    seed, n_tracks, n_dets, dim, gate, blend, threshold
+):
+    rng = np.random.default_rng(seed)
+    queries = rng.standard_normal((n_tracks, dim)) * rng.choice(SCALES, (n_tracks, 1))
+    queries[rng.random(n_tracks) < 0.3] = 0.0  # a fused query can cancel out
+    embeddings = rng.standard_normal((n_dets, dim)) * rng.choice(SCALES, (n_dets, 1))
+    # Overlaps with exact 0, 1 and gate values among them.
+    ov = rng.random((n_tracks, n_dets))
+    exact = rng.random(ov.shape) < 0.4
+    ov[exact] = rng.choice([0.0, 1.0, gate], exact.sum())
+    cfg = TrackerConfig(cost_blend=blend, match_threshold=threshold, iou_gate=gate)
+    box = Box2D(0.5, 0.5, 0.1, 0.1)
+    tracks = [TrackState(k, q, TrackMemory(cfg.memory), box) for k, q in enumerate(queries)]
+    dets = [Detection(box, e, 1.0) for e in embeddings]
+    assert (
+        cosine_distance(queries, embeddings).tobytes()
+        == _cosine_distance_reference(queries, embeddings).tobytes()
+    )
+    got = build_cost_matrix(tracks, dets, ov, cfg)
+    assert got.tobytes() == _cost_reference(queries, embeddings, ov, cfg).tobytes()
+
+
+def test_cosine_distance_of_extreme_rows_equals_the_reference_bit_for_bit():
+    big, tiny, zero = np.full(16, 1e150), np.full(16, 1e-150), np.zeros(16)
+    a = np.array([big, tiny, -big, zero])
+    b = np.array([big, -big, tiny, -tiny, zero])
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert cosine_distance(x, y).tobytes() == _cosine_distance_reference(x, y).tobytes()
+
+
 def test_cost_matrix_rejects_embedding_size_mismatch():
     tracker = Tracker()
     tracker.step([_det(0.5, 0.5, E1)], 1)
