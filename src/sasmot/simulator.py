@@ -23,16 +23,24 @@ scenarios bit for bit. The coupling of appearance to motion is this
 package's synthetic operationalization; it makes no claims beyond the
 benchmark itself.
 
-Each frame is built in two passes. The first walks the objects in stream
-order, moving them and drawing each one's miss, its block of raw outputs
-for box jitter and embedding noise, and its confidence. The second is one
-array pass over the frame's kept detections: Box-Muller over all their raw
-outputs (``rng.box_muller``), the blend toward the occluder and the
-division by each row's norm. Every array step is elementwise and rounded
-as the scalar one, and each norm is ``sqrt(row.dot(row))``, the 1-D formula
-of ``np.linalg.norm``, so the bits equal those of a per-object loop.
+Generation runs in two passes. The first walks the frames one by one and,
+in each, the objects in stream order: it moves them, scores the frame's
+overlaps (the largest one sets an object's miss probability, so it cannot
+wait) and draws each object's miss, its block of raw outputs for box jitter
+and embedding noise, and its confidence. The second is one array pass per
+block of 32 frames, and at the last frame: the true appearance of the
+block's frames, each object's occluder, Box-Muller over all raw outputs of
+its kept detections (``rng.box_muller``), the blend toward the occluder,
+the division by each row's norm and the jittered boxes. Every array step is
+elementwise and rounded as the scalar one (``exp``, ``cos`` and ``sin`` stay
+in Python ``math``, which numpy's versions need not match), and each norm is
+``sqrt(row.dot(row))``, the 1-D formula of ``np.linalg.norm``, so the bits
+equal those of a per-object loop whatever the block size. The block bounds
+the pass's transient arrays: one pass over a whole 24-object, 200-frame
+scene needs about twice the memory the scene holds.
 ``Scenario.true_appearance`` is one (frames, objects, D) array, and the
-embeddings of a frame's detections are row views of one (k, D) block.
+embeddings of a block's detections are row views of one (k, D) array, so
+one held ``Detection`` keeps its block's array alive.
 """
 
 from __future__ import annotations
@@ -110,8 +118,9 @@ class Scenario:
     """Generated sequence: per-frame ground truth, detections, true appearances.
 
     ``true_appearance[t][i]`` is the unit appearance of object i + 1 in frame
-    t + 1, before occlusion and noise; a frame's detection embeddings are row
-    views of one array.
+    t + 1, before occlusion and noise. The detection embeddings of each block
+    of 32 frames are row views of one array, which any one of them keeps
+    alive.
     """
 
     gt: List[List[Tuple[int, Box2D]]]
@@ -141,6 +150,9 @@ def _reflect(value: float, lo: float, hi: float, velocity: float) -> Tuple[float
             value = 2.0 * hi - value
         velocity = -velocity
     return value, velocity
+
+
+_BLOCK = 32  # frames per array pass; bounds the pass's transient arrays
 
 
 def generate_scenario(cfg: ScenarioConfig) -> Scenario:
@@ -174,11 +186,23 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
         vys.append(cfg.speed * math.sin(heading))
         thetas.append(theta)
     plane_u, plane_v = (np.array(basis) for basis in zip(*planes))
+    sizes = np.array([widths, heights])
 
     gt_frames: List[List[Tuple[int, Box2D]]] = []
     det_frames: List[List[Detection]] = []
     appearance = np.empty((cfg.n_frames, n, dim))
     per_det = 2 * (4 + dim)  # raw outputs behind one detection's gaussians
+
+    # Snapshots of the current block's frames, row b for its frame b.
+    size = min(_BLOCK, cfg.n_frames)
+    block_best = np.empty((size, n))
+    block_ious = np.empty((size, n, n))
+    block_xy = np.empty((2, size, n))
+    block_thetas: List[float] = []
+    kept: List[int] = []  # b * n + i for object i kept in block frame b
+    raws: List[np.ndarray] = []
+    confs: List[float] = []
+    b = 0
 
     for t in range(1, cfg.n_frames + 1):
         if t > 1:
@@ -200,52 +224,61 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
                     thetas[i] += direction * cfg.rotation_magnitude
 
         boxes = [Box2D(xs[i], ys[i], widths[i], heights[i]) for i in range(n)]
-        apps = appearance[t - 1]
-        cos = np.fromiter(map(math.cos, thetas), float, n)
-        sin = np.fromiter(map(math.sin, thetas), float, n)
-        apps[:] = cos[:, None] * plane_u + sin[:, None] * plane_v
-
-        best, who = _occluders(boxes_to_corners(boxes))
-
-        # Draws first, object by object in stream order; then one array pass.
-        kept: List[int] = []
-        raws: List[np.ndarray] = []
-        confs: List[float] = []
+        gt_frames.append(list(enumerate(boxes, 1)))
+        det_frames.append([])
+        # The overlap sets the miss probability, so it cannot wait for the block.
+        corners = boxes_to_corners(boxes)
+        best, block_ious[b] = max_iou_vs_others(iou_matrix(corners, corners))
         for i, ov in enumerate(best.tolist()):
             p_miss = cfg.miss_prob_occluded if ov > 0.5 else cfg.miss_prob_base
             if rng.uniform() < p_miss:
                 continue
-            kept.append(i)
+            kept.append(b * n + i)
             raws.append(rng.raw_block(per_det))  # box jitter, then embedding noise
             confs.append(0.5 + 0.5 * rng.uniform())
+        block_best[b] = best
+        block_xy[0, b] = xs
+        block_xy[1, b] = ys
+        block_thetas.extend(thetas)
+        b += 1
 
-        dets: List[Detection] = []
-        if kept:
-            g = box_muller(np.concatenate(raws)).reshape(len(kept), 4 + dim)
-            embeddings = _embeddings(cfg, apps, best, who, kept, g[:, 4:])
-            for i, (g0, g1, g2, g3), emb, conf in zip(kept, g[:, :4].tolist(), embeddings, confs):
-                box = Box2D(
-                    xs[i] + cfg.box_jitter * g0,
-                    ys[i] + cfg.box_jitter * g1,
-                    widths[i] * math.exp(cfg.size_jitter * g2),
-                    heights[i] * math.exp(cfg.size_jitter * g3),
-                )
-                dets.append(Detection(box, emb, conf))
-
-        gt_frames.append([(i + 1, boxes[i]) for i in range(n)])
-        det_frames.append(dets)
+        if b == size or t == cfg.n_frames:
+            f0 = t - b
+            apps = appearance[f0:t]
+            cos = np.fromiter(map(math.cos, block_thetas), float, b * n).reshape(b, n)
+            sin = np.fromiter(map(math.sin, block_thetas), float, b * n).reshape(b, n)
+            apps[:] = cos[..., None] * plane_u + sin[..., None] * plane_v
+            if kept:
+                frame, obj = np.divmod(np.array(kept), n)
+                raw = np.concatenate(raws)
+                raws.clear()  # their views kept whole chunks of the stream alive
+                g = box_muller(raw).reshape(len(kept), 4 + dim)
+                best = block_best[:b]
+                who = _occluders(best, block_ious[:b])
+                embeddings = _embeddings(cfg, apps, best, who, frame, obj, g[:, 4:])
+                centers = block_xy[:, frame, obj] + cfg.box_jitter * g[:, :2].T
+                scale = cfg.size_jitter * g[:, 2:4].T.ravel()
+                factor = np.fromiter(map(math.exp, scale.tolist()), float, scale.size)
+                extents = sizes[:, obj] * factor.reshape(2, -1)
+                block_frames = det_frames[f0:t]
+                for f, cx, cy, w, h, emb, conf in zip(
+                    frame.tolist(), *centers.tolist(), *extents.tolist(), embeddings, confs
+                ):
+                    block_frames[f].append(Detection(Box2D(cx, cy, w, h), emb, conf))
+            block_thetas, kept, raws, confs = [], [], [], []
+            b = 0
 
     return Scenario(gt_frames, det_frames, appearance)
 
 
-def _occluders(corners: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Each object's largest IoU with another, and that other's index.
+def _occluders(best: np.ndarray, ious: np.ndarray) -> np.ndarray:
+    """Each object's largest-overlap other, from ``max_iou_vs_others``'s result.
 
-    The index is the first one on ties and -1 for an object that overlaps
-    nothing.
+    ``best`` is (..., N) and ``ious`` the (..., N, N) IoU with the others, so
+    one call serves a stack of frames. The index is the first one on ties
+    and -1 for an object that overlaps nothing.
     """
-    best, others = max_iou_vs_others(iou_matrix(corners, corners))
-    return best, np.where(best > 0.0, others.argmax(axis=1), -1)
+    return np.where(best > 0.0, ious.argmax(axis=-1), -1)
 
 
 def _embeddings(
@@ -253,23 +286,25 @@ def _embeddings(
     apps: np.ndarray,
     best: np.ndarray,
     who: np.ndarray,
-    kept: List[int],
+    frame: np.ndarray,
+    obj: np.ndarray,
     noise: np.ndarray,
 ) -> np.ndarray:
-    """Unit embeddings of the kept objects of one frame, one (k, D) block.
+    """Unit embeddings of the kept objects of a block of frames, one (k, D) array.
 
-    Each row is the object's appearance blended toward its occluder's by
+    Row r is for object ``obj[r]`` of frame ``frame[r]``; ``apps`` is
+    (frames, N, D), ``best`` and ``who`` are (frames, N). Each row is the
+    object's appearance blended toward its occluder's by
     ``occlusion_blend`` times the overlap, plus gaussian noise, normalized;
     a row whose norm is below 1e-12 is the true appearance instead.
     """
-    idx = np.array(kept)
-    own = apps[idx]
-    w = cfg.occlusion_blend * best[idx]
+    own = apps[frame, obj]
+    w = cfg.occlusion_blend * best[frame, obj]
     mix = (1.0 - w)[:, None] * own + cfg.noise_sigma * noise
-    occ = who[idx]
+    occ = who[frame, obj]
     hit = occ >= 0
     # Only rows with an occluder: adding 0 * app would turn a -0.0 into 0.0.
-    mix[hit] += w[hit, None] * apps[occ[hit]]
+    mix[hit] += w[hit, None] * apps[frame[hit], occ[hit]]
     # np.linalg.norm's own 1-D formula, row by row: a batched sum may add in
     # another order.
     norms = np.array([math.sqrt(row.dot(row)) for row in mix])

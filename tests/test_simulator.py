@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sasmot.geometry import Box2D, boxes_to_corners, iou
+from sasmot import simulator
+from sasmot.geometry import Box2D, boxes_to_corners, iou, iou_matrix, max_iou_vs_others
 from sasmot.simulator import (
     ScenarioConfig,
     _embeddings,
@@ -113,10 +114,45 @@ def _scenario_digest(scenario):
             dict(n_objects=24, n_frames=60, embedding_dim=33, seed=7919),
             "c189a17c0f3e373b012bfc50ef0e78e34689f1e7a922006b340995864af39da5",
         ),
+        # The edges of the 32-frame array pass: a one-frame scene, three full
+        # blocks plus one frame, and blocks that keep no detection at all.
+        (
+            dict(n_objects=5, n_frames=1, seed=8),
+            "84d0c293a4dcac674411553fb0098f2c62f062d09071404a7f8fbb65962f68b2",
+        ),
+        (
+            dict(n_objects=5, n_frames=97, seed=8),
+            "00f8fa572c36e01b3fc12363f23fdfda199be537f52a2d74ccc8701225856586",
+        ),
+        (
+            dict(n_objects=6, n_frames=70, miss_prob_base=1.0, miss_prob_occluded=1.0, seed=2),
+            "3dfd4d6546e016c3fe5efb8c4bbea441fa88f36f902cb3625256fdc1565bfef5",
+        ),
     ],
 )
 def test_scenario_digest_is_frozen(kw, expected):
     assert _scenario_digest(generate_scenario(ScenarioConfig(**kw))) == expected
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(n_objects=8, n_frames=60, seed=1),
+        dict(n_objects=24, n_frames=60, size_min=0.3, size_max=0.45,
+             occlusion_blend=1.0, seed=11),
+    ],
+)
+def test_scene_does_not_depend_on_the_block_size(kw, monkeypatch):
+    cfg = ScenarioConfig(**kw)
+    default = _scenario_digest(generate_scenario(cfg))
+    for block in (1, 7, cfg.n_frames + 5):
+        monkeypatch.setattr(simulator, "_BLOCK", block)
+        scenario = generate_scenario(cfg)
+        assert _scenario_digest(scenario) == default, block
+        # The embeddings of a block are row views of one array: the first
+        # block's array has a row per detection of its frames.
+        first_block = scenario.detections[: min(block, cfg.n_frames)]
+        assert len(first_block[0][0].embedding.base) == sum(map(len, first_block)), block
 
 
 def test_different_seeds_differ():
@@ -222,26 +258,39 @@ def test_orthonormal_plane_redraws_degenerate_blocks():
 
 
 def test_embedding_block_equals_the_per_row_formula():
-    # Row 0 has no occluder and a -0.0 that adding 0 * app would turn into
-    # 0.0; rows 1 and 2 cancel to a zero mix and take the true appearance.
+    # Rows come from two frames of one block, each with occluders. In frame
+    # 0, object 0 has no occluder and a -0.0 that adding 0 * app would turn
+    # into 0.0, and objects 1 and 2 cancel to a zero mix and take the true
+    # appearance. In frame 1 each occluder's appearance differs from that of
+    # the same object in frame 0.
     cfg = ScenarioConfig(noise_sigma=0.0, occlusion_blend=1.0)
-    apps = np.array(
-        [[-0.0, 0.6, 0.8], [0.0, 0.6, 0.8], [-0.0, -0.6, -0.8], [0.6, 0.8, 0.0]]
-    )
-    best = np.array([0.0, 0.5, 0.5, 0.25])
-    who = np.array([-1, 2, 1, 0])
-    kept = [0, 1, 3]
-    noise = -np.ones((len(kept), 3))
-    block = _embeddings(cfg, apps, best, who, kept, noise)
-    for r, i in enumerate(kept):
-        w = cfg.occlusion_blend * best[i]
-        mix = (1.0 - w) * apps[i] + cfg.noise_sigma * noise[r]
-        if who[i] >= 0:
-            mix = mix + w * apps[who[i]]
+    apps = np.array([
+        [[-0.0, 0.6, 0.8], [0.0, 0.6, 0.8], [-0.0, -0.6, -0.8], [0.6, 0.8, 0.0]],
+        [[0.8, 0.0, 0.6], [0.0, 1.0, 0.0], [0.6, 0.0, -0.8], [-0.0, -0.8, 0.6]],
+    ])
+    best = np.array([[0.0, 0.5, 0.5, 0.25], [0.2, 0.0, 0.2, 0.75]])
+    who = np.array([[-1, 2, 1, 0], [2, -1, 0, 0]])
+    frame = np.array([0, 0, 0, 1, 1, 1])
+    obj = np.array([0, 1, 3, 0, 1, 3])
+    noise = -np.ones((len(frame), 3))
+    block = _embeddings(cfg, apps, best, who, frame, obj, noise)
+    for r, (f, i) in enumerate(zip(frame, obj)):
+        w = cfg.occlusion_blend * best[f, i]
+        mix = (1.0 - w) * apps[f, i] + cfg.noise_sigma * noise[r]
+        if who[f, i] >= 0:
+            mix = mix + w * apps[f, who[f, i]]
         norm = float(np.linalg.norm(mix))
-        expected = apps[i] if norm < 1e-12 else mix / norm
+        expected = apps[f, i] if norm < 1e-12 else mix / norm
         assert block[r].tobytes() == expected.tobytes(), r
     assert math.copysign(1.0, block[0, 0]) == -1.0
+    assert block[1].tobytes() == apps[0, 1].tobytes()  # the zero mix
+
+
+def _frame_occluders(group):
+    """``_occluders`` of one frame's boxes, with the overlaps it starts from."""
+    corners = boxes_to_corners(group)
+    best, ious = max_iou_vs_others(iou_matrix(corners, corners))
+    return best, ious, _occluders(best, ious)
 
 
 def test_occluder_is_the_largest_overlap():
@@ -251,11 +300,25 @@ def test_occluder_is_the_largest_overlap():
         Box2D(0.9, 0.0, 1.0, 1.0),  # iou 1/19 with first
         Box2D(5.0, 5.0, 1.0, 1.0),  # disjoint
     ]
-    best, who = _occluders(boxes_to_corners(group))
+    best, _, who = _frame_occluders(group)
     assert who.tolist() == [1, 2, 1, -1]
     assert math.isclose(best[0], 1.0 / 3.0, abs_tol=1e-12) and best[3] == 0.0
-    best, who = _occluders(boxes_to_corners([Box2D(0.5, 0.5, 0.1, 0.1)]))
+    best, _, who = _frame_occluders([Box2D(0.5, 0.5, 0.1, 0.1)])
     assert best.tolist() == [0.0] and who.tolist() == [-1]
+
+
+def test_occluders_of_a_stack_of_frames():
+    frames = [
+        # Largest overlap: 1/3 beats 1/19, and 3/7 beats 1/3.
+        [Box2D(0.0, 0.0, 1.0, 1.0), Box2D(0.5, 0.0, 1.0, 1.0), Box2D(0.9, 0.0, 1.0, 1.0)],
+        # A tie: the first box overlaps both others by exactly 1/3; they touch.
+        [Box2D(0.0, 0.0, 1.0, 1.0), Box2D(-0.5, 0.0, 1.0, 1.0), Box2D(0.5, 0.0, 1.0, 1.0)],
+        # Each box alone.
+        [Box2D(0.0, 0.0, 1.0, 1.0), Box2D(5.0, 5.0, 1.0, 1.0), Box2D(-5.0, 5.0, 1.0, 1.0)],
+    ]
+    best, ious, _ = zip(*map(_frame_occluders, frames))
+    who = _occluders(np.stack(best), np.stack(ious))
+    assert who.tolist() == [[1, 2, 1], [1, 0, 0], [-1, -1, -1]]
 
 
 # Centers on a coarse grid with a few sizes, so equal overlaps (ties) and
@@ -276,16 +339,29 @@ any_boxes = st.builds(
 )
 
 
-@given(st.lists(st.one_of(grid_boxes, any_boxes), min_size=1, max_size=8))
-def test_occluders_match_scalar_scan(group):
-    best, who = _occluders(boxes_to_corners(group))
-    for i, a in enumerate(group):
-        want, want_who = 0.0, -1
-        for j, b in enumerate(group):
-            if j != i and iou(a, b) > want:  # strict: the first index wins ties
-                want, want_who = iou(a, b), j
-        assert best[i] == want
-        assert who[i] == want_who
+# One to four frames of equally many boxes, as in one block of a scene.
+box_stacks = st.integers(1, 8).flatmap(
+    lambda n: st.lists(
+        st.lists(st.one_of(grid_boxes, any_boxes), min_size=n, max_size=n),
+        min_size=1,
+        max_size=4,
+    )
+)
+
+
+@given(box_stacks)
+def test_occluders_match_scalar_scan(frames):
+    best, ious, _ = zip(*map(_frame_occluders, frames))
+    best = np.stack(best)
+    who = _occluders(best, np.stack(ious))
+    for f, group in enumerate(frames):
+        for i, a in enumerate(group):
+            want, want_who = 0.0, -1
+            for j, b in enumerate(group):
+                if j != i and iou(a, b) > want:  # strict: the first index wins ties
+                    want, want_who = iou(a, b), j
+            assert best[f, i] == want
+            assert who[f, i] == want_who
 
 
 def test_detection_embeddings_are_unit_norm():
@@ -345,7 +421,7 @@ def test_config_validation():
 
 def test_scene_memory_per_object_frame():
     # Slotted boxes and detections, one appearance array per scene and one
-    # embedding block per frame: about 760 traced bytes per object-frame
+    # embedding array per block: about 750 traced bytes per object-frame
     # (Python 3.11, numpy 2.4), against about 990 with a dict per record and
     # an array per vector.
     cfg = ScenarioConfig(n_objects=24, n_frames=100, seed=1)
@@ -357,3 +433,18 @@ def test_scene_memory_per_object_frame():
         tracemalloc.stop()
     assert len(scenario.gt) == cfg.n_frames
     assert held / (cfg.n_objects * cfg.n_frames) <= 850
+
+
+def test_scene_transient_memory_is_bounded_by_the_block():
+    # The array pass runs per block of 32 frames, so its transient arrays do
+    # not grow with the scene: about 1.3 MB above the held scene here
+    # (Python 3.11, numpy 2.4), against 6.7 MB for one pass over all frames.
+    cfg = ScenarioConfig(n_objects=24, n_frames=200, seed=1)
+    tracemalloc.start()
+    try:
+        scenario = generate_scenario(cfg)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scenario.gt) == cfg.n_frames
+    assert peak - held <= 2_000_000
