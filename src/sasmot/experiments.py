@@ -129,7 +129,7 @@ def paired_sign_test(baseline: Sequence[float], treatment: Sequence[float]) -> T
     n = wins + losses
     if n == 0:
         return 0, 0, 1.0
-    p = sum(math.comb(n, k) for k in range(wins, n + 1)) / 2.0**n
+    p = sum(math.comb(n, k) for k in range(wins, n + 1)) / 2**n
     return wins, n, p
 
 

@@ -23,10 +23,10 @@ and rows are sorted by (frame, id) with 6 decimals per float. Embeddings ride in
 (``frame,det_index,e_1,...,e_D``, 9 significant digits) keyed by position
 within the frame, because MOT rows cannot carry vectors. Each sidecar
 value is parsed as ``float()`` parses it, and every embedding must satisfy
-``0 < e·e < inf``, the rule ``Detection`` applies; a bad row is an error
-naming its line. Writers format each row with one ``%`` operation; the
-sidecar reader parses its rows into one array in one pass, checks their
-norms at once and parses only a bad row again, to word its error.
+``0 < e·e < inf``, the rule ``Detection`` applies, by the same check and
+wording; a bad row is an error naming its line. Writers format each row
+with one ``%`` operation; the sidecar reader parses its rows into one
+array in one pass and checks each row as it converts.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from .geometry import Box2D
 from .simulator import Scenario
-from .tracker import Detection, FrameResult
+from .tracker import Detection, FrameResult, embedding_fault
 
 __all__ = [
     "parse_image_size",
@@ -194,13 +194,12 @@ def read_embeddings_csv(path: Path | str) -> Dict[Tuple[int, int], np.ndarray]:
     """Sidecar rows keyed by (frame, det_index); every row has the same size D.
 
     One pass parses values as ``float()`` does into one (rows, D) array and
-    stops at a row that is short, non-numeric, of another size or a repeated
-    key; one vector check holds the rows read to ``0 < e·e < inf``. A bad row
-    is named by its file line, the first one in the file when several are.
+    checks each row as it converts: its embedding by ``embedding_fault``,
+    the rule ``Detection`` applies, then its key. The first bad row in the
+    file stops the pass, and the error names its line.
     """
     lines = Path(path).read_text().splitlines()
     out: Dict[Tuple[int, int], np.ndarray] = {}
-    linenos: List[int] = []  # the file line of each converted row
     width = -1
     values = np.empty((0, 0))
     for lineno, raw in enumerate(lines, start=1):
@@ -211,55 +210,35 @@ def read_embeddings_csv(path: Path | str) -> Dict[Tuple[int, int], np.ndarray]:
         if width < 0:
             width = len(parts)
             values = np.empty((len(lines), max(width - 2, 0)))
-        if not 3 <= len(parts) == width:
-            break
+        row = values[len(out)]
         try:
+            if not 3 <= len(parts) == width:
+                raise ValueError  # short or of another size: _row_fault words it
             key = (int(parts[0]), int(parts[1]))
-            values[len(out)] = parts[2:]  # numpy parses each string as float() does
+            row[:] = parts[2:]  # numpy parses each string as float() does
         except ValueError:
-            break
-        linenos.append(lineno)
-        # A repeated key's row joins the norm check, whose faults come first.
-        if key in out:
-            break
-        out[key] = values[len(out)]
-    else:
-        lineno = 0  # no row stopped the pass
-    read = values[: len(linenos)]
-    sq = np.einsum("ij,ij->i", read, read)
-    # NaN fails both comparisons. A row before the one that stopped the pass
-    # comes first in the file.
-    bad = np.flatnonzero(~((sq > 0.0) & (sq < math.inf)))
-    if bad.size:
-        lineno = linenos[bad[0]]
-    if not lineno:
-        return out
-    raise ValueError(f"{path}: line {lineno}: {_row_fault(lines[lineno - 1], width - 2)}")
+            fault = _row_fault(parts, width - 2)
+        else:
+            fault = embedding_fault(row) or (f"duplicate key {key}" if key in out else None)
+        if fault:
+            raise ValueError(f"{path}: line {lineno}: {fault}")
+        out[key] = row
+    return out
 
 
-def _row_fault(line: str, dim: int) -> str:
-    """Why a sidecar row that failed the read is bad, its rules checked in the
-    order a row is read; a row that passes them all repeats an earlier key."""
-    parts = line.strip().split(",")
+def _row_fault(parts: List[str], dim: int) -> str:
+    """Why a sidecar row that did not convert is bad, its rules checked in the
+    order a row is read; a row of finite numbers has the wrong size."""
     if len(parts) < 3:
         return "embedding row needs frame,det_index,values"
     try:
-        key = (int(parts[0]), int(parts[1]))
-        row = np.array([[float(p) for p in parts[2:]]])
+        int(parts[0]), int(parts[1])
+        row = [float(p) for p in parts[2:]]
     except ValueError:
         return "non-numeric field in embeddings file"
-    if not np.all(np.isfinite(row)):
+    if not all(map(math.isfinite, row)):
         return "non-finite value in embedding"
-    if row.size != dim:
-        return f"embedding dim {row.size} != {dim}"
-    if not np.any(row):
-        return "zero-norm embedding"
-    sq = np.einsum("ij,ij->i", row, row)[0]  # as the read computes it, on one row
-    if not sq < math.inf:
-        return "embedding squared norm overflows to inf"
-    if not sq > 0.0:
-        return "embedding squared norm underflows to 0"
-    return f"duplicate key {key}"
+    return f"embedding dim {len(row)} != {dim}"
 
 
 def detections_from_files(

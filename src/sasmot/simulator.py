@@ -193,80 +193,75 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     appearance = np.empty((cfg.n_frames, n, dim))
     per_det = 2 * (4 + dim)  # raw outputs behind one detection's gaussians
 
-    # Snapshots of the current block's frames, row b for its frame b.
-    size = min(_BLOCK, cfg.n_frames)
-    block_best = np.empty((size, n))
-    block_ious = np.empty((size, n, n))
-    block_xy = np.empty((2, size, n))
-    block_thetas: List[float] = []
-    kept: List[int] = []  # b * n + i for object i kept in block frame b
-    raws: List[np.ndarray] = []
-    confs: List[float] = []
-    b = 0
+    for f0 in range(0, cfg.n_frames, _BLOCK):
+        stop = min(f0 + _BLOCK, cfg.n_frames)
+        size = stop - f0
+        # Snapshots of this block's frames, row b for its frame b.
+        block_best = np.empty((size, n))
+        block_ious = np.empty((size, n, n))
+        block_xy = np.empty((2, size, n))
+        block_thetas: List[float] = []
+        kept: List[int] = []  # b * n + i for object i kept in block frame b
+        raws: List[np.ndarray] = []
+        confs: List[float] = []
 
-    for t in range(1, cfg.n_frames + 1):
-        if t > 1:
-            for i in range(n):
-                if rng.uniform() < cfg.turn_prob:
-                    # Turn up to a quarter circle either way; speed unchanged.
-                    ang = (rng.uniform() - 0.5) * math.pi
-                    ca, sa = math.cos(ang), math.sin(ang)
-                    vxs[i], vys[i] = ca * vxs[i] - sa * vys[i], sa * vxs[i] + ca * vys[i]
-                nx = xs[i] + vxs[i]
-                ny = ys[i] + vys[i]
-                nx, vxs[i] = _reflect(nx, widths[i] / 2.0, 1.0 - widths[i] / 2.0, vxs[i])
-                ny, vys[i] = _reflect(ny, heights[i] / 2.0, 1.0 - heights[i] / 2.0, vys[i])
-                displacement = math.hypot(nx - xs[i], ny - ys[i])
-                xs[i], ys[i] = nx, ny
-                thetas[i] += cfg.drift_rate * displacement
-                if rng.uniform() < cfg.rotation_event_prob:
-                    direction = 1.0 if rng.uniform() < 0.5 else -1.0
-                    thetas[i] += direction * cfg.rotation_magnitude
+        for b, t in enumerate(range(f0 + 1, stop + 1)):
+            if t > 1:
+                for i in range(n):
+                    if rng.uniform() < cfg.turn_prob:
+                        # Turn up to a quarter circle either way; speed unchanged.
+                        ang = (rng.uniform() - 0.5) * math.pi
+                        ca, sa = math.cos(ang), math.sin(ang)
+                        vxs[i], vys[i] = ca * vxs[i] - sa * vys[i], sa * vxs[i] + ca * vys[i]
+                    nx = xs[i] + vxs[i]
+                    ny = ys[i] + vys[i]
+                    nx, vxs[i] = _reflect(nx, widths[i] / 2.0, 1.0 - widths[i] / 2.0, vxs[i])
+                    ny, vys[i] = _reflect(ny, heights[i] / 2.0, 1.0 - heights[i] / 2.0, vys[i])
+                    displacement = math.hypot(nx - xs[i], ny - ys[i])
+                    xs[i], ys[i] = nx, ny
+                    thetas[i] += cfg.drift_rate * displacement
+                    if rng.uniform() < cfg.rotation_event_prob:
+                        direction = 1.0 if rng.uniform() < 0.5 else -1.0
+                        thetas[i] += direction * cfg.rotation_magnitude
 
-        boxes = [Box2D(xs[i], ys[i], widths[i], heights[i]) for i in range(n)]
-        gt_frames.append(list(enumerate(boxes, 1)))
-        det_frames.append([])
-        # The overlap sets the miss probability, so it cannot wait for the block.
-        corners = boxes_to_corners(boxes)
-        best, block_ious[b] = max_iou_vs_others(iou_matrix(corners, corners))
-        for i, ov in enumerate(best.tolist()):
-            p_miss = cfg.miss_prob_occluded if ov > 0.5 else cfg.miss_prob_base
-            if rng.uniform() < p_miss:
-                continue
-            kept.append(b * n + i)
-            raws.append(rng.raw_block(per_det))  # box jitter, then embedding noise
-            confs.append(0.5 + 0.5 * rng.uniform())
-        block_best[b] = best
-        block_xy[0, b] = xs
-        block_xy[1, b] = ys
-        block_thetas.extend(thetas)
-        b += 1
+            boxes = [Box2D(xs[i], ys[i], widths[i], heights[i]) for i in range(n)]
+            gt_frames.append(list(enumerate(boxes, 1)))
+            det_frames.append([])
+            # The overlap sets the miss probability, so it cannot wait for the block.
+            corners = boxes_to_corners(boxes)
+            best, block_ious[b] = max_iou_vs_others(iou_matrix(corners, corners))
+            for i, ov in enumerate(best.tolist()):
+                p_miss = cfg.miss_prob_occluded if ov > 0.5 else cfg.miss_prob_base
+                if rng.uniform() < p_miss:
+                    continue
+                kept.append(b * n + i)
+                raws.append(rng.raw_block(per_det))  # box jitter, then embedding noise
+                confs.append(0.5 + 0.5 * rng.uniform())
+            block_best[b] = best
+            block_xy[0, b] = xs
+            block_xy[1, b] = ys
+            block_thetas.extend(thetas)
 
-        if b == size or t == cfg.n_frames:
-            f0 = t - b
-            apps = appearance[f0:t]
-            cos = np.fromiter(map(math.cos, block_thetas), float, b * n).reshape(b, n)
-            sin = np.fromiter(map(math.sin, block_thetas), float, b * n).reshape(b, n)
-            apps[:] = cos[..., None] * plane_u + sin[..., None] * plane_v
-            if kept:
-                frame, obj = np.divmod(np.array(kept), n)
-                raw = np.concatenate(raws)
-                raws.clear()  # their views kept whole chunks of the stream alive
-                g = box_muller(raw).reshape(len(kept), 4 + dim)
-                best = block_best[:b]
-                who = _occluders(best, block_ious[:b])
-                embeddings = _embeddings(cfg, apps, best, who, frame, obj, g[:, 4:])
-                centers = block_xy[:, frame, obj] + cfg.box_jitter * g[:, :2].T
-                scale = cfg.size_jitter * g[:, 2:4].T.ravel()
-                factor = np.fromiter(map(math.exp, scale.tolist()), float, scale.size)
-                extents = sizes[:, obj] * factor.reshape(2, -1)
-                block_frames = det_frames[f0:t]
-                for f, cx, cy, w, h, emb, conf in zip(
-                    frame.tolist(), *centers.tolist(), *extents.tolist(), embeddings, confs
-                ):
-                    block_frames[f].append(Detection(Box2D(cx, cy, w, h), emb, conf))
-            block_thetas, kept, raws, confs = [], [], [], []
-            b = 0
+        apps = appearance[f0:stop]
+        cos = np.fromiter(map(math.cos, block_thetas), float, size * n).reshape(size, n)
+        sin = np.fromiter(map(math.sin, block_thetas), float, size * n).reshape(size, n)
+        apps[:] = cos[..., None] * plane_u + sin[..., None] * plane_v
+        if kept:
+            frame, obj = np.divmod(np.array(kept), n)
+            raw = np.concatenate(raws)
+            raws.clear()  # their views kept whole chunks of the stream alive
+            g = box_muller(raw).reshape(len(kept), 4 + dim)
+            who = _occluders(block_best, block_ious)
+            embeddings = _embeddings(cfg, apps, block_best, who, frame, obj, g[:, 4:])
+            centers = block_xy[:, frame, obj] + cfg.box_jitter * g[:, :2].T
+            scale = cfg.size_jitter * g[:, 2:4].T.ravel()
+            factor = np.fromiter(map(math.exp, scale.tolist()), float, scale.size)
+            extents = sizes[:, obj] * factor.reshape(2, -1)
+            block_frames = det_frames[f0:stop]
+            for f, cx, cy, w, h, emb, conf in zip(
+                frame.tolist(), *centers.tolist(), *extents.tolist(), embeddings, confs
+            ):
+                block_frames[f].append(Detection(Box2D(cx, cy, w, h), emb, conf))
 
     return Scenario(gt_frames, det_frames, appearance)
 

@@ -57,6 +57,7 @@ linear_sum_assignment = _load_lsap().linear_sum_assignment
 __all__ = [
     "FORBIDDEN_COST",
     "Detection",
+    "embedding_fault",
     "TrackerConfig",
     "TrackState",
     "FrameResult",
@@ -72,6 +73,22 @@ __all__ = [
 FORBIDDEN_COST = 1e9
 
 
+def embedding_fault(e: np.ndarray) -> Optional[str]:
+    """Why a 1-D float embedding breaks ``0 < e·e < inf``, or None if it holds."""
+    # One squared norm covers every case: NaN fails both comparisons.
+    # np.vdot, unlike ``@``, does not warn when the sum overflows.
+    norm2 = np.vdot(e, e)
+    if 0.0 < norm2 < math.inf:
+        return None
+    if not np.all(np.isfinite(e)):
+        return "non-finite value in embedding"
+    if not np.any(e):
+        return "zero-norm embedding"
+    if norm2:
+        return "embedding squared norm overflows to inf"
+    return "embedding squared norm underflows to 0"
+
+
 @dataclass(eq=False, slots=True)
 class Detection:
     """One detected object in one frame: box, appearance embedding, confidence."""
@@ -84,17 +101,8 @@ class Detection:
         e = self.embedding = np.asarray(self.embedding, dtype=float)
         if e.ndim != 1:
             raise ValueError(f"embedding must be 1-D, got shape {e.shape}")
-        # One squared norm covers every case: NaN fails both comparisons.
-        # np.vdot, unlike ``@``, does not warn when the sum overflows.
-        norm2 = np.vdot(e, e)
-        if not 0.0 < norm2 < math.inf:
-            if not np.all(np.isfinite(e)):
-                raise ValueError("embedding contains non-finite values")
-            if not np.any(e):
-                raise ValueError("embedding is all zeros")
-            if norm2:
-                raise ValueError("embedding squared norm overflows to inf")
-            raise ValueError("embedding squared norm underflows to 0")
+        if fault := embedding_fault(e):
+            raise ValueError(fault)
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
 

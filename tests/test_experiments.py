@@ -1,8 +1,11 @@
-"""Experiment drivers: what a multi-seed run keeps alive."""
+"""Experiment drivers: what a multi-seed run keeps alive, and the sign test
+at seed counts past a float power of two."""
 
+import math
 import tracemalloc
+from fractions import Fraction
 
-from sasmot.experiments import run_policy_suite
+from sasmot.experiments import paired_sign_test, run_policy_suite
 from sasmot.memory import MemoryPolicy
 from sasmot.simulator import ScenarioConfig, generate_scenario
 
@@ -33,3 +36,18 @@ def test_policy_suite_holds_one_scene_at_a_time():
     one = _suite_peak(cfg, [1])
     two = _suite_peak(cfg, [1, 1])
     assert two - one <= held / 4
+
+
+def test_sign_test_p_is_exact_past_1023_informative_pairs():
+    # 2.0**1024 overflows a float; the int 2**n does not, and int / int
+    # rounds the exact quotient once, as Fraction does.
+    n = 1100
+    baseline = [0.5] * n
+    treatment = [1.0] * 550 + [0.0] * 550
+    wins, informative, p = paired_sign_test(baseline, treatment)
+    assert (wins, informative) == (550, n)
+    tail = sum(math.comb(n, k) for k in range(550, n + 1))
+    assert p == float(Fraction(tail, 2**n))
+    assert 0.5 < p < 0.52
+    # Every pair a win: the tail is one outcome, 2**-1030, a subnormal float.
+    assert paired_sign_test([0.0] * 1030, [1.0] * 1030) == (1030, 1030, 2.0**-1030)

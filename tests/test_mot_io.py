@@ -1,7 +1,9 @@
 """File formats: MOT rows and embedding sidecars."""
 
+import math
+import sys
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from sasmot.mot_io import (
     write_scenario,
 )
 from sasmot.simulator import ScenarioConfig, generate_scenario
-from sasmot.tracker import FrameResult
+from sasmot.tracker import Detection, FrameResult
 
 
 def test_parse_row_normalizes_by_image_size():
@@ -446,6 +448,67 @@ def test_first_of_two_bad_rows_is_named(tmp_path, row7, row9):
         with pytest.raises(ValueError) as want:
             read_embeddings_csv_reference(path)
         assert str(got.value) == str(want.value)
+
+
+def _boundary_rows(dim: int, count: int = 300) -> List[List[float]]:
+    """Seeded rows whose squared norm lies within a few ulps of overflow.
+
+    Unit directions scaled to sqrt(DBL_MAX)·(1 ± 1e-15): two ways of summing
+    e·e can round such a row to opposite sides of inf.
+    """
+    rng = np.random.default_rng(dim)
+    unit = rng.standard_normal((count, dim))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    scale = math.sqrt(sys.float_info.max) * (1.0 + rng.uniform(-1e-15, 1e-15, (count, 1)))
+    return (unit * scale).tolist()
+
+
+def _detection_fault(values: List[float]) -> Optional[str]:
+    try:
+        Detection(Box2D(0.5, 0.5, 0.1, 0.1), values, 1.0)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("dim", [2, 16, 33])
+def test_reader_and_detection_give_one_verdict_at_the_overflow_boundary(tmp_path, dim):
+    path = tmp_path / "emb.csv"
+    disagree, verdicts = [], set()
+    for k, values in enumerate(_boundary_rows(dim)):
+        path.write_text("1,0," + ",".join(map(repr, values)) + "\n")  # repr round-trips
+        want = _detection_fault(values)
+        try:
+            read_embeddings_csv(path)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        if got != (want and f"{path}: line 1: {want}"):
+            disagree.append((k, got, want))
+        verdicts.add(want)
+    assert disagree == [], f"{len(disagree)} of 300 rows got two verdicts"
+    # Rows on both sides of the boundary, so the test shows something.
+    assert verdicts == {None, "embedding squared norm overflows to inf"}
+
+
+def test_embedding_fault_is_named_at_its_sidecar_line_never_the_detection_file(tmp_path):
+    det_path, emb_path = tmp_path / "det.txt", tmp_path / "emb.csv"
+    write_mot_file(det_path, [(1, -1, 10.0, 10.0, 20.0, 20.0, 0.9)], (640, 480))
+    rows = [v for dim in (2, 16, 33) for v in _boundary_rows(dim)]
+    rows += [[0.0, -0.0], [math.nan, 1.0], [1e-300, 1e-300], [1e300, -1e300]]
+    faults = 0
+    for values in rows:
+        emb_path.write_text("# one row\n1,0," + ",".join(map(repr, values)) + "\n")
+        fault = _detection_fault(values)
+        if fault is None:
+            [[det]] = detections_from_files(det_path, emb_path)[0]
+            assert det.embedding.tolist() == values
+            continue
+        faults += 1
+        with pytest.raises(ValueError) as got:
+            detections_from_files(det_path, emb_path)
+        assert str(got.value) == f"{emb_path}: line 2: {fault}"
+    assert faults > 4
 
 
 def test_mot_rows_are_written_as_the_f_string_wrote_them(tmp_path):

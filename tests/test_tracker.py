@@ -625,7 +625,7 @@ def test_config_validation():
         Detection(Box2D(0, 0, 1, 1), np.array([1.0, float("nan")]), 1.0)
     with pytest.raises(ValueError):
         Detection(Box2D(0, 0, 1, 1), np.array([1.0, 0.0]), 1.5)
-    with pytest.raises(ValueError, match="all zeros"):
+    with pytest.raises(ValueError, match="zero-norm"):
         Detection(Box2D(0, 0, 1, 1), np.zeros(3), 1.0)
     with pytest.raises(ValueError, match=r"embedding must be 1-D, got shape \(1, 2\)"):
         Detection(Box2D(0, 0, 1, 1), np.array([[1.0, 0.0]]), 1.0)
@@ -638,7 +638,7 @@ def test_detection_embedding_needs_a_finite_nonzero_squared_norm():
         Detection(box, [scale, -scale], 1.0)
     with pytest.raises(ValueError, match="non-finite"):
         Detection(box, [1.0, math.inf], 1.0)
-    with pytest.raises(ValueError, match="all zeros"):
+    with pytest.raises(ValueError, match="zero-norm"):
         Detection(box, [0.0, -0.0], 1.0)
     with pytest.raises(ValueError, match="embedding squared norm overflows to inf"):
         Detection(box, [1e300, -1e300], 1.0)
