@@ -126,13 +126,14 @@ def iou_matrix(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarray:
 def max_iou_vs_others(ious: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Each box's largest IoU with any other box of the same set.
 
-    ``ious`` is the (N, N) IoU of the set with itself; its diagonal is
-    zeroed in place, so it then holds each box's IoU with the others.
-    Returns ``(best, ious)``: ``best[i]`` is the largest entry of row i,
-    0.0 for a box that overlaps nothing. A caller that needs the other box
-    takes the row's argmax.
+    ``ious`` is the (..., N, N) IoU of the set with itself, one set per
+    leading index; each diagonal is zeroed in place, so it then holds each
+    box's IoU with the others. Returns ``(best, ious)``: ``best[..., i]``
+    is the largest entry of row i, 0.0 for a box that overlaps nothing. A
+    caller that needs the other box takes the row's argmax.
     """
-    ious.flat[:: ious.shape[0] + 1] = 0.0
+    diagonal = np.arange(ious.shape[-1])
+    ious[..., diagonal, diagonal] = 0.0
     # The initial 0.0 gives an empty set its empty result; every IoU is
     # already at least +0.0, so it changes no other value.
-    return ious.max(axis=1, initial=0.0), ious
+    return ious.max(axis=-1, initial=0.0), ious

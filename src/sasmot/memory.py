@@ -107,8 +107,10 @@ class TrackMemory:
     in the package each part has one owner:
 
     * every embedding is a 1-D float64 array with ``0 < e·e < inf``
-      (``tracker.Detection``), and all have one size (``Tracker.step``,
-      which names the frame and detection index of a mismatch);
+      (``tracker.Detection``, or the path that built it: the simulator, or
+      the sidecar reader's one check per row), and all have one size
+      (``Tracker.step``, which names the frame and detection index of a
+      mismatch);
     * ``overlap`` is in [0, 1] (``geometry.iou_matrix`` clamps every IoU at
       1.0, its quotient is never below +0.0, and ``max_iou_vs_others``
       picks one of them);

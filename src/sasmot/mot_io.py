@@ -26,7 +26,11 @@ value is parsed as ``float()`` parses it, and every embedding must satisfy
 ``0 < e·e < inf``, the rule ``Detection`` applies, by the same check and
 wording; a bad row is an error naming its line. Writers format each row
 with one ``%`` operation; the sidecar reader parses its rows into one
-array in one pass and checks each row as it converts.
+array in one pass and checks each row as it converts, the only check an
+embedding gets on this path. ``detections_from_files`` checks each score
+and joins rows to detections, then builds the file's ``DetectionFrame``
+records at once with ``detection_frames``, whose IoU passes span groups of
+frames zero-padded to their largest.
 """
 
 from __future__ import annotations
@@ -37,9 +41,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import Box2D
+from .geometry import Box2D, boxes_to_corners
 from .simulator import Scenario
-from .tracker import Detection, FrameResult, embedding_fault
+from .tracker import DetectionFrame, FrameResult, _detection, detection_frames, embedding_fault
 
 __all__ = [
     "parse_image_size",
@@ -245,35 +249,40 @@ def detections_from_files(
     det_path: Path | str,
     emb_path: Path | str,
     image_size: Optional[Tuple[int, int]] = None,
-) -> Tuple[List[List[Detection]], Tuple[int, int]]:
+) -> Tuple[List[DetectionFrame], Tuple[int, int]]:
     """Join a detection file with its embedding sidecar.
 
-    Returns the detections of frames 1..max and the resolved image size.
-    Every detection needs a sidecar row and every sidecar row a detection.
+    Returns the records of frames 1..max and the resolved image size. Every
+    detection needs a sidecar row and a score in [0, 1], and every sidecar
+    row a detection. Each row is checked once, by the sidecar reader; the
+    embeddings of all detections are then row views of one (k, D) array,
+    and ``detection_frames`` builds the records over the whole file.
     """
     parsed, size = parse_mot_file(det_path, image_size)
     embeddings = read_embeddings_csv(emb_path)
-    frames: List[List[Detection]] = []
+    rows: List[np.ndarray] = []
     for frame, entries in enumerate(parsed, start=1):
-        dets = []
-        for det_index, (_, box, conf) in enumerate(entries):
+        for det_index, (_, _, conf) in enumerate(entries):
             embedding = embeddings.pop((frame, det_index), None)
             if embedding is None:
                 raise ValueError(
                     f"{emb_path}: missing embedding for frame {frame} detection {det_index}"
                 )
-            try:
-                dets.append(Detection(box, embedding, conf))
-            except ValueError as exc:
-                where = f"{det_path}: frame {frame} detection {det_index}"
-                raise ValueError(f"{where}: {exc}") from None
-        frames.append(dets)
+            if not 0.0 <= conf <= 1.0:
+                raise ValueError(f"{det_path}: frame {frame} detection {det_index}: "
+                                 f"score must be in [0, 1], got {conf}")
+            rows.append(embedding)
     if embeddings:
         frame, det_index = next(iter(embeddings))
         raise ValueError(
             f"{emb_path}: embedding for frame {frame} detection {det_index} matches no detection"
         )
-    return frames, size
+    block = np.array(rows) if rows else np.empty((0, 0))
+    views = iter(block)
+    frames = [[_detection(box, next(views), conf) for _, box, conf in entries]
+              for entries in parsed]
+    corners = boxes_to_corners([box for entries in parsed for _, box, _ in entries])
+    return detection_frames(frames, corners, block), size
 
 
 def write_scenario(

@@ -31,7 +31,12 @@ and embedding noise, and its confidence. The second is one array pass per
 block of 32 frames, and at the last frame: the true appearance of the
 block's frames, each object's occluder, Box-Muller over all raw outputs of
 its kept detections (``rng.box_muller``), the blend toward the occluder,
-the division by each row's norm and the jittered boxes. Every array step is
+the division by each row's norm, the jittered boxes and their corners, and
+the block's ``DetectionFrame`` records from ``detection_frames``, whose one
+zero-padded IoU pass gives each detection its largest overlap with the
+others. The pass builds each ``Detection`` without re-running its check:
+the box passes ``Box2D``'s, each row has unit norm and each confidence is
+in [0.5, 1] by construction. Every array step is
 elementwise and rounded as the scalar one (``exp``, ``cos`` and ``sin`` stay
 in Python ``math``, which numpy's versions need not match), and each norm is
 ``sqrt(row.dot(row))``, the 1-D formula of ``np.linalg.norm``, so the bits
@@ -39,8 +44,9 @@ equal those of a per-object loop whatever the block size. The block bounds
 the pass's transient arrays: one pass over a whole 24-object, 200-frame
 scene needs about twice the memory the scene holds.
 ``Scenario.true_appearance`` is one (frames, objects, D) array, and the
-embeddings of a block's detections are row views of one (k, D) array, so
-one held ``Detection`` keeps its block's array alive.
+embeddings of a block's detections are row views of one (k, D) array, and
+each record's embeddings a slice of it, so one held ``Detection`` keeps its
+block's array alive.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ import numpy as np
 
 from .geometry import Box2D, boxes_to_corners, iou_matrix, max_iou_vs_others
 from .rng import SplitMix64, box_muller
-from .tracker import Detection
+from .tracker import Detection, DetectionFrame, _detection, detection_frames
 
 __all__ = ["ScenarioConfig", "Scenario", "generate_scenario"]
 
@@ -118,13 +124,13 @@ class Scenario:
     """Generated sequence: per-frame ground truth, detections, true appearances.
 
     ``true_appearance[t][i]`` is the unit appearance of object i + 1 in frame
-    t + 1, before occlusion and noise. The detection embeddings of each block
-    of 32 frames are row views of one array, which any one of them keeps
-    alive.
+    t + 1, before occlusion and noise. ``detections`` holds one
+    ``DetectionFrame`` per frame. The detection embeddings of each block of
+    32 frames are row views of one array, which any one of them keeps alive.
     """
 
     gt: List[List[Tuple[int, Box2D]]]
-    detections: List[List[Detection]]
+    detections: List[DetectionFrame]
     true_appearance: np.ndarray  # (frames, objects, D)
 
 
@@ -189,7 +195,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     sizes = np.array([widths, heights])
 
     gt_frames: List[List[Tuple[int, Box2D]]] = []
-    det_frames: List[List[Detection]] = []
+    det_frames: List[DetectionFrame] = []
     appearance = np.empty((cfg.n_frames, n, dim))
     per_det = 2 * (4 + dim)  # raw outputs behind one detection's gaussians
 
@@ -226,7 +232,6 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
 
             boxes = [Box2D(xs[i], ys[i], widths[i], heights[i]) for i in range(n)]
             gt_frames.append(list(enumerate(boxes, 1)))
-            det_frames.append([])
             # The overlap sets the miss probability, so it cannot wait for the block.
             corners = boxes_to_corners(boxes)
             best, block_ious[b] = max_iou_vs_others(iou_matrix(corners, corners))
@@ -246,6 +251,9 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
         cos = np.fromiter(map(math.cos, block_thetas), float, size * n).reshape(size, n)
         sin = np.fromiter(map(math.sin, block_thetas), float, size * n).reshape(size, n)
         apps[:] = cos[..., None] * plane_u + sin[..., None] * plane_v
+        block_dets: List[List[Detection]] = [[] for _ in range(size)]
+        corners = np.empty((0, 4))
+        embeddings = np.empty((0, dim))
         if kept:
             frame, obj = np.divmod(np.array(kept), n)
             raw = np.concatenate(raws)
@@ -257,11 +265,14 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
             scale = cfg.size_jitter * g[:, 2:4].T.ravel()
             factor = np.fromiter(map(math.exp, scale.tolist()), float, scale.size)
             extents = sizes[:, obj] * factor.reshape(2, -1)
-            block_frames = det_frames[f0:stop]
+            # The corners of ``Box2D.corners``, from the same fields.
+            half = extents / 2.0
+            corners = np.concatenate((centers - half, centers + half)).T.copy()
             for f, cx, cy, w, h, emb, conf in zip(
                 frame.tolist(), *centers.tolist(), *extents.tolist(), embeddings, confs
             ):
-                block_frames[f].append(Detection(Box2D(cx, cy, w, h), emb, conf))
+                block_dets[f].append(_detection(Box2D(cx, cy, w, h), emb, conf))
+        det_frames += detection_frames(block_dets, corners, embeddings)
 
     return Scenario(gt_frames, det_frames, appearance)
 

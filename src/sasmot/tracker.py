@@ -1,15 +1,23 @@
 """Association tracker driving the sparse memory.
 
-Per frame the tracker runs one IoU pass: the live tracks' last boxes
-stacked on the detection boxes, against the detection boxes. The
-track-by-detection block is the spatial term of a cost matrix that blends
-appearance (cosine distance between the track's fused query and the
-detection embedding) with overlap; ``max_iou_vs_others`` of the
-detection-by-detection block gives each detection's largest IoU with any
-other, which its memory records. The tracker then solves a minimum-cost
+A frame's detections travel as one ``DetectionFrame``: the ``Detection``s
+with their (N, 4) corners, (N, D) embeddings, (N,) scores and each one's
+largest IoU with the others (``max_iou_vs_others``), which its memory
+records. ``detection_frames`` builds the records of many frames at once,
+one zero-padded ``iou_matrix`` pass per group of frames, where detections
+enter: the simulator's block pass and the MOT/sidecar reader. A scene's
+records are scored once, however many trackers step through them; a plain
+list given to ``Tracker.step`` becomes a record there.
+
+Per frame the tracker then runs one IoU pass, the live tracks' last boxes
+against the record's corners. It is the spatial term of a cost matrix that
+blends appearance (cosine distance between the track's fused query and the
+detection embedding) with overlap. The tracker solves a minimum-cost
 one-to-one assignment and updates matched tracks' memories and queries.
 Unmatched detections become new tracks; unmatched tracks coast with frozen
-memory until they exceed ``max_misses``.
+memory until they exceed ``max_misses``. When ``min_score`` drops a
+detection, the record is built again from the kept ones, so that the
+overlaps are among them.
 
 The solver is scipy's compiled ``linear_sum_assignment``, loaded straight
 from the ``_lsap`` extension in scipy's ``optimize/`` directory under its
@@ -26,7 +34,8 @@ import importlib.util
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +66,8 @@ linear_sum_assignment = _load_lsap().linear_sum_assignment
 __all__ = [
     "FORBIDDEN_COST",
     "Detection",
+    "DetectionFrame",
+    "detection_frames",
     "embedding_fault",
     "TrackerConfig",
     "TrackState",
@@ -105,6 +116,100 @@ class Detection:
             raise ValueError(fault)
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
+
+
+def _detection(box: Box2D, embedding: np.ndarray, score: float) -> Detection:
+    """A ``Detection`` of fields its ingest path has already checked.
+
+    The simulator and the sidecar reader check each box, embedding row and
+    score once, where they build it, so ``__post_init__`` would only repeat
+    their verdicts; the public constructor keeps its check.
+    """
+    det = object.__new__(Detection)
+    det.box, det.embedding, det.score = box, embedding, score
+    return det
+
+
+@dataclass(eq=False, slots=True)
+class DetectionFrame:
+    """One frame's detections and their arrays, built once where they enter.
+
+    Row i of ``corners`` (N, 4; left, top, right, bottom), ``embeddings``
+    (N, D) and ``scores`` (N,) belongs to ``detections[i]``, and
+    ``overlaps[i]`` is its largest IoU with any other detection of the frame,
+    0.0 when it is alone. Iterating, indexing and ``len`` see the
+    ``Detection`` list.
+    """
+
+    detections: List[Detection]
+    corners: np.ndarray
+    embeddings: np.ndarray
+    scores: np.ndarray
+    overlaps: np.ndarray
+
+    @classmethod
+    def from_detections(cls, detections: Iterable[Detection]) -> DetectionFrame:
+        """The record of one frame's ``Detection``s; their embeddings share one size."""
+        dets = list(detections)
+        sizes = [det.embedding.size for det in dets]
+        for di, size in enumerate(sizes):
+            if size != sizes[0]:
+                raise ValueError(
+                    f"detection {di} has embedding size {size}, expected {sizes[0]}"
+                )
+        embeddings = np.array([det.embedding for det in dets]) if dets else np.empty((0, 0))
+        return detection_frames([dets], boxes_to_corners([det.box for det in dets]), embeddings)[0]
+
+    def __iter__(self) -> Iterator[Detection]:
+        return iter(self.detections)
+
+    def __len__(self) -> int:
+        return len(self.detections)
+
+    def __getitem__(self, index):
+        return self.detections[index]
+
+
+# Padded cells of one IoU pass: frames times the square of their largest
+# detection count. It bounds the pass's transient arrays however crowded a
+# frame is; a group always takes at least one frame.
+_IOU_CELLS = 1 << 15
+
+
+def detection_frames(
+    frames: Sequence[List[Detection]], corners: np.ndarray, embeddings: np.ndarray
+) -> List[DetectionFrame]:
+    """Records of consecutive frames whose detections, in order, are the rows
+    of (k, 4) ``corners`` and (k, D) ``embeddings``.
+
+    The records' arrays are row slices of these and of one scores and one
+    overlaps array. Overlaps come from one ``iou_matrix`` per group of
+    frames, each frame's corners zero-padded to the group's largest: a
+    zero-size box overlaps nothing, and every IoU is elementwise, so each
+    overlap has the bits of a pass over its frame alone.
+    """
+    counts = [len(dets) for dets in frames]
+    starts = np.cumsum([0, *counts])
+    scores = np.array([det.score for dets in frames for det in dets], dtype=float)
+    overlaps = np.empty(len(scores))
+    a = 0
+    while a < len(frames):
+        b, width = a + 1, counts[a]
+        while b < len(frames) and (b + 1 - a) * max(width, counts[b]) ** 2 <= _IOU_CELLS:
+            width = max(width, counts[b])
+            b += 1
+        s, e = starts[a], starts[b]
+        frame = np.repeat(np.arange(b - a), counts[a:b])
+        slot = np.arange(e - s) - np.repeat(starts[a:b] - s, counts[a:b])
+        padded = np.zeros((b - a, width, 4))
+        padded[frame, slot] = corners[s:e]
+        overlaps[s:e] = max_iou_vs_others(iou_matrix(padded, padded))[0][frame, slot]
+        a = b
+    bounds = starts.tolist()
+    return [
+        DetectionFrame(dets, corners[s:e], embeddings[s:e], scores[s:e], overlaps[s:e])
+        for dets, s, e in zip(frames, bounds, bounds[1:])
+    ]
 
 
 @dataclass
@@ -180,21 +285,20 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def build_cost_matrix(
     tracks: Sequence[TrackState],
-    dets: Sequence[Detection],
+    embeddings: np.ndarray,
     ov: np.ndarray,
     cfg: TrackerConfig,
 ) -> np.ndarray:
     """Blended appearance/spatial cost, with gated-out pairs set to FORBIDDEN_COST.
 
-    ``ov`` is the (T, N) IoU of each track's last box with each detection's
-    box, the top block of the step's single ``iou_matrix`` pass.
+    ``embeddings`` holds the (N, D) detection embeddings, and ``ov`` is the
+    (T, N) IoU of each track's last box with each detection's box, the
+    step's one ``iou_matrix`` pass.
     """
-    if not tracks or not dets:
-        return np.zeros((len(tracks), len(dets)), dtype=float)
+    if not tracks or not len(embeddings):
+        return np.zeros((len(tracks), len(embeddings)), dtype=float)
     lam = cfg.cost_blend
-    appearance = cosine_distance(
-        np.array([t.query for t in tracks]), np.array([d.embedding for d in dets])
-    )
+    appearance = cosine_distance(np.array([t.query for t in tracks]), embeddings)
     cost = lam * appearance / 2.0 + (1.0 - lam) * (1.0 - ov)
     forbidden = cost > cfg.match_threshold
     # IoU is never below 0, so a disabled gate (0.0) would forbid nothing.
@@ -236,40 +340,42 @@ class Tracker:
         self.tracks: List[TrackState] = []
         self._next_id = 1
         self._last_frame: Optional[int] = None
-        # Embedding size, taken from the first detection seen.
+        # Embedding size, taken from the first accepted frame with detections.
         self.dim: Optional[int] = None
 
-    def step(self, detections: Sequence[Detection], frame_idx: int) -> FrameResult:
-        """Advance one frame; returns the (track_id, box) pairs emitted for it."""
+    def step(self, detections: Iterable[Detection], frame_idx: int) -> FrameResult:
+        """Advance one frame; returns the (track_id, box) pairs emitted for it.
+
+        ``detections`` is the frame's ``DetectionFrame``, or any iterable of
+        ``Detection``s, which becomes one. A step that raises changes nothing.
+        """
         if self._last_frame is not None and frame_idx <= self._last_frame:
             raise ValueError(
                 f"frame_idx must increase: got {frame_idx} after {self._last_frame}"
             )
-        # One pass checks every embedding size and keeps the confident ones.
-        dets: List[Detection] = []
-        min_score = self.cfg.min_score
-        for di, det in enumerate(detections):
-            size = det.embedding.size
-            if self.dim is None:
-                self.dim = size
-            elif size != self.dim:
-                raise ValueError(
-                    f"frame {frame_idx}: detection {di} has embedding size "
-                    f"{size}, expected {self.dim}"
-                )
-            if det.score >= min_score:
-                dets.append(det)
+        frame = detections
+        if not isinstance(frame, DetectionFrame):
+            try:
+                frame = DetectionFrame.from_detections(detections)
+            except ValueError as exc:
+                raise ValueError(f"frame {frame_idx}: {exc}") from None
+        # Every detection has the record's size, so the first one speaks for all.
+        dim = frame.embeddings.shape[1] if len(frame) else self.dim
+        if self.dim is not None and dim != self.dim:
+            raise ValueError(
+                f"frame {frame_idx}: detection 0 has embedding size {dim}, expected {self.dim}"
+            )
+        self.dim = dim
         self._last_frame = frame_idx
+        keep = frame.scores >= self.cfg.min_score
+        if not keep.all():
+            frame = DetectionFrame.from_detections(compress(frame, keep.tolist()))
+        dets = frame.detections
 
-        # One IoU pass, (tracks + dets) x dets: the top block is the cost's
-        # spatial term, and the bottom block gives each detection's largest
-        # IoU with any other (0.0 when alone).
-        n = len(self.tracks)
-        corners = boxes_to_corners([t.last_box for t in self.tracks] + [d.box for d in dets])
-        ious = iou_matrix(corners, corners[n:])
-        cost = build_cost_matrix(self.tracks, dets, ious[:n], self.cfg)
+        ious = iou_matrix(boxes_to_corners([t.last_box for t in self.tracks]), frame.corners)
+        cost = build_cost_matrix(self.tracks, frame.embeddings, ious, self.cfg)
         pairs = hungarian_assign(cost)
-        overlaps = max_iou_vs_others(ious[n:])[0].tolist()
+        overlaps = frame.overlaps.tolist()
 
         # Every live track takes a miss, a match clears it, tracks past
         # max_misses die, and unmatched detections are born in order.

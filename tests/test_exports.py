@@ -116,7 +116,7 @@ def test_every_instance_attribute_is_read():
 RECORDS = {
     "geometry.py": ["Box2D"],
     "memory.py": ["MemoryEntry"],
-    "tracker.py": ["Detection", "TrackState", "FrameResult"],
+    "tracker.py": ["Detection", "DetectionFrame", "TrackState", "FrameResult"],
 }
 
 

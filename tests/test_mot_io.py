@@ -8,6 +8,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import pytest
 
+from sasmot import mot_io
+from sasmot import tracker as tracker_mod
 from sasmot.geometry import Box2D
 from sasmot.mot_io import (
     detections_from_files,
@@ -23,6 +25,7 @@ from sasmot.mot_io import (
 )
 from sasmot.simulator import ScenarioConfig, generate_scenario
 from sasmot.tracker import Detection, FrameResult
+from test_simulator import RECORD_SCENES, assert_records_are_one_frame_records
 
 
 def test_parse_row_normalizes_by_image_size():
@@ -267,6 +270,34 @@ def test_scenario_files_round_trip(tmp_path):
         assert np.allclose(a.embedding, b.embedding, atol=1e-8)
         assert abs(a.box.cx - b.box.cx) < 1e-6
         assert abs(a.score - b.score) < 1e-6
+
+
+@pytest.mark.parametrize("kw", RECORD_SCENES)
+def test_file_records_equal_one_frame_records(tmp_path, kw, monkeypatch):
+    scenario = generate_scenario(ScenarioConfig(**kw))
+    _, det_path, emb_path = write_scenario(scenario, tmp_path, (1920, 1080))
+    # One frame per IoU pass, a few frames per pass, and the default.
+    for cells in (1, 2000, tracker_mod._IOU_CELLS):
+        monkeypatch.setattr(tracker_mod, "_IOU_CELLS", cells)
+        frames, _ = detections_from_files(det_path, emb_path)
+        assert sum(map(len, frames)) == sum(map(len, scenario.detections))
+        assert assert_records_are_one_frame_records(frames) > 0 or kw["n_objects"] < 8
+
+
+def test_each_sidecar_row_is_checked_once(tmp_path, monkeypatch):
+    scenario = generate_scenario(ScenarioConfig(n_objects=4, n_frames=20, seed=3))
+    _, det_path, emb_path = write_scenario(scenario, tmp_path, (640, 480))
+    original, calls = tracker_mod.embedding_fault, []
+
+    def counting(e):
+        calls.append(e)
+        return original(e)
+
+    # The reader's check and the one Detection(...) would make.
+    monkeypatch.setattr(mot_io, "embedding_fault", counting)
+    monkeypatch.setattr(tracker_mod, "embedding_fault", counting)
+    frames, _ = detections_from_files(det_path, emb_path)
+    assert len(calls) == sum(map(len, frames)) == sum(map(len, scenario.detections)) > 0
 
 
 def test_embeddings_sidecar_round_trip(tmp_path):

@@ -18,6 +18,7 @@ from sasmot.simulator import (
     _orthonormal_plane,
     generate_scenario,
 )
+from sasmot.tracker import DetectionFrame
 
 
 def _angle(a, b):
@@ -153,6 +154,48 @@ def test_scene_does_not_depend_on_the_block_size(kw, monkeypatch):
         # block's array has a row per detection of its frames.
         first_block = scenario.detections[: min(block, cfg.n_frames)]
         assert len(first_block[0][0].embedding.base) == sum(map(len, first_block)), block
+
+
+# The configs of the frozen scenes above: D = 2 to 33, 1 to 200 frames,
+# blocks that keep no detection, and many overlaps at full blend.
+RECORD_SCENES = [
+    dict(n_objects=8, n_frames=60, seed=1),
+    dict(n_objects=24, n_frames=60, seed=1),
+    dict(n_objects=1, n_frames=200, seed=3),
+    dict(n_objects=8, n_frames=60, embedding_dim=2, seed=5),
+    dict(n_objects=8, n_frames=60, embedding_dim=33, seed=7919),
+    dict(n_objects=24, n_frames=60, size_min=0.3, size_max=0.45, occlusion_blend=1.0, seed=11),
+    dict(n_objects=24, n_frames=60, embedding_dim=33, seed=7919),
+    dict(n_objects=5, n_frames=1, seed=8),
+    dict(n_objects=5, n_frames=97, seed=8),
+    dict(n_objects=6, n_frames=70, miss_prob_base=1.0, miss_prob_occluded=1.0, seed=2),
+]
+
+
+def assert_records_are_one_frame_records(frames):
+    """Each record equals the public constructor's record of its detections,
+    byte for byte; returns how many detections overlap another."""
+    overlapping = 0
+    for frame in frames:
+        want = DetectionFrame.from_detections(list(frame))
+        assert frame.detections == want.detections
+        for name in ("corners", "embeddings", "scores", "overlaps"):
+            got, ref = getattr(frame, name), getattr(want, name)
+            assert got.dtype == ref.dtype == np.float64, name
+            assert len(got) == len(ref) == len(frame) and got.tobytes() == ref.tobytes(), name
+        overlapping += int(np.count_nonzero(frame.overlaps))
+    return overlapping
+
+
+@pytest.mark.parametrize("kw", RECORD_SCENES)
+def test_block_records_equal_one_frame_records(kw, monkeypatch):
+    cfg = ScenarioConfig(**kw)
+    overlapping = assert_records_are_one_frame_records(generate_scenario(cfg).detections)
+    # Scenes of 8 or more objects have overlaps, so padding is exercised.
+    assert overlapping > 0 or cfg.n_objects < 8
+    for block in (1, 7, cfg.n_frames + 5):
+        monkeypatch.setattr(simulator, "_BLOCK", block)
+        assert_records_are_one_frame_records(generate_scenario(cfg).detections)
 
 
 def test_different_seeds_differ():
@@ -420,10 +463,10 @@ def test_config_validation():
 
 
 def test_scene_memory_per_object_frame():
-    # Slotted boxes and detections, one appearance array per scene and one
-    # embedding array per block: about 750 traced bytes per object-frame
-    # (Python 3.11, numpy 2.4), against about 990 with a dict per record and
-    # an array per vector.
+    # Slotted boxes, detections and frame records, one appearance array per
+    # scene and one embedding array per block: about 815 traced bytes per
+    # object-frame (Python 3.11, numpy 2.4), 65 of them the frame records'
+    # arrays. A dict per record and an array per vector cost about 240 more.
     cfg = ScenarioConfig(n_objects=24, n_frames=100, seed=1)
     tracemalloc.start()
     try:
@@ -437,7 +480,7 @@ def test_scene_memory_per_object_frame():
 
 def test_scene_transient_memory_is_bounded_by_the_block():
     # The array pass runs per block of 32 frames, so its transient arrays do
-    # not grow with the scene: about 1.3 MB above the held scene here
+    # not grow with the scene: about 1.6 MB above the held scene here
     # (Python 3.11, numpy 2.4), against 6.7 MB for one pass over all frames.
     cfg = ScenarioConfig(n_objects=24, n_frames=200, seed=1)
     tracemalloc.start()

@@ -22,6 +22,7 @@ from sasmot.simulator import ScenarioConfig, generate_scenario
 from sasmot.tracker import (
     FORBIDDEN_COST,
     Detection,
+    DetectionFrame,
     Tracker,
     TrackerConfig,
     TrackState,
@@ -41,10 +42,9 @@ E3 = [0.0, 0.0, 1.0]
 
 
 def _cost(tracks, dets, cfg):
-    ious = iou_matrix(
-        boxes_to_corners([t.last_box for t in tracks]), boxes_to_corners([d.box for d in dets])
-    )
-    return build_cost_matrix(tracks, dets, ious, cfg)
+    frame = DetectionFrame.from_detections(dets)
+    ious = iou_matrix(boxes_to_corners([t.last_box for t in tracks]), frame.corners)
+    return build_cost_matrix(tracks, frame.embeddings, ious, cfg)
 
 
 def test_cosine_distance_analytic():
@@ -162,7 +162,7 @@ def test_cost_kernels_equal_the_reference_formulas_bit_for_bit(
         cosine_distance(queries, embeddings).tobytes()
         == _cosine_distance_reference(queries, embeddings).tobytes()
     )
-    got = build_cost_matrix(tracks, dets, ov, cfg)
+    got = build_cost_matrix(tracks, DetectionFrame.from_detections(dets).embeddings, ov, cfg)
     assert got.tobytes() == _cost_reference(queries, embeddings, ov, cfg).tobytes()
 
 
@@ -383,8 +383,39 @@ def test_embedding_size_change_names_frame_and_detection():
     tracker = Tracker(TrackerConfig())
     with pytest.raises(ValueError, match=r"frame 1: detection 1 has embedding size 4, expected 3"):
         tracker.step([_det(0.2, 0.5, E1), _det(0.8, 0.5, [0.0, 0.0, 0.0, 1.0])], 1)
-    with pytest.raises(ValueError, match=r"frame 2: detection 0 has embedding size 4"):
-        tracker.step([_det(0.8, 0.5, [0.0, 0.0, 0.0, 1.0])], 2)
+    # The rejected frame set no size: a 4-D frame 1 is accepted and sets it.
+    tracker.step([_det(0.8, 0.5, [0.0, 0.0, 0.0, 1.0])], 1)
+    with pytest.raises(ValueError, match=r"frame 2: detection 0 has embedding size 3, expected 4"):
+        tracker.step([_det(0.8, 0.5, E1)], 2)
+
+
+_MIXED = [_det(0.2, 0.5, E1), _det(0.8, 0.5, [0.0, 0.0, 0.0, 1.0])]
+
+
+@pytest.mark.parametrize(
+    "before, frame",
+    [
+        ([], _MIXED),  # a rejected first frame sets no embedding size
+        ([[_det(0.2, 0.5, E1), _det(0.8, 0.5, E2)]], _MIXED),
+        ([[_det(0.2, 0.5, E1), _det(0.8, 0.5, E2)]], [_det(0.2, 0.5, [0.0, 0.0, 0.0, 1.0])]),
+    ],
+)
+def test_a_step_that_raises_changes_no_state(before, frame):
+    tracker = Tracker(TrackerConfig())
+    for frame_idx, dets in enumerate(before, start=1):
+        tracker.step(dets, frame_idx)
+
+    def state():
+        return (list(tracker.tracks), tracker.dim, tracker._last_frame, tracker._next_id,
+                [(t.last_box, t.misses, len(t.memory.entries)) for t in tracker.tracks])
+
+    kept = state()
+    with pytest.raises(ValueError, match="embedding size"):
+        tracker.step(frame, len(before) + 1)
+    assert state() == kept
+    # The frame index was not used up, and a frame of the other size is
+    # accepted exactly when no frame was accepted before.
+    tracker.step([_det(0.5, 0.9, E3)], len(before) + 1)
 
 
 def test_frame_order_is_checked_before_any_state_changes():
@@ -652,10 +683,10 @@ def test_extreme_accepted_embeddings_give_finite_distances():
     assert d.tolist() == [[0.0, 2.0, 0.0, 2.0]] * 2
 
 
-def _emitted_digest(scenario, policy):
+def _emitted_digest(scenario, policy, cfg=None):
     """sha256 over every emitted (frame, id, box fields as float64 bytes)."""
     h = hashlib.sha256()
-    for frame_idx, tracks in _run(scenario, TrackerConfig(), policy):
+    for frame_idx, tracks in _run(scenario, cfg or TrackerConfig(), policy):
         for track_id, b in tracks:
             h.update(struct.pack("<2q4d", frame_idx, track_id, b.cx, b.cy, b.w, b.h))
     return h.hexdigest()
@@ -664,7 +695,9 @@ def _emitted_digest(scenario, policy):
 # Frozen tracker output: any change to association, lifecycle or memory that
 # moves one emitted bit under any policy fails here. A step speed-up must
 # keep these digests. On the 8-object scenes some policies emit the same
-# output; the 24-object scene tells all five apart.
+# output; the 24-object scene tells all five apart. A ``min_score`` in
+# ``kw`` is the tracker's: at 0.75 it drops about half of the detections,
+# so the step's filtered path is pinned too.
 @pytest.mark.parametrize(
     "kw, expected",
     [
@@ -698,11 +731,33 @@ def _emitted_digest(scenario, policy):
                 "delaying": "58b7cf795f9782f59dc6992323d1efe0c782dc05d04df24fc7b416ef5351b730",
             },
         ),
+        (
+            dict(n_objects=8, n_frames=120, seed=1, min_score=0.75),
+            {
+                "none": "6a5142fe940b61039950c12053576b297d78d8ac69687534b323f8e5c1652794",
+                "sparse": "8f6c2692e64c0b447910a8516a011f4e55e1a7d630fc6d67acbb50fcf9744b7d",
+                "sparse+ofs": "3acebe66a5f20badfc93aaad0190fa99b7f5b123002777a3f55c0698ed0bf14a",
+                "dense": "a6dce505213ba52ba917b8ca3917e272f150e3369d4c76e87d20b8ea3726fb1e",
+                "delaying": "8f6c2692e64c0b447910a8516a011f4e55e1a7d630fc6d67acbb50fcf9744b7d",
+            },
+        ),
+        (
+            dict(n_objects=24, n_frames=120, seed=2, min_score=0.75),
+            {
+                "none": "4088a5067a66102484a2f1c277a5dd8e412c7cd0317e9fd5d2d57b10cc2870c5",
+                "sparse": "9f7db9ce3271783121d4cb358662df9fb65a1d3a47a8e3096a69a043e1e3f8e3",
+                "sparse+ofs": "565ae6127a32d4074c439742cc429548ed1702cf1638879a6485b25d4b4dc6c8",
+                "dense": "5c70c998c6662dc2f5a875e4e2c3f63b31009f3c27e2bbb020899a8b3ad68436",
+                "delaying": "65cca79c78d51df4c41e07a8c0858167737eee050fbfa7d8c30f7716510888cb",
+            },
+        ),
     ],
 )
 def test_tracker_output_digest_is_frozen(kw, expected):
-    scenario = generate_scenario(ScenarioConfig(**kw))
-    got = {policy.value: _emitted_digest(scenario, policy) for policy in MemoryPolicy}
+    scene_kw = dict(kw)
+    cfg = TrackerConfig(min_score=scene_kw.pop("min_score", TrackerConfig.min_score))
+    scenario = generate_scenario(ScenarioConfig(**scene_kw))
+    got = {policy.value: _emitted_digest(scenario, policy, cfg) for policy in MemoryPolicy}
     assert got == expected
 
 
