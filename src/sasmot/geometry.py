@@ -22,6 +22,7 @@ __all__ = [
     "iou",
     "iou_matrix",
     "boxes_to_corners",
+    "corners_of",
     "max_iou_vs_others",
 ]
 
@@ -95,6 +96,16 @@ def boxes_to_corners(boxes: Sequence[Box2D]) -> np.ndarray:
     # Streamed, so a long sequence's corners never exist as one list of tuples.
     flat = chain.from_iterable(map(Box2D.corners, boxes))
     return np.fromiter(flat, dtype=float, count=4 * len(boxes)).reshape(-1, 4)
+
+
+def corners_of(centers: np.ndarray, extents: np.ndarray) -> np.ndarray:
+    """(N, 4) corner rows of boxes given as (2, N) centres and (2, N) sizes.
+
+    Row i has the bits of ``Box2D(cx, cy, w, h).corners()`` for column i,
+    the same halving and the same sums, without building the boxes.
+    """
+    half = extents / 2.0
+    return np.concatenate((centers - half, centers + half)).T.copy()
 
 
 def iou_matrix(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ with one ``%`` operation; the sidecar reader parses its rows into one
 array in one pass and checks each row as it converts, the only check an
 embedding gets on this path. ``detections_from_files`` checks each score
 and joins rows to detections, then builds the file's ``DetectionFrame``
-records at once with ``detection_frames``, whose IoU passes span groups of
+records at once with ``_detection_frames``, whose IoU passes span groups of
 frames zero-padded to their largest.
 """
 
@@ -43,7 +43,7 @@ import numpy as np
 
 from .geometry import Box2D, boxes_to_corners
 from .simulator import Scenario
-from .tracker import DetectionFrame, FrameResult, _detection, detection_frames, embedding_fault
+from .tracker import DetectionFrame, FrameResult, _detection, _detection_frames, embedding_fault
 
 __all__ = [
     "parse_image_size",
@@ -256,7 +256,7 @@ def detections_from_files(
     detection needs a sidecar row and a score in [0, 1], and every sidecar
     row a detection. Each row is checked once, by the sidecar reader; the
     embeddings of all detections are then row views of one (k, D) array,
-    and ``detection_frames`` builds the records over the whole file.
+    and ``_detection_frames`` builds the records over the whole file.
     """
     parsed, size = parse_mot_file(det_path, image_size)
     embeddings = read_embeddings_csv(emb_path)
@@ -282,7 +282,7 @@ def detections_from_files(
     frames = [[_detection(box, next(views), conf) for _, box, conf in entries]
               for entries in parsed]
     corners = boxes_to_corners([box for entries in parsed for _, box, _ in entries])
-    return detection_frames(frames, corners, block), size
+    return _detection_frames(frames, corners, block), size
 
 
 def write_scenario(

@@ -31,10 +31,10 @@ and embedding noise, and its confidence. The second is one array pass per
 block of 32 frames, and at the last frame: the true appearance of the
 block's frames, each object's occluder, Box-Muller over all raw outputs of
 its kept detections (``rng.box_muller``), the blend toward the occluder,
-the division by each row's norm, the jittered boxes and their corners, and
-the block's ``DetectionFrame`` records from ``detection_frames``, whose one
-zero-padded IoU pass gives each detection its largest overlap with the
-others. The pass builds each ``Detection`` without re-running its check:
+the division by each row's norm, the jittered boxes and their corners
+(``geometry.corners_of``), and the block's ``DetectionFrame`` records from
+``_detection_frames``, whose one zero-padded IoU pass gives each detection
+its largest overlap with the others. The pass builds each ``Detection`` without re-running its check:
 the box passes ``Box2D``'s, each row has unit norm and each confidence is
 in [0.5, 1] by construction. Every array step is
 elementwise and rounded as the scalar one (``exp``, ``cos`` and ``sin`` stay
@@ -57,9 +57,9 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .geometry import Box2D, boxes_to_corners, iou_matrix, max_iou_vs_others
+from .geometry import Box2D, boxes_to_corners, corners_of, iou_matrix, max_iou_vs_others
 from .rng import SplitMix64, box_muller
-from .tracker import Detection, DetectionFrame, _detection, detection_frames
+from .tracker import Detection, DetectionFrame, _detection, _detection_frames
 
 __all__ = ["ScenarioConfig", "Scenario", "generate_scenario"]
 
@@ -125,8 +125,10 @@ class Scenario:
 
     ``true_appearance[t][i]`` is the unit appearance of object i + 1 in frame
     t + 1, before occlusion and noise. ``detections`` holds one
-    ``DetectionFrame`` per frame. The detection embeddings of each block of
-    32 frames are row views of one array, which any one of them keeps alive.
+    ``DetectionFrame`` per frame, built once and read-only afterwards: a
+    tracker reads a record's arrays, not its ``Detection``s, so edits to
+    them would go unseen. The detection embeddings of each block of 32
+    frames are row views of one array, which any one of them keeps alive.
     """
 
     gt: List[List[Tuple[int, Box2D]]]
@@ -265,14 +267,12 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
             scale = cfg.size_jitter * g[:, 2:4].T.ravel()
             factor = np.fromiter(map(math.exp, scale.tolist()), float, scale.size)
             extents = sizes[:, obj] * factor.reshape(2, -1)
-            # The corners of ``Box2D.corners``, from the same fields.
-            half = extents / 2.0
-            corners = np.concatenate((centers - half, centers + half)).T.copy()
+            corners = corners_of(centers, extents)
             for f, cx, cy, w, h, emb, conf in zip(
                 frame.tolist(), *centers.tolist(), *extents.tolist(), embeddings, confs
             ):
                 block_dets[f].append(_detection(Box2D(cx, cy, w, h), emb, conf))
-        det_frames += detection_frames(block_dets, corners, embeddings)
+        det_frames += _detection_frames(block_dets, corners, embeddings)
 
     return Scenario(gt_frames, det_frames, appearance)
 

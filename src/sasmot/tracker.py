@@ -3,7 +3,7 @@
 A frame's detections travel as one ``DetectionFrame``: the ``Detection``s
 with their (N, 4) corners, (N, D) embeddings, (N,) scores and each one's
 largest IoU with the others (``max_iou_vs_others``), which its memory
-records. ``detection_frames`` builds the records of many frames at once,
+records. ``_detection_frames`` builds the records of many frames at once,
 one zero-padded ``iou_matrix`` pass per group of frames, where detections
 enter: the simulator's block pass and the MOT/sidecar reader. A scene's
 records are scored once, however many trackers step through them; a plain
@@ -16,8 +16,9 @@ detection embedding) with overlap. The tracker solves a minimum-cost
 one-to-one assignment and updates matched tracks' memories and queries.
 Unmatched detections become new tracks; unmatched tracks coast with frozen
 memory until they exceed ``max_misses``. When ``min_score`` drops a
-detection, the record is built again from the kept ones, so that the
-overlaps are among them.
+detection, the kept rows of the record make a new one, and the step's IoU
+pass also scores the kept detections against each other for its overlaps,
+as one (tracks + kept) x kept pass.
 
 The solver is scipy's compiled ``linear_sum_assignment``, loaded straight
 from the ``_lsap`` extension in scipy's ``optimize/`` directory under its
@@ -67,7 +68,6 @@ __all__ = [
     "FORBIDDEN_COST",
     "Detection",
     "DetectionFrame",
-    "detection_frames",
     "embedding_fault",
     "TrackerConfig",
     "TrackState",
@@ -139,6 +139,11 @@ class DetectionFrame:
     ``overlaps[i]`` is its largest IoU with any other detection of the frame,
     0.0 when it is alone. Iterating, indexing and ``len`` see the
     ``Detection`` list.
+
+    A record is read-only once built: the tracker scores its arrays, not
+    the ``Detection``s, so neither the list nor a detection's box,
+    embedding or score may change afterwards. To track edited detections,
+    build a new record from them with ``from_detections``.
     """
 
     detections: List[Detection]
@@ -158,7 +163,7 @@ class DetectionFrame:
                     f"detection {di} has embedding size {size}, expected {sizes[0]}"
                 )
         embeddings = np.array([det.embedding for det in dets]) if dets else np.empty((0, 0))
-        return detection_frames([dets], boxes_to_corners([det.box for det in dets]), embeddings)[0]
+        return _detection_frames([dets], boxes_to_corners([det.box for det in dets]), embeddings)[0]
 
     def __iter__(self) -> Iterator[Detection]:
         return iter(self.detections)
@@ -176,7 +181,7 @@ class DetectionFrame:
 _IOU_CELLS = 1 << 15
 
 
-def detection_frames(
+def _detection_frames(
     frames: Sequence[List[Detection]], corners: np.ndarray, embeddings: np.ndarray
 ) -> List[DetectionFrame]:
     """Records of consecutive frames whose detections, in order, are the rows
@@ -368,11 +373,23 @@ class Tracker:
         self.dim = dim
         self._last_frame = frame_idx
         keep = frame.scores >= self.cfg.min_score
-        if not keep.all():
-            frame = DetectionFrame.from_detections(compress(frame, keep.tolist()))
+        track_corners = boxes_to_corners([t.last_box for t in self.tracks])
+        if keep.all():
+            ious = iou_matrix(track_corners, frame.corners)
+        else:
+            # The kept rows of the record make a new one. Its overlaps must be
+            # among the kept detections, so one pass, (tracks + kept) x kept,
+            # gives the cost's spatial term on top and the overlaps below.
+            n = len(self.tracks)
+            corners = frame.corners[keep]
+            both = iou_matrix(np.concatenate((track_corners, corners)), corners)
+            ious = both[:n]
+            frame = DetectionFrame(
+                list(compress(frame.detections, keep.tolist())), corners,
+                frame.embeddings[keep], frame.scores[keep], max_iou_vs_others(both[n:])[0],
+            )
         dets = frame.detections
 
-        ious = iou_matrix(boxes_to_corners([t.last_box for t in self.tracks]), frame.corners)
         cost = build_cost_matrix(self.tracks, frame.embeddings, ious, self.cfg)
         pairs = hungarian_assign(cost)
         overlaps = frame.overlaps.tolist()

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sasmot.geometry import (
     Box2D,
     boxes_to_corners,
+    corners_of,
     iou,
     iou_matrix,
     max_iou_vs_others,
@@ -245,3 +246,14 @@ def test_corners_roundtrip():
     assert math.isclose(bottom - top, b.h)
     assert math.isclose((left + right) / 2, b.cx)
     assert np.allclose(boxes_to_corners([b])[0], [left, top, right, bottom])
+
+
+@given(st.lists(st.tuples(finite, finite, positive, positive), min_size=0, max_size=8))
+@example([(0.0, 0.0, 1e-323, 1.0), (1e6, 0.5, 1e-9, 0.1), (-1e300, 0.5, 1e290, 0.25), (1e-300, 2.0, 3e-300, 0.7)])
+def test_corners_of_has_the_bits_of_box_corners(fields):
+    boxes = [Box2D(*f) for f in fields]
+    centers = np.array([[b.cx for b in boxes], [b.cy for b in boxes]]).reshape(2, -1)
+    extents = np.array([[b.w for b in boxes], [b.h for b in boxes]]).reshape(2, -1)
+    got = corners_of(centers, extents)
+    assert got.shape == (len(boxes), 4) and got.flags.c_contiguous
+    assert got.tobytes() == boxes_to_corners(boxes).tobytes()
