@@ -6,9 +6,10 @@ the box center accumulates per frame, and only when the accumulated travel
 exceeds a threshold does the memory commit a feature. Stored features span a
 long window of genuinely different poses instead of near-duplicates of the
 current frame, and the track's matching query is a weighted blend of the
-current embedding with the memory mean. That state (the travel
-accumulator, the pending candidate and the stored ring) is all a memory
-holds; it re-checks no input, since the tracker owns every input rule.
+current embedding with the memory mean, ``fuse``, for one query or a stack
+of them. That state (the travel accumulator, the pending candidate and the
+ring of stored embeddings, summed in ``sum``'s order) is all a memory holds;
+it re-checks no input, since the tracker owns every input rule.
 
 Policies:
 
@@ -41,6 +42,7 @@ __all__ = [
     "MemoryConfig",
     "MemoryEntry",
     "TrackMemory",
+    "fuse",
 ]
 
 
@@ -122,7 +124,13 @@ class TrackMemory:
     def __init__(self, cfg: MemoryConfig, policy: MemoryPolicy = MemoryPolicy.SPARSE_OFS):
         self.cfg = cfg
         self.policy = policy
+        self._off = policy is MemoryPolicy.NONE
+        self._least_overlap = policy is MemoryPolicy.SPARSE_OFS
+        self._every_frame = policy is MemoryPolicy.DENSE
+        self._calm_only = policy is MemoryPolicy.DELAYING
         self.entries: Deque[MemoryEntry] = deque(maxlen=cfg.m_max)
+        self._ring: Optional[np.ndarray] = None  # stored embeddings as rows, oldest first
+        self._total: Optional[np.ndarray] = None  # their sum
         # The memory half of the fused query, ((1 - alpha) / m) times the sum
         # of the m stored embeddings added in entry order. It is set on every
         # commit, so ``alpha`` is read at commit, not at query time.
@@ -135,7 +143,7 @@ class TrackMemory:
 
     def observe(self, box: Box2D, embedding: np.ndarray, overlap: float, frame_idx: int) -> bool:
         """Feed one observed frame; returns True when a feature was stored."""
-        if self.policy is MemoryPolicy.NONE:
+        if self._off:
             return False
 
         if self.last_center is not None:
@@ -145,15 +153,14 @@ class TrackMemory:
 
         # SPARSE_OFS keeps the least-overlapped frame since the last store,
         # ties going to the earlier frame; every other policy keeps the latest.
-        if (self.policy is not MemoryPolicy.SPARSE_OFS or self.candidate is None
+        if (not self._least_overlap or self.candidate is None
                 or overlap < self.candidate.overlap_at_store):
             self.candidate = MemoryEntry(embedding, frame_idx, overlap)
         # DENSE stores every frame; the others once past the motion gate, and
         # DELAYING only on a frame at or below its overlap threshold.
-        calm = overlap <= self.cfg.delay_overlap_threshold
-        store = self.policy is MemoryPolicy.DENSE or (
+        store = self._every_frame or (
             self.accumulator > self.cfg.epsilon
-            and (self.policy is not MemoryPolicy.DELAYING or calm))
+            and (not self._calm_only or overlap <= self.cfg.delay_overlap_threshold))
         if store:
             self.commit_store()
         return store
@@ -163,9 +170,16 @@ class TrackMemory:
         if self.candidate is None:
             raise ValueError("commit_store called with no pending candidate")
         self.entries.append(self.candidate)
-        self._memory_term = ((1.0 - self.cfg.alpha) / len(self.entries)) * sum(
-            entry.embedding for entry in self.entries
-        )
+        row, ring = self.candidate.embedding, self._ring
+        if ring is None or len(ring) < self.entries.maxlen:
+            # Nothing leaves: ``sum(entries)``'s left fold from int 0 goes on.
+            self._total = (0.0 if ring is None else self._total) + row
+            self._ring = row[None] if ring is None else np.concatenate((ring, row[None]))
+        else:
+            # The oldest leaves: refold the rows; + 0.0 makes -0.0 +0.0, as sum's fold from 0 does.
+            self._ring = ring = np.concatenate((ring[1:], row[None]))
+            self._total = np.add.accumulate(ring, axis=0)[-1] + 0.0
+        self._memory_term = ((1.0 - self.cfg.alpha) / len(self._ring)) * self._total
         self.accumulator = 0.0
         self.candidate = None
 
@@ -177,4 +191,9 @@ class TrackMemory:
         """
         if self._memory_term is None:
             return current
-        return self.cfg.alpha * current + self._memory_term
+        return fuse(self.cfg.alpha, current, self._memory_term)
+
+
+def fuse(alpha: float, current: np.ndarray, memory_term: np.ndarray) -> np.ndarray:
+    """``alpha * current + memory_term``, for one query or (k, D) rows of them."""
+    return alpha * current + memory_term

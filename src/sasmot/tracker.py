@@ -9,16 +9,16 @@ enter: the simulator's block pass and the MOT/sidecar reader. A scene's
 records are scored once, however many trackers step through them; a plain
 list given to ``Tracker.step`` becomes a record there.
 
-Per frame the tracker then runs one IoU pass, the live tracks' last boxes
-against the record's corners. It is the spatial term of a cost matrix that
-blends appearance (cosine distance between the track's fused query and the
-detection embedding) with overlap. The tracker solves a minimum-cost
-one-to-one assignment and updates matched tracks' memories and queries.
-Unmatched detections become new tracks; unmatched tracks coast with frozen
-memory until they exceed ``max_misses``. When ``min_score`` drops a
-detection, the kept rows of the record make a new one, and the step's IoU
-pass also scores the kept detections against each other for its overlaps,
-as one (tracks + kept) x kept pass.
+The tracks' side is two banks, their last corners (T, 4) and fused queries
+(T, D). Per frame one IoU pass, the corner bank against the record's
+corners, is the spatial term of a cost matrix that blends it with
+appearance, the cosine distance of queries and embeddings. The tracker
+solves a minimum-cost one-to-one assignment, feeds the matched tracks'
+memories and rewrites their rows, the queries in one ``fuse`` pass. New
+tracks append rows; tracks unmatched past ``max_misses`` drop theirs. When
+``min_score`` drops a detection, the kept rows of the record make a new one,
+and the step's IoU pass also scores the kept detections against each other
+for its overlaps, as one (tracks + kept) x kept pass.
 
 The solver is scipy's compiled ``linear_sum_assignment``, loaded straight
 from the ``_lsap`` extension in scipy's ``optimize/`` directory under its
@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import Box2D, boxes_to_corners, iou_matrix, max_iou_vs_others
-from .memory import MemoryConfig, MemoryPolicy, TrackMemory
+from .memory import MemoryConfig, MemoryPolicy, TrackMemory, fuse
 
 
 def _load_lsap():
@@ -249,10 +249,9 @@ class TrackerConfig:
 
 @dataclass(eq=False, slots=True)
 class TrackState:
-    """A live track: identity, fused query, memory, last box, miss counter."""
+    """A live track: identity, memory, last box, miss counter."""
 
     track_id: int
-    query: np.ndarray
     memory: TrackMemory
     last_box: Box2D
     misses: int = 0
@@ -289,21 +288,21 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def build_cost_matrix(
-    tracks: Sequence[TrackState],
+    queries: np.ndarray,
     embeddings: np.ndarray,
     ov: np.ndarray,
     cfg: TrackerConfig,
 ) -> np.ndarray:
     """Blended appearance/spatial cost, with gated-out pairs set to FORBIDDEN_COST.
 
-    ``embeddings`` holds the (N, D) detection embeddings, and ``ov`` is the
-    (T, N) IoU of each track's last box with each detection's box, the
-    step's one ``iou_matrix`` pass.
+    ``queries`` holds the (T, D) track queries and ``embeddings`` the (N, D)
+    detection embeddings, and ``ov`` is the (T, N) IoU of each track's last
+    box with each detection's box, the step's one ``iou_matrix`` pass.
     """
-    if not tracks or not len(embeddings):
-        return np.zeros((len(tracks), len(embeddings)), dtype=float)
+    if not len(queries) or not len(embeddings):
+        return np.zeros((len(queries), len(embeddings)), dtype=float)
     lam = cfg.cost_blend
-    appearance = cosine_distance(np.array([t.query for t in tracks]), embeddings)
+    appearance = cosine_distance(queries, embeddings)
     cost = lam * appearance / 2.0 + (1.0 - lam) * (1.0 - ov)
     forbidden = cost > cfg.match_threshold
     # IoU is never below 0, so a disabled gate (0.0) would forbid nothing.
@@ -333,7 +332,10 @@ def hungarian_assign(cost: np.ndarray) -> List[Tuple[int, int]]:
 
 
 class Tracker:
-    """Per-sequence association engine; feed frames in order via :meth:`step`."""
+    """Per-sequence association engine; feed frames in order via :meth:`step`.
+
+    Row i of ``corners`` (T, 4) and ``queries`` (T, D) is the last box and
+    the fused query of ``tracks[i]``; ``queries`` takes D when ``dim`` does."""
 
     def __init__(
         self,
@@ -343,6 +345,8 @@ class Tracker:
         self.cfg = cfg if cfg is not None else TrackerConfig()
         self.policy = policy
         self.tracks: List[TrackState] = []
+        self.corners = np.empty((0, 4))
+        self.queries = np.empty((0, 0))
         self._next_id = 1
         self._last_frame: Optional[int] = None
         # Embedding size, taken from the first accepted frame with detections.
@@ -366,23 +370,23 @@ class Tracker:
                 raise ValueError(f"frame {frame_idx}: {exc}") from None
         # Every detection has the record's size, so the first one speaks for all.
         dim = frame.embeddings.shape[1] if len(frame) else self.dim
-        if self.dim is not None and dim != self.dim:
-            raise ValueError(
-                f"frame {frame_idx}: detection 0 has embedding size {dim}, expected {self.dim}"
-            )
-        self.dim = dim
+        if dim != self.dim:
+            if self.dim is not None:
+                raise ValueError(
+                    f"frame {frame_idx}: detection 0 has embedding size {dim}, expected {self.dim}"
+                )
+            self.dim, self.queries = dim, np.empty((0, dim))  # no track lives yet
         self._last_frame = frame_idx
         keep = frame.scores >= self.cfg.min_score
-        track_corners = boxes_to_corners([t.last_box for t in self.tracks])
         if keep.all():
-            ious = iou_matrix(track_corners, frame.corners)
+            ious = iou_matrix(self.corners, frame.corners)
         else:
             # The kept rows of the record make a new one. Its overlaps must be
             # among the kept detections, so one pass, (tracks + kept) x kept,
             # gives the cost's spatial term on top and the overlaps below.
             n = len(self.tracks)
             corners = frame.corners[keep]
-            both = iou_matrix(np.concatenate((track_corners, corners)), corners)
+            both = iou_matrix(np.concatenate((self.corners, corners)), corners)
             ious = both[:n]
             frame = DetectionFrame(
                 list(compress(frame.detections, keep.tolist())), corners,
@@ -390,7 +394,7 @@ class Tracker:
             )
         dets = frame.detections
 
-        cost = build_cost_matrix(self.tracks, frame.embeddings, ious, self.cfg)
+        cost = build_cost_matrix(self.queries, frame.embeddings, ious, self.cfg)
         pairs = hungarian_assign(cost)
         overlaps = frame.overlaps.tolist()
 
@@ -399,26 +403,43 @@ class Tracker:
         for track in self.tracks:
             track.misses += 1
         emitted: List[Tuple[int, Box2D]] = []
-        for ti, di in pairs:
+        fused, terms = [], []
+        for k, (ti, di) in enumerate(pairs):
             track = self.tracks[ti]
             det = dets[di]
             track.misses = 0
             track.last_box = det.box
             track.memory.observe(det.box, det.embedding, overlaps[di], frame_idx)
-            track.query = track.memory.fused_query(det.embedding)
+            if track.memory._memory_term is not None:
+                fused.append(k)
+                terms.append(track.memory._memory_term)
             emitted.append((track.track_id, det.box))
-        self.tracks = [t for t in self.tracks if t.misses <= self.cfg.max_misses]
+        if pairs:
+            rows, cols = np.array(pairs).T
+            # Rows are gathered with ``take``, which costs less than indexing.
+            self.corners[rows] = frame.corners.take(cols, 0)
+            queries, alpha = frame.embeddings.take(cols, 0), self.cfg.memory.alpha
+            if len(fused) == len(pairs):  # most steps: every row fuses
+                queries = fuse(alpha, queries, np.array(terms))
+            elif fused:
+                queries[fused] = fuse(alpha, queries.take(fused, 0), np.array(terms))
+            self.queries[rows] = queries
+        keep = [i for i, t in enumerate(self.tracks) if t.misses <= self.cfg.max_misses]
+        if len(keep) < len(self.tracks):
+            self.tracks = [self.tracks[i] for i in keep]
+            self.corners, self.queries = self.corners.take(keep, 0), self.queries.take(keep, 0)
         paired = {di for _, di in pairs}
-        for di, det in enumerate(dets):
-            if di in paired:
-                continue
+        born = [di for di in range(len(dets)) if di not in paired]
+        if born:
+            self.corners = np.concatenate((self.corners, frame.corners.take(born, 0)))
+            self.queries = np.concatenate((self.queries, frame.embeddings.take(born, 0)))
+        for di in born:
+            det = dets[di]
             memory = TrackMemory(self.cfg.memory, self.policy)
-            # The birth observation seeds the memory's last_center and
-            # candidate; sparse policies store nothing yet.
+            # The birth observation seeds last_center and the candidate; a
+            # DENSE memory also stores, but the query stays raw until a match.
             memory.observe(det.box, det.embedding, overlaps[di], frame_idx)
-            self.tracks.append(TrackState(
-                track_id=self._next_id, query=det.embedding, memory=memory, last_box=det.box
-            ))
+            self.tracks.append(TrackState(track_id=self._next_id, memory=memory, last_box=det.box))
             emitted.append((self._next_id, det.box))
             self._next_id += 1
         return FrameResult(frame_idx, emitted)

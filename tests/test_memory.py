@@ -225,6 +225,37 @@ def test_fused_query_equals_loop_over_entries_exactly(policy):
     assert len(mem.entries) == cfg.m_max
 
 
+def _ring_rows(rng, dim, n):
+    """Rows that stress a sum's order: -0.0 entries, a row followed by its
+    negation (exact cancellation), and rows scaled by 1e-150 or 1e150."""
+    rows = []
+    while len(rows) < n:
+        e = rng.standard_normal(dim) * rng.choice([1e-150, 1.0, 1e150])
+        e[rng.random(dim) < 0.2] = -0.0
+        rows.append(e)
+        if rng.random() < 0.25:
+            rows.append(-e)
+    return rows[:n]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 16, 33, 128])
+@pytest.mark.parametrize("m_max", [1, 3, 8, 10, 12])
+def test_memory_term_equals_the_left_fold_of_sum_exactly(dim, m_max):
+    """The ring's sum must keep Python ``sum``'s left fold from int 0, bit
+    for bit, through commits and evictions; numpy's pairwise reduction,
+    which it uses from 8 rows down a contiguous axis, does not."""
+    rng = np.random.default_rng(1000 * dim + m_max)
+    cfg = MemoryConfig(m_max=m_max, alpha=0.3)
+    mem = TrackMemory(cfg, MemoryPolicy.DENSE)
+    for frame, e in enumerate(_ring_rows(rng, dim, 3 * m_max + 40)):
+        assert mem.observe(_box(0.5, 0.5), e, 0.0, frame)
+        want = ((1.0 - cfg.alpha) / len(mem.entries)) * sum(
+            entry.embedding for entry in mem.entries
+        )
+        assert mem._memory_term.tobytes() == want.tobytes()
+    assert len(mem.entries) == m_max
+
+
 def ofs_oracle_stream(seed, n_frames=60):
     """Drive one random stream and check every commit against a brute-force
     argmin over the frames observed since the previous commit."""

@@ -25,7 +25,6 @@ from sasmot.tracker import (
     DetectionFrame,
     Tracker,
     TrackerConfig,
-    TrackState,
     build_cost_matrix,
     cosine_distance,
     hungarian_assign,
@@ -41,10 +40,11 @@ E2 = [0.0, 1.0, 0.0]
 E3 = [0.0, 0.0, 1.0]
 
 
-def _cost(tracks, dets, cfg):
+def _cost(queries, corners, dets, cfg):
+    """The cost of (T, D) track ``queries`` whose last boxes have (T, 4)
+    ``corners`` against the ``Detection``s ``dets``."""
     frame = DetectionFrame.from_detections(dets)
-    ious = iou_matrix(boxes_to_corners([t.last_box for t in tracks]), frame.corners)
-    return build_cost_matrix(tracks, frame.embeddings, ious, cfg)
+    return build_cost_matrix(queries, frame.embeddings, iou_matrix(corners, frame.corners), cfg)
 
 
 def test_cosine_distance_analytic():
@@ -94,12 +94,10 @@ track_or_det = st.tuples(
 )
 def test_cost_matrix_matches_scalar_blend(tracks, dets, blend, threshold, gate):
     cfg = TrackerConfig(cost_blend=blend, match_threshold=threshold, iou_gate=gate)
-    states = [
-        TrackState(k, np.array(e), TrackMemory(cfg.memory), box)
-        for k, (e, box) in enumerate(tracks)
-    ]
+    queries = np.array([e for e, _ in tracks])
+    corners = boxes_to_corners([box for _, box in tracks])
     detections = [Detection(box, np.array(e), 1.0) for e, box in dets]
-    cost = _cost(states, detections, cfg)
+    cost = _cost(queries, corners, detections, cfg)
     assert cost.shape == (len(tracks), len(dets))
     for i, (q, tbox) in enumerate(tracks):
         for j, (e, dbox) in enumerate(dets):
@@ -156,13 +154,12 @@ def test_cost_kernels_equal_the_reference_formulas_bit_for_bit(
     ov[exact] = rng.choice([0.0, 1.0, gate], exact.sum())
     cfg = TrackerConfig(cost_blend=blend, match_threshold=threshold, iou_gate=gate)
     box = Box2D(0.5, 0.5, 0.1, 0.1)
-    tracks = [TrackState(k, q, TrackMemory(cfg.memory), box) for k, q in enumerate(queries)]
     dets = [Detection(box, e, 1.0) for e in embeddings]
     assert (
         cosine_distance(queries, embeddings).tobytes()
         == _cosine_distance_reference(queries, embeddings).tobytes()
     )
-    got = build_cost_matrix(tracks, DetectionFrame.from_detections(dets).embeddings, ov, cfg)
+    got = build_cost_matrix(queries, DetectionFrame.from_detections(dets).embeddings, ov, cfg)
     assert got.tobytes() == _cost_reference(queries, embeddings, ov, cfg).tobytes()
 
 
@@ -178,8 +175,9 @@ def test_cost_matrix_rejects_embedding_size_mismatch():
     tracker = Tracker()
     tracker.step([_det(0.5, 0.5, E1)], 1)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        _cost(tracker.tracks, [_det(0.5, 0.5, [1.0, 0.0])], tracker.cfg)
-    assert _cost([], [_det(0.5, 0.5, [1.0, 0.0])], tracker.cfg).shape == (0, 1)
+        _cost(tracker.queries, tracker.corners, [_det(0.5, 0.5, [1.0, 0.0])], tracker.cfg)
+    no_tracks = (np.empty((0, 3)), np.empty((0, 4)))
+    assert _cost(*no_tracks, [_det(0.5, 0.5, [1.0, 0.0])], tracker.cfg).shape == (0, 1)
 
 
 def test_cost_blend_formula():
@@ -187,9 +185,8 @@ def test_cost_blend_formula():
     # appearance term: 0.7 * (1 - cos45) / 2.
     tracker = Tracker(TrackerConfig())
     tracker.step([_det(0.5, 0.5, E1)], 1)
-    track = tracker.tracks[0]
     det = _det(0.5, 0.5, [1.0, 1.0, 0.0])
-    cost = _cost([track], [det], tracker.cfg)
+    cost = _cost(tracker.queries, tracker.corners, [det], tracker.cfg)
     expected = 0.7 * (1.0 - math.sqrt(0.5)) / 2.0
     assert cost[0, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -199,7 +196,7 @@ def test_orthogonal_disjoint_pair_is_forbidden():
     tracker = Tracker(TrackerConfig())
     tracker.step([_det(0.1, 0.1, E1)], 1)
     det = _det(0.9, 0.9, E2)
-    cost = _cost(tracker.tracks, [det], tracker.cfg)
+    cost = _cost(tracker.queries, tracker.corners, [det], tracker.cfg)
     assert cost[0, 0] == FORBIDDEN_COST
 
 
@@ -209,7 +206,7 @@ def test_iou_gate_forbids_non_overlapping():
     tracker.step([_det(0.1, 0.1, E1)], 1)
     near = _det(0.11, 0.1, E1)  # IoU well above 0.5
     far = _det(0.3, 0.1, E1)  # disjoint
-    cost = _cost(tracker.tracks, [near, far], cfg)
+    cost = _cost(tracker.queries, tracker.corners, [near, far], cfg)
     assert cost[0, 0] < FORBIDDEN_COST
     assert cost[0, 1] == FORBIDDEN_COST
 
@@ -320,7 +317,7 @@ def test_query_that_cancels_to_zero_keeps_tracking():
         result = tracker.step([_det(0.5, 0.5, emb)], frame)
         ids.append([tid for tid, _ in result.tracks])
         if frame == 2:
-            assert not tracker.tracks[0].query.any()
+            assert not tracker.queries[0].any()
     assert ids == [[1], [1], [1]]
 
 
@@ -339,7 +336,7 @@ def test_birth_query_is_detection_embedding():
     tracker = Tracker(TrackerConfig())
     det = _det(0.5, 0.5, E1)
     tracker.step([det], 1)
-    assert np.array_equal(tracker.tracks[0].query, det.embedding)
+    assert np.array_equal(tracker.queries[0], det.embedding)
 
 
 def test_low_score_detections_are_ignored():
@@ -389,6 +386,32 @@ def test_embedding_size_change_names_frame_and_detection():
         tracker.step([_det(0.8, 0.5, E1)], 2)
 
 
+def _banks(tracker):
+    """The tracker's corner and query banks, shape and bytes."""
+    return [(bank.shape, bank.tobytes()) for bank in (tracker.corners, tracker.queries)]
+
+
+def _check_banks(tracker, dets, result, live_before, reference):
+    """Hold the banks to the track list after one step.
+
+    ``reference`` maps each track id to its query: the raw embedding at
+    birth, then ``fused_query`` of each matched embedding; it is updated
+    from ``result``, the step's output for ``dets``.
+    """
+    embedding = {id(det.box): det.embedding for det in dets}
+    by_id = {track.track_id: track for track in tracker.tracks}
+    for track_id, box in result.tracks:
+        e = embedding[id(box)]
+        reference[track_id] = by_id[track_id].memory.fused_query(e) if track_id in live_before else e
+    tracks = tracker.tracks
+    assert tracker.corners.tobytes() == boxes_to_corners([t.last_box for t in tracks]).tobytes()
+    assert tracker.corners.shape == (len(tracks), 4)
+    # D comes from the first accepted frame with detections, as ``dim`` does.
+    assert tracker.queries.shape == (len(tracks), tracker.dim or 0)
+    for track, row in zip(tracks, tracker.queries):
+        assert row.tobytes() == reference[track.track_id].tobytes()
+
+
 _MIXED = [_det(0.2, 0.5, E1), _det(0.8, 0.5, [0.0, 0.0, 0.0, 1.0])]
 
 
@@ -407,7 +430,8 @@ def test_a_step_that_raises_changes_no_state(before, frame):
 
     def state():
         return (list(tracker.tracks), tracker.dim, tracker._last_frame, tracker._next_id,
-                [(t.last_box, t.misses, len(t.memory.entries)) for t in tracker.tracks])
+                [(t.last_box, t.misses, len(t.memory.entries)) for t in tracker.tracks],
+                _banks(tracker))
 
     kept = state()
     with pytest.raises(ValueError, match="embedding size"):
@@ -423,12 +447,14 @@ def test_frame_order_is_checked_before_any_state_changes():
     tracker.step([_det(0.2, 0.5, E1), _det(0.8, 0.5, E2)], 5)
     tracks = list(tracker.tracks)
     state = [(t.track_id, t.last_box, t.misses, len(t.memory.entries)) for t in tracks]
+    banks = _banks(tracker)
     for frame_idx in (5, 4):
         with pytest.raises(ValueError, match=rf"frame_idx must increase: got {frame_idx} after 5"):
             tracker.step([_det(0.2, 0.5, E1), _det(0.5, 0.9, E3)], frame_idx)
         assert tracker.tracks == tracks
         assert [(t.track_id, t.last_box, t.misses, len(t.memory.entries))
                 for t in tracks] == state
+        assert _banks(tracker) == banks
     # The next id is still 3: the rejected steps gave out none.
     assert [track_id for track_id, _ in tracker.step([_det(0.5, 0.9, E3)], 6).tracks] == [3]
 
@@ -517,9 +543,11 @@ def test_tracker_invariants_on_simulated_scenes(n_objects, n_frames, seed, polic
     scenario = generate_scenario(ScenarioConfig(n_objects=n_objects, n_frames=n_frames, seed=seed))
     tracker = Tracker(TrackerConfig(max_misses=max_misses), policy=policy)
     last_seen = {}  # id -> frame it was last emitted
+    reference = {}
     for frame_idx, dets in enumerate(scenario.detections, start=1):
         live_before = {t.track_id for t in tracker.tracks}
         result = tracker.step(dets, frame_idx)
+        _check_banks(tracker, dets, result, live_before, reference)
         ids = [track_id for track_id, _ in result.tracks]
         assert len(set(ids)) == len(ids)
         inputs = {id(d.box) for d in dets}
@@ -595,12 +623,14 @@ def test_generated_edge_streams_keep_step_invariants_and_metric_ranges(stream, c
     tracker = Tracker(cfg, policy=policy)
     live, seen = set(), set()
     gt, pred = [], []
+    reference = {}
     for frame_idx, dets in enumerate(stream, start=1):
         try:
             result = tracker.step(dets, frame_idx)
         except ValueError as exc:
             assert f"frame {frame_idx}" in str(exc)
             return
+        _check_banks(tracker, dets, result, live, reference)
         # The benchmark's three step invariants: unique ids in a frame, an
         # id not live after the previous step is new, and every emitted box
         # is one of this step's input boxes.
