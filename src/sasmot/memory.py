@@ -42,7 +42,6 @@ __all__ = [
     "MemoryConfig",
     "MemoryEntry",
     "TrackMemory",
-    "fuse",
 ]
 
 
@@ -104,6 +103,7 @@ class TrackMemory:
     embedding, and overlap; returns whether a feature was stored),
     ``fused_query`` (blend a current embedding with the memory mean), and
     ``commit_store`` (normally invoked internally by ``observe``).
+    ``memory_term`` and ``policy`` are read-only.
 
     The memory checks none of its inputs. The caller guarantees them, and
     in the package each part has one owner:
@@ -123,7 +123,7 @@ class TrackMemory:
 
     def __init__(self, cfg: MemoryConfig, policy: MemoryPolicy = MemoryPolicy.SPARSE_OFS):
         self.cfg = cfg
-        self.policy = policy
+        self._policy = policy
         self._off = policy is MemoryPolicy.NONE
         self._least_overlap = policy is MemoryPolicy.SPARSE_OFS
         self._every_frame = policy is MemoryPolicy.DENSE
@@ -131,15 +131,24 @@ class TrackMemory:
         self.entries: Deque[MemoryEntry] = deque(maxlen=cfg.m_max)
         self._ring: Optional[np.ndarray] = None  # stored embeddings as rows, oldest first
         self._total: Optional[np.ndarray] = None  # their sum
-        # The memory half of the fused query, ((1 - alpha) / m) times the sum
-        # of the m stored embeddings added in entry order. It is set on every
-        # commit, so ``alpha`` is read at commit, not at query time.
         self._memory_term: Optional[np.ndarray] = None
         self.accumulator: float = 0.0
         self.last_center: Optional[Tuple[float, float]] = None
         # The pending commit: for SPARSE_OFS the least-overlapped frame since
         # the last store, otherwise the latest frame.
         self.candidate: Optional[MemoryEntry] = None
+
+    @property
+    def policy(self) -> MemoryPolicy:
+        """The policy, fixed at construction: ``observe`` reads flags set from it then."""
+        return self._policy
+
+    @property
+    def memory_term(self) -> Optional[np.ndarray]:
+        """What ``fused_query`` adds to ``alpha * current``, None while nothing
+        is stored: ((1 - alpha) / m) times the sum of the m stored embeddings
+        in entry order, set on each commit, so ``alpha`` is read at commit."""
+        return self._memory_term
 
     def observe(self, box: Box2D, embedding: np.ndarray, overlap: float, frame_idx: int) -> bool:
         """Feed one observed frame; returns True when a feature was stored."""

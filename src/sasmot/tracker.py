@@ -14,11 +14,12 @@ The tracks' side is two banks, their last corners (T, 4) and fused queries
 corners, is the spatial term of a cost matrix that blends it with
 appearance, the cosine distance of queries and embeddings. The tracker
 solves a minimum-cost one-to-one assignment, feeds the matched tracks'
-memories and rewrites their rows, the queries in one ``fuse`` pass. New
-tracks append rows; tracks unmatched past ``max_misses`` drop theirs. When
-``min_score`` drops a detection, the kept rows of the record make a new one,
-and the step's IoU pass also scores the kept detections against each other
-for its overlaps, as one (tracks + kept) x kept pass.
+memories and rewrites their rows, the queries in one ``fuse`` pass over the
+rows whose ``memory_term`` is set (the rest stay raw). New tracks append
+rows; tracks unmatched past ``max_misses`` drop theirs. When ``min_score``
+drops a detection, the kept rows of the record make a new one, and the
+step's IoU pass also scores the kept detections against each other for its
+overlaps, as one (tracks + kept) x kept pass.
 
 The solver is scipy's compiled ``linear_sum_assignment``, loaded straight
 from the ``_lsap`` extension in scipy's ``optimize/`` directory under its
@@ -410,18 +411,17 @@ class Tracker:
             track.misses = 0
             track.last_box = det.box
             track.memory.observe(det.box, det.embedding, overlaps[di], frame_idx)
-            if track.memory._memory_term is not None:
+            term = track.memory.memory_term
+            if term is not None:
                 fused.append(k)
-                terms.append(track.memory._memory_term)
+                terms.append(term)
             emitted.append((track.track_id, det.box))
         if pairs:
             rows, cols = np.array(pairs).T
             # Rows are gathered with ``take``, which costs less than indexing.
             self.corners[rows] = frame.corners.take(cols, 0)
             queries, alpha = frame.embeddings.take(cols, 0), self.cfg.memory.alpha
-            if len(fused) == len(pairs):  # most steps: every row fuses
-                queries = fuse(alpha, queries, np.array(terms))
-            elif fused:
+            if fused:
                 queries[fused] = fuse(alpha, queries.take(fused, 0), np.array(terms))
             self.queries[rows] = queries
         keep = [i for i, t in enumerate(self.tracks) if t.misses <= self.cfg.max_misses]

@@ -75,6 +75,18 @@ def test_none_policy_stores_nothing():
     assert len(mem.entries) == 0
     cur = _emb(4, 5.0)
     assert np.array_equal(mem.fused_query(cur), cur)
+    assert mem.memory_term is None
+
+
+def test_policy_and_memory_term_are_read_only():
+    # observe reads flags set from the policy at construction, so neither
+    # the policy nor the term fused_query adds may be reassigned after it.
+    mem = TrackMemory(MemoryConfig(), MemoryPolicy.NONE)
+    with pytest.raises(AttributeError):
+        mem.policy = MemoryPolicy.DENSE
+    with pytest.raises(AttributeError):
+        mem.memory_term = _emb(4, 1.0)
+    assert mem.policy is MemoryPolicy.NONE
 
 
 def test_dense_commits_every_frame_including_birth():
@@ -252,7 +264,7 @@ def test_memory_term_equals_the_left_fold_of_sum_exactly(dim, m_max):
         want = ((1.0 - cfg.alpha) / len(mem.entries)) * sum(
             entry.embedding for entry in mem.entries
         )
-        assert mem._memory_term.tobytes() == want.tobytes()
+        assert mem.memory_term.tobytes() == want.tobytes()
     assert len(mem.entries) == m_max
 
 
