@@ -37,12 +37,11 @@ from .experiments import (
     sweep_table,
 )
 from .memory import MemoryConfig, MemoryPolicy
-from .metrics import SequencePair, evaluate
+from .metrics import evaluate
 from .mot_io import (
     detections_from_files,
-    frames_to_id_boxes,
+    pair_from_files,
     parse_image_size,
-    parse_mot_file,
     results_to_rows,
     write_mot_file,
     write_scenario,
@@ -231,15 +230,7 @@ def cmd_track(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    image_size = _image_size(args)
-    gt, _ = parse_mot_file(args.gt, image_size)
-    pred, _ = parse_mot_file(args.pred, image_size)
-    n_frames = max(len(gt), len(pred))
-    pair = SequencePair(
-        gt=frames_to_id_boxes(gt, n_frames),
-        pred=frames_to_id_boxes(pred, n_frames),
-    )
-    report = evaluate(pair)
+    report = evaluate(pair_from_files(args.gt, args.pred, _image_size(args)))
     row = {name: getattr(report, name.lower()) for name in _EVAL_COLUMNS}
     print(render_table_markdown([row]))
     if args.out is not None:

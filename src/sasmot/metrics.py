@@ -24,11 +24,15 @@ Three evaluators over a ground-truth/prediction sequence pair:
   trajectories chosen to maximize the number of frame-level overlaps at
   IoU 0.5; IDF1 = 2*IDTP / (2*IDTP + IDFP + IDFN).
 
-All three read :class:`SequencePair`'s arrays, built at construction in one
-walk per side that also checks the ids: ids coded to dense ranks, per-frame
-counts, and box corners. The IoU is held in blocks of ``_IOU_CHUNK`` frames, one ``iou_matrix`` call each; a block is padded
-with zeros to its own frames' largest counts, so one crowded frame widens
-only its block, and the block bounds the temporaries on crowded scenes.
+All three read :class:`SequencePair`'s arrays, built at construction by one
+constructor per side that also checks the ids: ids coded to dense ranks,
+per-frame counts, and box corners. A side comes from per-frame (id, box)
+lists or, through ``SequencePair.from_columns``, straight from (frame, id,
+corners) columns such as a MOT file's, with no ``Box2D`` per entry. The IoU
+is held in blocks of ``_IOU_CHUNK`` frames, one ``iou_matrix`` call each; a
+block is padded with zeros to its own frames' largest counts, so one
+crowded frame widens only its block, and the block bounds the temporaries
+on crowded scenes.
 One IoU-maximal frame matcher serves HOTA (unfiltered, since the
 assignment does not depend on alpha) and CLEAR (over the boxes left after
 carry-over); IDF1 counts its IoU >= 0.5 co-occurrences from one mask per
@@ -37,6 +41,7 @@ block.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Tuple
@@ -74,27 +79,36 @@ class _Side:
     ids, so arrays index ids of any size without an integer cast; frame f's
     entries are ``codes[starts[f] : starts[f] + counts[f]]``, their boxes the
     same rows of ``corners``. Ids must be positive and distinct within a frame.
+
+    Entry k is id ``ids[k]`` with box ``corners[k]`` in the 0-based frame
+    ``frames[k]`` < ``n_frames``; entries may come in any order, and a stable
+    sort by frame keeps their order within a frame.
     """
 
-    def __init__(self, name: str, frames: List[FrameEntries]):
-        ids, boxes = [], []
-        for frame, entries in enumerate(frames, start=1):
-            seen = set()
-            for obj_id, box in entries:
-                if obj_id < 1:
-                    raise ValueError(f"{name} frame {frame}: ids must be positive, got {obj_id}")
-                if obj_id in seen:
-                    raise ValueError(f"{name} frame {frame}: id {obj_id} appears twice")
-                seen.add(obj_id)
-                ids.append(obj_id)
-                boxes.append(box)
+    def __init__(self, name: str, frames: np.ndarray, ids: List[int], corners: np.ndarray,
+                 n_frames: int):
+        order = np.argsort(frames, kind="stable")
+        frames = frames[order]
         distinct = sorted(set(ids))
         rank = dict(zip(distinct, range(len(distinct))))
+        codes = np.fromiter(map(rank.__getitem__, ids), dtype=np.intp, count=len(ids))[order]
+        # The first entry, in frame then entry order, with a non-positive id
+        # or an id seen before in its frame is named. Non-positive ids take
+        # the lowest ranks.
+        repeated = np.ones(len(codes), dtype=bool)
+        repeated[np.unique(frames * len(distinct) + codes, return_index=True)[1]] = False
+        bad = (codes < bisect_left(distinct, 1)) | repeated
+        if bad.any():
+            k = int(bad.argmax())
+            frame, obj_id = frames[k] + 1, ids[order[k]]
+            if obj_id < 1:
+                raise ValueError(f"{name} frame {frame}: ids must be positive, got {obj_id}")
+            raise ValueError(f"{name} frame {frame}: id {obj_id} appears twice")
         self.n_ids = len(distinct)
-        self.codes = np.fromiter(map(rank.__getitem__, ids), dtype=np.intp, count=len(ids))
-        self.counts = np.fromiter(map(len, frames), dtype=np.intp, count=len(frames))
+        self.codes = codes
+        self.counts = np.bincount(frames, minlength=n_frames)
         self.starts = np.cumsum(self.counts) - self.counts
-        self.corners = boxes_to_corners(boxes)
+        self.corners = corners[order]
 
     def corner_chunks(self) -> List[np.ndarray]:
         """Per run of ``_IOU_CHUNK`` frames, (chunk, W, 4) box corners, where W
@@ -112,12 +126,26 @@ class _Side:
         return chunks
 
 
+def _list_side(name: str, frames: List[FrameEntries]) -> _Side:
+    """The side of per-frame (id, box) lists."""
+    counts = list(map(len, frames))
+    frame_of = np.repeat(np.arange(len(frames)), counts)
+    ids = [obj_id for entries in frames for obj_id, _ in entries]
+    corners = boxes_to_corners([box for entries in frames for _, box in entries])
+    return _Side(name, frame_of, ids, corners, len(frames))
+
+
+# One side as columns: 1-based frames (k,), ids (k,) and box corners (k, 4).
+_Columns = Tuple[np.ndarray, List[int], np.ndarray]
+
+
 @dataclass(eq=False)
 class SequencePair:
     """Frame-aligned ground truth and predictions: per-frame (id, box) lists.
 
     ``gt`` and ``pred`` are read once, at construction, into the arrays that
-    scoring uses; changing the lists afterwards changes no score.
+    scoring uses; changing the lists afterwards changes no score. A pair
+    built by ``from_columns`` has no lists: both are None.
     """
 
     gt: List[FrameEntries]
@@ -128,8 +156,20 @@ class SequencePair:
             raise ValueError(
                 f"gt has {len(self.gt)} frames but pred has {len(self.pred)}"
             )
-        self._gt = _Side("gt", self.gt)
-        self._pred = _Side("pred", self.pred)
+        self._gt = _list_side("gt", self.gt)
+        self._pred = _list_side("pred", self.pred)
+
+    @classmethod
+    def from_columns(cls, gt: _Columns, pred: _Columns) -> SequencePair:
+        """The pair of two sides given as columns, over frames 1 to the
+        larger side's last frame; it scores as the pair of the same entries
+        as per-frame lists does."""
+        n_frames = max(int(frames.max(initial=0)) for frames, _, _ in (gt, pred))
+        pair = cls.__new__(cls)
+        pair.gt = pair.pred = None
+        pair._gt = _Side("gt", gt[0] - 1, gt[1], gt[2], n_frames)
+        pair._pred = _Side("pred", pred[0] - 1, pred[1], pred[2], n_frames)
+        return pair
 
     def total_gt(self) -> int:
         return self._gt.codes.size
@@ -168,8 +208,8 @@ class MetricsReport:
     fn: int
 
 
-def _assign(ious: np.ndarray) -> List[Tuple[int, int]]:
-    """IoU-maximal one-to-one (row, col) pairs, sorted by row, unfiltered."""
+def _assign(ious: np.ndarray) -> np.ndarray:
+    """IoU-maximal one-to-one (row, col) pairs as a (k, 2) array, sorted by row, unfiltered."""
     return hungarian_assign(1.0 - ious)
 
 
@@ -207,7 +247,7 @@ def clear_mota(pair: SequencePair) -> Tuple[float, int, int, int]:
             bound_gt = {gi for gi, _ in bound}
             rest_g = [gi for gi in range(n_g) if gi not in bound_gt]
             rest_p = [pj for pj in range(n_p) if pj not in claimed_pred]
-            for r, c in _assign(ious[np.ix_(rest_g, rest_p)]):
+            for r, c in _assign(ious[np.ix_(rest_g, rest_p)]).tolist():
                 gi, pj = rest_g[r], rest_p[c]
                 if rows[gi][pj] >= CLEAR_IOU_THRESHOLD:
                     bound.append((gi, pj))
@@ -245,7 +285,9 @@ def idf1(pair: SequencePair) -> float:
     pred_cols, col = np.unique(keys % pred.n_ids, return_inverse=True)
     mat = np.zeros((gt_rows.size, pred_cols.size), dtype=float)
     mat[row, col] = counts
-    idtp = int(sum(mat[r, c] for r, c in hungarian_assign(-mat)))
+    rows, cols = hungarian_assign(-mat).T
+    # Counts are integers below 2**53, so the float sum is exact.
+    idtp = int(mat[rows, cols].sum())
 
     idfp = total_pred - idtp
     idfn = total_gt - idtp
@@ -266,15 +308,9 @@ def hota(pair: SequencePair) -> Tuple[float, float, float]:
     n_g, n_p = gt.counts.tolist(), pred.counts.tolist()
     chunks = []
     for start, block in zip(range(0, len(n_g), _IOU_CHUNK), pair.ious):
-        local = np.array(
-            [
-                (i, g, p)
-                for i in range(len(block))
-                for g, p in _assign(block[i, : n_g[start + i], : n_p[start + i]])
-            ],
-            dtype=np.intp,
-        ).reshape(-1, 3)
-        i, g, p = local.T
+        pairs = [_assign(block[i, : n_g[start + i], : n_p[start + i]]) for i in range(len(block))]
+        i = np.repeat(np.arange(len(block)), [len(frame) for frame in pairs])
+        g, p = np.concatenate(pairs).T
         chunks.append((i + start, g, p, block[i, g, p]))
     ef, eg, ep, event_iou = map(np.concatenate, zip(*chunks))
     gt_code = gt.codes[gt.starts[ef] + eg]

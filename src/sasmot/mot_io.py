@@ -16,8 +16,9 @@ order, and writing takes the pixel rows that one converter builds from
 (frame, id, box, conf) tuples. Files written here carry a
 ``# image_size=WxH`` header so they can be normalized back to unit
 coordinates without external context; a caller-supplied image size
-overrides the header, which otherwise must come before the first row, so
-each row is checked and normalized in the pass that reads it. Ground truth
+overrides the header, which otherwise must come before the first row. A
+frame number above twice the file's row count is an error naming its line,
+so no reader makes a frame for a row far past the others. Ground truth
 and tracker output carry conf 1, detections carry id -1 and their score,
 and rows are sorted by (frame, id) with 6 decimals per float. Embeddings ride in a sidecar CSV
 (``frame,det_index,e_1,...,e_D``, 9 significant digits) keyed by position
@@ -25,23 +26,33 @@ within the frame, because MOT rows cannot carry vectors. Each sidecar
 value is parsed as ``float()`` parses it, and every embedding must satisfy
 ``0 < e·e < inf``, the rule ``Detection`` applies, by the same check and
 wording; a bad row is an error naming its line. Writers format each row
-with one ``%`` operation; the sidecar reader parses its rows into one
-array in one pass and checks each row as it converts, the only check an
-embedding gets on this path. ``detections_from_files`` checks each score
-and joins rows to detections, then builds the file's ``DetectionFrame``
-records at once with ``_detection_frames``, whose IoU passes span groups of
-frames zero-padded to their largest.
+with one ``%`` operation.
+
+Both readers work in column passes over blocks of ``_BLOCK_ROWS`` data
+rows: one pass sorts the lines into comments and data, then each block is
+split, its int fields converted with ``int`` and its float fields with one
+numpy call, and its rules checked as masks; the first bad row is worded by
+the per-line rules, so the error is the one a line-by-line reader raises
+first. The MOT columns become the parsed frames, the detections of
+``detections_from_files`` (joined to their sidecar rows by one array pass,
+each row checked once, by the sidecar reader, and built into
+``DetectionFrame`` records by ``_detection_frames``), or the two sides of
+``pair_from_files``, which builds ``eval``'s pair without a ``Box2D`` per row.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from contextlib import contextmanager
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import Box2D, boxes_to_corners
+from .geometry import Box2D, corners_of
+from .metrics import SequencePair
 from .simulator import Scenario
 from .tracker import DetectionFrame, FrameResult, _detection, _detection_frames, embedding_fault
 
@@ -55,6 +66,7 @@ __all__ = [
     "write_embeddings_csv",
     "read_embeddings_csv",
     "detections_from_files",
+    "pair_from_files",
     "write_scenario",
 ]
 
@@ -79,51 +91,10 @@ def parse_mot_text(
     text: str, image_size: Optional[Tuple[int, int]] = None
 ) -> Tuple[_Frames, Tuple[int, int]]:
     """Frames 1..max of (id, box, conf) in file order, and the argument's or header's size."""
-    size = image_size
-    frames: _Frames = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith("image_size"):
-                    if frames:
-                        raise ValueError("image_size header after the first row")
-                    header_size = parse_image_size(body.partition("=")[2].strip())
-                    size = image_size or header_size
-                continue
-            if size is None:
-                raise ValueError("no image size: pass one or put an image_size header first")
-            parts = line.split(",")
-            if len(parts) not in (9, 10):
-                raise ValueError(f"expected 9 or 10 fields, got {len(parts)}")
-            try:
-                frame = int(parts[0])
-                track_id = int(parts[1])
-                left, top, width, height, conf = map(float, parts[2:7])
-            except ValueError:
-                raise ValueError(f"non-numeric field in {line!r}") from None
-            if not (math.isfinite(left) and math.isfinite(top) and math.isfinite(width)
-                    and math.isfinite(height) and math.isfinite(conf)):
-                raise ValueError(f"non-finite field in {line!r}")
-            if frame < 1:
-                raise ValueError(f"frame must be >= 1, got {frame}")
-            if width <= 0:
-                raise ValueError(f"non-positive width {width}")
-            if height <= 0:
-                raise ValueError(f"non-positive height {height}")
-            w_img, h_img = size
-            box = Box2D((left + width / 2.0) / w_img, (top + height / 2.0) / h_img,
-                        width / w_img, height / h_img)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        frames.extend([] for _ in range(frame - len(frames)))
-        frames[frame - 1].append((track_id, box, conf))
-    if size is None:
-        raise ValueError("no image size: pass one or put an image_size header first")
-    return frames, size
+    rows, size = _mot_columns(text, image_size)
+    order, counts, boxes = _in_frame_order(rows)
+    entries = zip(map(rows.ids.__getitem__, order.tolist()), boxes, rows.confs[order].tolist())
+    return [list(islice(entries, count)) for count in counts.tolist()], size
 
 
 def parse_mot_file(
@@ -131,10 +102,174 @@ def parse_mot_file(
 ) -> Tuple[_Frames, Tuple[int, int]]:
     """Parse a MOT file; every parse error starts with the path."""
     text = Path(path).read_text()
-    try:
+    with _named(path):
         return parse_mot_text(text, image_size)
+
+
+@contextmanager
+def _named(path: Path | str) -> Iterator[None]:
+    """Prefix the path to a ``ValueError`` raised inside."""
+    try:
+        yield
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+class _Rows(NamedTuple):
+    """A MOT text's data rows as columns, in file order."""
+
+    frames: np.ndarray  # (k,) int64, each in 1..2k
+    ids: List[int]  # Python ints, of any size
+    boxes: np.ndarray  # (4, k): normalized cx, cy, w, h, the fields of each row's Box2D
+    confs: np.ndarray  # (k,)
+
+
+def _in_frame_order(rows: _Rows) -> Tuple[np.ndarray, np.ndarray, Iterator[Box2D]]:
+    """The rows' order by frame, stable, so file order holds within a frame;
+    the row counts of frames 1..max; and the rows' boxes in that order."""
+    order = np.argsort(rows.frames, kind="stable")
+    counts = np.bincount(rows.frames, minlength=1)[1:]
+    return order, counts, map(Box2D, *rows.boxes[:, order].tolist())
+
+
+def _read_mot_columns(
+    path: Path | str, image_size: Optional[Tuple[int, int]] = None
+) -> Tuple[_Rows, Tuple[int, int]]:
+    """``_mot_columns`` of a file; every parse error starts with the path."""
+    text = Path(path).read_text()
+    with _named(path):
+        return _mot_columns(text, image_size)
+
+
+def _mot_columns(
+    text: str, image_size: Optional[Tuple[int, int]] = None
+) -> Tuple[_Rows, Tuple[int, int]]:
+    """The data rows of a MOT text as columns, and the argument's or header's size.
+
+    One pass sorts the lines into comments and data rows and reads the
+    headers; the data rows are then converted ``_BLOCK_ROWS`` at a time by
+    ``_mot_block``. A bad row is worded by ``_check_mot_line``, so the error
+    is the one a line-by-line reader would raise first, with its line number.
+    """
+    lines, data = _data_lines(text)
+    notes = [i for i, line in enumerate(lines) if line.startswith("#")]
+    first = data[0] if data else len(lines)
+    # The row count is known before any row is read, so each row's frame is
+    # checked against the bound as it converts.
+    max_frame = 2 * len(data)
+    size, late = image_size, None
+    for i in notes:
+        body = lines[i].lstrip("#").strip()
+        if not body.startswith("image_size"):
+            continue
+        if i > first:
+            # Rows before this header are read first: one of them may be bad.
+            late = i
+            data = data[: bisect_left(data, i)]
+            break
+        try:
+            header_size = parse_image_size(body.partition("=")[2].strip())
+        except ValueError as exc:
+            raise ValueError(f"line {i + 1}: {exc}") from None
+        size = image_size or header_size
+    if size is None:
+        where = f"line {first + 1}: " if data else ""
+        raise ValueError(f"{where}no image size: pass one or put an image_size header first")
+    n = len(data)
+    rows = _Rows(np.empty(n, dtype=np.int64), [], np.empty((4, n)), np.empty(n))
+    for a in range(0, n, _BLOCK_ROWS):
+        at = data[a : a + _BLOCK_ROWS]
+        block = [lines[i] for i in at]
+        columns = _mot_block(block, size, max_frame)
+        if columns is None:
+            for i, line in zip(at, block):
+                try:
+                    _check_mot_line(line, size, max_frame)
+                except ValueError as exc:
+                    raise ValueError(f"line {i + 1}: {exc}") from None
+        b = a + len(at)
+        rows.frames[a:b], ids, rows.boxes[:, a:b], rows.confs[a:b] = columns
+        rows.ids.extend(ids)
+    if late is not None:
+        raise ValueError(f"line {late + 1}: image_size header after the first row")
+    return rows, size
+
+
+def _data_lines(text: str) -> Tuple[List[str], List[int]]:
+    """The stripped lines of a text, and the indices of its data lines: those
+    neither blank nor a ``#`` comment."""
+    lines = [raw.strip() for raw in text.splitlines()]
+    return lines, [i for i, line in enumerate(lines) if line and line[0] != "#"]
+
+
+# Data rows converted at a time: bounds the split fields and temporaries a
+# read holds, whatever the size of the file. Larger blocks read no faster.
+_BLOCK_ROWS = 512
+
+
+def _mot_block(
+    block: List[str], size: Tuple[int, int], max_frame: int
+) -> Optional[Tuple[List[int], List[int], Tuple[np.ndarray, ...], np.ndarray]]:
+    """(frames, ids, boxes, confs) of a block of data lines, or None when a
+    line breaks a rule of ``_check_mot_line``.
+
+    Frames and ids convert with ``int``, so ids keep Python-int range; the
+    five float fields convert in one numpy call, which parses each string as
+    ``float()`` does. The pixel-field rules and ``Box2D``'s box rule then run
+    as masks over the same elementwise operations, so the boxes have the bits
+    of the per-line code's.
+    """
+    parts = [line.split(",") for line in block]
+    if not set(map(len, parts)) <= {9, 10}:
+        return None
+    try:
+        frames = list(map(int, [p[0] for p in parts]))
+        ids = list(map(int, [p[1] for p in parts]))
+        fields = np.array([p[2:7] for p in parts], dtype=float).T
+    except ValueError:
+        return None
+    if not 1 <= min(frames) <= max(frames) <= max_frame:
+        return None
+    left, top, width, height, conf = fields
+    w_img, h_img = size
+    # A bad row may overflow or make a NaN here; the mask rejects it.
+    with np.errstate(all="ignore"):
+        w, h = width / w_img, height / h_img
+        cx, cy = (left + width / 2.0) / w_img, (top + height / 2.0) / h_img
+        l, t, r, b = cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
+        area2 = (r - l) * (b - t) * 2.0
+        good = (np.isfinite(fields).all(axis=0) & (width > 0.0) & (height > 0.0)
+                & (-np.inf < l) & (l < r) & (r < np.inf) & (-np.inf < t) & (t < b) & (b < np.inf)
+                & (0.0 < area2) & (area2 < np.inf))
+    if not good.all():
+        return None
+    return frames, ids, (cx, cy, w, h), conf
+
+
+def _check_mot_line(line: str, size: Tuple[int, int], max_frame: int) -> None:
+    """Raise the first fault of one data line: the rules ``_mot_block``
+    applies as masks, in the order and wording of the line-by-line reader."""
+    parts = line.split(",")
+    if len(parts) not in (9, 10):
+        raise ValueError(f"expected 9 or 10 fields, got {len(parts)}")
+    try:
+        frame = int(parts[0])
+        int(parts[1])
+        left, top, width, height, conf = map(float, parts[2:7])
+    except ValueError:
+        raise ValueError(f"non-numeric field in {line!r}") from None
+    if not all(map(math.isfinite, (left, top, width, height, conf))):
+        raise ValueError(f"non-finite field in {line!r}")
+    if frame < 1:
+        raise ValueError(f"frame must be >= 1, got {frame}")
+    if frame > max_frame:
+        raise ValueError(f"frame {frame} is beyond {max_frame}, twice the file's row count")
+    if width <= 0:
+        raise ValueError(f"non-positive width {width}")
+    if height <= 0:
+        raise ValueError(f"non-positive height {height}")
+    w_img, h_img = size
+    Box2D((left + width / 2.0) / w_img, (top + height / 2.0) / h_img, width / w_img, height / h_img)
 
 
 def write_mot_file(
@@ -195,39 +330,56 @@ def write_embeddings_csv(path: Path | str, scenario: Scenario) -> None:
 
 
 def read_embeddings_csv(path: Path | str) -> Dict[Tuple[int, int], np.ndarray]:
-    """Sidecar rows keyed by (frame, det_index); every row has the same size D.
+    """Sidecar rows keyed by (frame, det_index), in file order; every row has
+    the same size D, and each value is a row view of one (rows, D) array.
 
-    One pass parses values as ``float()`` does into one (rows, D) array and
-    checks each row as it converts: its embedding by ``embedding_fault``,
+    The rows convert ``_BLOCK_ROWS`` at a time, values as ``float()`` parses
+    them, and each row is then checked: its embedding by ``embedding_fault``,
     the rule ``Detection`` applies, then its key. The first bad row in the
-    file stops the pass, and the error names its line.
+    file stops the read, and the error names its line.
     """
-    lines = Path(path).read_text().splitlines()
-    out: Dict[Tuple[int, int], np.ndarray] = {}
-    width = -1
-    values = np.empty((0, 0))
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if width < 0:
-            width = len(parts)
-            values = np.empty((len(lines), max(width - 2, 0)))
-        row = values[len(out)]
+    index, values = _read_sidecar(path)
+    return dict(zip(index, values))
+
+
+def _read_sidecar(path: Path | str) -> Tuple[Dict[Tuple[int, int], int], np.ndarray]:
+    """The checked sidecar: each key's row number, in file order, and the rows."""
+    lines, data = _data_lines(Path(path).read_text())
+    width = len(lines[data[0]].split(",")) if data else 2
+    values = np.empty((len(data), max(width - 2, 0)))
+    index: Dict[Tuple[int, int], int] = {}
+    for a in range(0, len(data), _BLOCK_ROWS):
+        at = data[a : a + _BLOCK_ROWS]
+        parts = [lines[i].split(",") for i in at]
+        block = values[a : a + len(at)]
         try:
-            if not 3 <= len(parts) == width:
-                raise ValueError  # short or of another size: _row_fault words it
-            key = (int(parts[0]), int(parts[1]))
-            row[:] = parts[2:]  # numpy parses each string as float() does
+            if width < 3 or set(map(len, parts)) != {width}:
+                raise ValueError
+            keys = list(zip(map(int, [p[0] for p in parts]), map(int, [p[1] for p in parts])))
+            block[:] = [p[2:] for p in parts]  # numpy parses each string as float() does
         except ValueError:
-            fault = _row_fault(parts, width - 2)
-        else:
-            fault = embedding_fault(row) or (f"duplicate key {key}" if key in out else None)
-        if fault:
-            raise ValueError(f"{path}: line {lineno}: {fault}")
-        out[key] = row
-    return out
+            keys = [None] * len(at)  # a row did not convert; the loop finds it
+        for k, (i, key, row) in enumerate(zip(at, keys, block)):
+            try:
+                if key is None:
+                    key = _sidecar_row(parts[k], width, row)
+            except ValueError:
+                fault = _row_fault(parts[k], width - 2)
+            else:
+                fault = embedding_fault(row) or (f"duplicate key {key}" if key in index else None)
+            if fault:
+                raise ValueError(f"{path}: line {i + 1}: {fault}")
+            index[key] = a + k
+    return index, values
+
+
+def _sidecar_row(parts: List[str], width: int, row: np.ndarray) -> Tuple[int, int]:
+    """Convert one sidecar row's values into ``row``; returns its key."""
+    if not 3 <= len(parts) == width:
+        raise ValueError  # short or of another size: _row_fault words it
+    key = (int(parts[0]), int(parts[1]))
+    row[:] = parts[2:]
+    return key
 
 
 def _row_fault(parts: List[str], dim: int) -> str:
@@ -254,35 +406,60 @@ def detections_from_files(
 
     Returns the records of frames 1..max and the resolved image size. Every
     detection needs a sidecar row and a score in [0, 1], and every sidecar
-    row a detection. Each row is checked once, by the sidecar reader; the
-    embeddings of all detections are then row views of one (k, D) array,
-    and ``_detection_frames`` builds the records over the whole file.
+    row a detection; the first detection, in frame order, that breaks a rule
+    is named, then the first unmatched sidecar row. Each row is checked once,
+    by the sidecar reader. The join is an array pass over the detections in
+    frame order: their sidecar rows are gathered into one (k, D) array, whose
+    rows become the embeddings, and ``_detection_frames`` builds the records
+    over the whole file.
     """
-    parsed, size = parse_mot_file(det_path, image_size)
-    embeddings = read_embeddings_csv(emb_path)
-    rows: List[np.ndarray] = []
-    for frame, entries in enumerate(parsed, start=1):
-        for det_index, (_, _, conf) in enumerate(entries):
-            embedding = embeddings.pop((frame, det_index), None)
-            if embedding is None:
-                raise ValueError(
-                    f"{emb_path}: missing embedding for frame {frame} detection {det_index}"
-                )
-            if not 0.0 <= conf <= 1.0:
-                raise ValueError(f"{det_path}: frame {frame} detection {det_index}: "
-                                 f"score must be in [0, 1], got {conf}")
-            rows.append(embedding)
-    if embeddings:
-        frame, det_index = next(iter(embeddings))
+    rows, size = _read_mot_columns(det_path, image_size)
+    index, values = _read_sidecar(emb_path)
+    order, counts, boxes = _in_frame_order(rows)
+    frames = rows.frames[order]
+    slots = np.arange(len(frames)) - (np.cumsum(counts) - counts)[frames - 1]
+    found = np.fromiter(
+        map(index.get, zip(frames.tolist(), slots.tolist()), repeat(-1)), dtype=np.intp,
+        count=len(frames),
+    )
+    confs = rows.confs[order]
+    bad = (found < 0) | ~((0.0 <= confs) & (confs <= 1.0))
+    if bad.any():
+        k = int(bad.argmax())
+        where = f"frame {frames[k]} detection {slots[k]}"
+        if found[k] < 0:
+            raise ValueError(f"{emb_path}: missing embedding for {where}")
+        raise ValueError(f"{det_path}: {where}: score must be in [0, 1], got {confs[k].item()}")
+    if len(index) > len(frames):
+        unmatched = np.ones(len(index), dtype=bool)
+        unmatched[found] = False
+        frame, det_index = list(index)[unmatched.argmax()]
         raise ValueError(
             f"{emb_path}: embedding for frame {frame} detection {det_index} matches no detection"
         )
-    block = np.array(rows) if rows else np.empty((0, 0))
-    views = iter(block)
-    frames = [[_detection(box, next(views), conf) for _, box, conf in entries]
-              for entries in parsed]
-    corners = boxes_to_corners([box for entries in parsed for _, box, _ in entries])
-    return _detection_frames(frames, corners, block), size
+    block = values.take(found, 0)
+    dets = map(_detection, boxes, block, confs.tolist())
+    by_frame = [list(islice(dets, count)) for count in counts.tolist()]
+    corners = corners_of(rows.boxes[:2, order], rows.boxes[2:, order])
+    return _detection_frames(by_frame, corners, block), size
+
+
+def pair_from_files(
+    gt_path: Path | str,
+    pred_path: Path | str,
+    image_size: Optional[Tuple[int, int]] = None,
+) -> SequencePair:
+    """The scoring pair of a ground-truth and a prediction file.
+
+    Each side is built from its file's columns, frame, id and box corners,
+    without a ``Box2D`` per row; it scores as the pair of the parsed files'
+    ``frames_to_id_boxes`` does, over frames 1 to the larger last frame.
+    """
+    sides = []
+    for path in (gt_path, pred_path):
+        rows, _ = _read_mot_columns(path, image_size)
+        sides.append((rows.frames, rows.ids, corners_of(rows.boxes[:2], rows.boxes[2:])))
+    return SequencePair.from_columns(*sides)
 
 
 def write_scenario(

@@ -313,23 +313,19 @@ def build_cost_matrix(
     return cost
 
 
-def hungarian_assign(cost: np.ndarray) -> List[Tuple[int, int]]:
+def hungarian_assign(cost: np.ndarray) -> np.ndarray:
     """Minimum-total-cost one-to-one assignment, skipping forbidden entries.
 
-    Returns (row, col) pairs sorted by row; rows/columns left over in a
-    rectangular matrix, and pairs the solver was forced to route through
-    FORBIDDEN_COST, are omitted.
+    Returns the (row, col) pairs as a (k, 2) intp array sorted by row; rows
+    and columns left over in a rectangular matrix, and pairs the solver was
+    forced to route through FORBIDDEN_COST, are omitted.
     """
     if cost.size == 0:
-        return []
+        return np.empty((0, 2), dtype=np.intp)
     rows, cols = linear_sum_assignment(cost)
-    # Filtered in Python: at tracking sizes that is cheaper than indexing
-    # both index arrays with a mask.
-    return [
-        (r, c)
-        for r, c, v in zip(rows.tolist(), cols.tolist(), cost[rows, cols].tolist())
-        if v < FORBIDDEN_COST
-    ]
+    kept = cost[rows, cols] < FORBIDDEN_COST
+    # The transpose of a (2, k) array: building it costs less than np.stack.
+    return np.array((rows[kept], cols[kept])).T
 
 
 class Tracker:
@@ -405,7 +401,7 @@ class Tracker:
             track.misses += 1
         emitted: List[Tuple[int, Box2D]] = []
         fused, terms = [], []
-        for k, (ti, di) in enumerate(pairs):
+        for k, (ti, di) in enumerate(pairs.tolist()):
             track = self.tracks[ti]
             det = dets[di]
             track.misses = 0
@@ -416,8 +412,8 @@ class Tracker:
                 fused.append(k)
                 terms.append(term)
             emitted.append((track.track_id, det.box))
-        if pairs:
-            rows, cols = np.array(pairs).T
+        if len(pairs):
+            rows, cols = pairs.T
             # Rows are gathered with ``take``, which costs less than indexing.
             self.corners[rows] = frame.corners.take(cols, 0)
             queries, alpha = frame.embeddings.take(cols, 0), self.cfg.memory.alpha
@@ -428,7 +424,7 @@ class Tracker:
         if len(keep) < len(self.tracks):
             self.tracks = [self.tracks[i] for i in keep]
             self.corners, self.queries = self.corners.take(keep, 0), self.queries.take(keep, 0)
-        paired = {di for _, di in pairs}
+        paired = set(pairs[:, 1].tolist())
         born = [di for di in range(len(dets)) if di not in paired]
         if born:
             self.corners = np.concatenate((self.corners, frame.corners.take(born, 0)))

@@ -166,7 +166,7 @@ def test_criterion_3_assignment_matches_exhaustive_search():
             rows = 1 + rng.next_u64() % 7
             cols = 1 + rng.next_u64() % 7
             cost = np.array([[rng.uniform() for _ in range(cols)] for _ in range(rows)])
-            got = canonical_total(cost, hungarian_assign(cost))
+            got = canonical_total(cost, hungarian_assign(cost).tolist())
             if rows <= cols:
                 best = min(
                     canonical_total(cost, [(i, p[i]) for i in range(rows)])

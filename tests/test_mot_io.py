@@ -10,10 +10,13 @@ import pytest
 
 from sasmot import mot_io
 from sasmot import tracker as tracker_mod
+from sasmot.cli import main
 from sasmot.geometry import Box2D
+from sasmot.metrics import SequencePair, evaluate
 from sasmot.mot_io import (
     detections_from_files,
     frames_to_id_boxes,
+    pair_from_files,
     parse_image_size,
     parse_mot_file,
     parse_mot_text,
@@ -576,3 +579,370 @@ def test_sidecar_row_without_detection(tmp_path):
     with pytest.raises(ValueError, match="frame 2 detection 7 matches no detection"):
         detections_from_files(det_path, emb_path)
 
+
+
+def parse_mot_text_reference(
+    text: str, image_size: Optional[Tuple[int, int]] = None
+) -> Tuple[List[list], Tuple[int, int]]:
+    """The per-line MOT reader that the column pass replaced.
+
+    It parses and checks one line at a time, so it is the oracle for the
+    column reader's boxes, bits and error text. It predates the frame bound.
+    """
+    size = image_size
+    frames: List[list] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            if line.startswith("#"):
+                body = line.lstrip("#").strip()
+                if body.startswith("image_size"):
+                    if frames:
+                        raise ValueError("image_size header after the first row")
+                    header_size = parse_image_size(body.partition("=")[2].strip())
+                    size = image_size or header_size
+                continue
+            if size is None:
+                raise ValueError("no image size: pass one or put an image_size header first")
+            parts = line.split(",")
+            if len(parts) not in (9, 10):
+                raise ValueError(f"expected 9 or 10 fields, got {len(parts)}")
+            try:
+                frame = int(parts[0])
+                track_id = int(parts[1])
+                left, top, width, height, conf = map(float, parts[2:7])
+            except ValueError:
+                raise ValueError(f"non-numeric field in {line!r}") from None
+            if not all(map(math.isfinite, (left, top, width, height, conf))):
+                raise ValueError(f"non-finite field in {line!r}")
+            if frame < 1:
+                raise ValueError(f"frame must be >= 1, got {frame}")
+            if width <= 0:
+                raise ValueError(f"non-positive width {width}")
+            if height <= 0:
+                raise ValueError(f"non-positive height {height}")
+            w_img, h_img = size
+            box = Box2D((left + width / 2.0) / w_img, (top + height / 2.0) / h_img,
+                        width / w_img, height / h_img)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        frames.extend([] for _ in range(frame - len(frames)))
+        frames[frame - 1].append((track_id, box, conf))
+    if size is None:
+        raise ValueError("no image size: pass one or put an image_size header first")
+    return frames, size
+
+
+def _box_bits(frames) -> list:
+    return [[(i, tuple(map(float.hex, (b.cx, b.cy, b.w, b.h))), c.hex()) for i, b, c in entries]
+            for entries in frames]
+
+
+def _verdict(parse, text, image_size):
+    try:
+        frames, size = parse(text, image_size)
+    except ValueError as exc:
+        return str(exc)
+    return _box_bits(frames), size
+
+
+ROW = "1,1,0,0,10,10,1,-1,-1,-1"
+# Every bad-row case above, as (text, image size): bad numbers, non-positive
+# sizes, collapse, overflow and underflow, headers, 9- against 10-field rows.
+BAD_TEXTS = {
+    "non-numeric width": (f"{ROW}\n1,1,0,0,ten,10,1,-1,-1,-1\n", (100, 100)),
+    "non-numeric frame": (f"{ROW}\nx,1,0,0,10,10,1,-1,-1,-1\n", (100, 100)),
+    "float id": (f"{ROW}\n1,1.5,0,0,10,10,1,-1,-1,-1\n", (100, 100)),
+    "junk row": (f"# image_size=100x100\n{ROW}\n1,2,junk\n", None),
+    "nan conf": (f"{ROW}\n1,1,0,0,10,10,nan,-1,-1,-1\n", (100, 100)),
+    "-inf left": (f"{ROW}\n1,1,-inf,0,10,10,1,-1,-1,-1\n", (100, 100)),
+    "frame 0": (f"{ROW}\n0,1,0,0,10,10,1,-1,-1,-1\n", (100, 100)),
+    "zero width": ("1,1,0,0,0,10,1,-1,-1,-1\n", (100, 100)),
+    "negative height": ("1,1,0,0,5,-2,1,-1,-1,-1\n", (100, 100)),
+    "width underflows": ("\n1,1,0,0,5e-324,10,1,-1,-1,-1\n", (100, 100)),
+    "corners collapse": (f"# image_size=1920x1080\n{ROW}\n1,1,1e9,0,1e-7,10,1,-1,-1,-1\n", None),
+    "collapse before junk": ("# image_size=1920x1080\n1,1,1e9,0,1e-7,10,1,-1,-1,-1\n"
+                             "2,1,10,10,x,10,1,-1,-1,-1\n", None),
+    "area overflows": (f"# image_size=1920x1080\n{ROW}\n1,2,0,0,1e203,1e203,1,-1,-1,-1\n", None),
+    "corner overflows": ("# image_size=1x1\n1,1,0,0,0.5,0.5,1,-1,-1,-1\n"
+                         "1,2,1.2e308,0,1e308,1,1,-1,-1,-1\n", None),
+    "union overflows": ("# image_size=1x1\n1,1,0,0,0.5,0.5,1,-1,-1,-1\n"
+                        "1,2,-5e153,-7.5e153,1e154,1.5e154,1,-1,-1,-1\n", None),
+    "area underflows": (f"# image_size=1920x1080\n{ROW}\n1,1,0,0,1e-197,1e-197,1,-1,-1,-1\n", None),
+    "header after a row": (f"# image_size=100x100\n{ROW}\n# image_size=200x200\n", None),
+    "header after a row, size given": (f"# image_size=100x100\n{ROW}\n# image_size=200x200\n",
+                                       (100, 100)),
+    "bad row before a late header": (f"# image_size=100x100\n{ROW}\n1,1,0,0,0,10,1,-1,-1,-1\n"
+                                     "# image_size=200x200\n", None),
+    "no image size": (f"# a comment\n{ROW}\n# image_size=100x100\n", None),
+    "no image size, no rows": ("# a comment\n\n", None),
+    "malformed header": (f"# written by hand\n# image_size=axb\n{ROW}\n", None),
+    "8 fields": (f"# image_size=100x100\n{ROW}\n1,2,0,0,10,10,1,-1\n", None),
+    "11 fields": (f"# image_size=100x100\n{ROW}\n1,2,0,0,10,10,1,-1,-1,-1,0\n", None),
+    "9 then 8 fields": (f"# image_size=100x100\n{ROW[:-3]}\n1,2,0,0,10,10,1,1\n", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TEXTS))
+def test_bad_row_is_named_by_every_reader_as_the_per_line_reference_names_it(tmp_path, capsys,
+                                                                              case):
+    text, image_size = BAD_TEXTS[case]
+    with pytest.raises(ValueError) as want:
+        parse_mot_text_reference(text, image_size)
+    with pytest.raises(ValueError) as got:
+        parse_mot_text(text, image_size)
+    assert str(got.value) == str(want.value)
+    bad, good = tmp_path / "bad.txt", tmp_path / "good.txt"
+    bad.write_text(text)
+    good.write_text(f"# image_size=100x100\n{ROW}\n")
+    size_flag = [] if image_size is None else ["--image-size", "%dx%d" % image_size]
+    for gt, pred in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError) as got:
+            pair_from_files(gt, pred, image_size)
+        assert str(got.value) == f"{bad}: {want.value}"
+        assert main(["eval", "--gt", str(gt), "--pred", str(pred), *size_flag]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {want.value}\n"
+
+
+def _edge_rows(rng: np.random.Generator, count: int) -> List[Tuple[float, float, float, float]]:
+    """Seeded pixel boxes (left, top, width, height) at the edges of the box
+    rule: centres near 1e16, sizes near one ulp of the centre, and areas
+    near overflow and underflow."""
+    tiny, huge = 5e-324, sys.float_info.max
+    rows = []
+    for k in range(count):
+        kind = k % 4
+        jitter = 1.0 + rng.uniform(-4e-16, 4e-16)
+        if kind == 0:  # a centre near 1e16, where doubles are 2 apart
+            left = 1e16 * rng.uniform(0.5, 2.0)
+            rows.append((left, rng.uniform(-1e16, 1e16), rng.choice([0.5, 1.0, 2.0, 3.0, 4.0]),
+                         rng.choice([1.0, 2.0, 1e-3])))
+        elif kind == 1:  # a size of about one ulp of its centre
+            centre = 10.0 ** rng.uniform(-300, 300)
+            ulp = math.ulp(centre) * rng.choice([0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+            rows.append((centre, -centre, ulp * jitter, 10.0 * ulp))
+        elif kind == 2:  # twice the area near the largest double
+            w = 10.0 ** rng.uniform(-10, 300)
+            rows.append((0.0, 0.0, w, huge / 2.0 / w * jitter))
+        else:  # the area near the smallest subnormal
+            w = 10.0 ** rng.uniform(-300, 10)
+            rows.append((0.0, 0.0, w, tiny / w * rng.choice([0.25, 0.5, 1.0, 2.0, 4.0]) * jitter))
+    return rows
+
+
+@pytest.mark.parametrize("image_size", [(1, 1), (1920, 1080), (7, 3)])
+def test_column_rules_accept_exactly_the_rows_box2d_accepts(image_size):
+    rng = np.random.default_rng(sum(image_size))
+    rows = _edge_rows(rng, 800)
+    kept, verdicts = [], set()
+    for box in rows:
+        text = "1,1,%s,1,-1,-1,-1\n" % ",".join(repr(float(v)) for v in box)
+        want = _verdict(parse_mot_text_reference, text, image_size)
+        assert _verdict(parse_mot_text, text, image_size) == want, text
+        if isinstance(want, str):
+            verdicts.add(want.split(":")[1].strip())
+        else:
+            kept.append(text)
+    # Both sides of every edge, so the corpus shows something.
+    assert verdicts >= {"box corners collapse", "box area overflows", "box area underflows"}
+    assert len(kept) > 100
+    # The accepted rows in one text: one block pass, the same bits.
+    text = "".join(kept)
+    assert _verdict(parse_mot_text, text, image_size) == _verdict(
+        parse_mot_text_reference, text, image_size
+    )
+
+
+def test_parse_equals_per_line_reference_on_any_spelling_and_order(tmp_path):
+    rng = np.random.default_rng(11)
+    spellings = ("%.6f", "%r", "%.3e", " %s", "%s ", "%+.9E")
+    lines = ["# image_size=640x480", "# a comment", ""]
+    for k in range(3000):
+        frame = int(rng.integers(1, 400))
+        left, top = rng.uniform(-50, 600, 2)
+        width, height = rng.uniform(0.5, 90, 2)
+        fields = [spellings[int(rng.integers(0, 6))] % float(v)
+                  for v in (left, top, width, height, rng.uniform())]
+        tail = ["-1", "-1", "-1"] if k % 3 else ["1", "0.5"]
+        obj_id = int(rng.integers(1, 2**62)) << int(rng.integers(0, 9))  # up to 2**70
+        lines.append(",".join([" %d" % frame, str(obj_id), *fields, *tail]))
+        if k % 97 == 0:
+            lines += ["  ", "   # indented"]
+    text = "\n".join(lines) + "\n"
+    want = _verdict(parse_mot_text_reference, text, None)
+    assert _verdict(parse_mot_text, text, None) == want
+    path = tmp_path / "gt.txt"
+    path.write_text(text)
+    assert _box_bits(parse_mot_file(path)[0]) == want[0]
+
+
+def _mot_text(rows, nine: bool = False, notes: bool = False) -> str:
+    """Pixel rows (frame, id, left, top, w, h) as MOT text, in the given order."""
+    tail = "1,1,0.5" if nine else "1,-1,-1,-1"
+    lines = ["# image_size=640x480"]
+    for k, (frame, obj_id, left, top, w, h) in enumerate(rows):
+        pixels = ",".join(repr(float(v)) for v in (left, top, w, h))
+        lines.append(f"{frame},{obj_id},{pixels},{tail}")
+        if notes and k % 7 == 0:
+            lines += ["", "# a note", "   "]
+    return "\n".join(lines) + "\n"
+
+
+def _tracks(rng, ids, frames):
+    """Per id, a box drifting over the given frames: (frame, id, l, t, w, h) rows."""
+    rows = []
+    for obj_id in ids:
+        left, top = rng.uniform(0, 500, 2)
+        for frame in frames:
+            if rng.uniform() < 0.85:
+                left, top = left + rng.normal(0, 3), top + rng.normal(0, 3)
+                rows.append((frame, obj_id, left, top, 40.0, 80.0))
+    return rows
+
+
+@pytest.mark.parametrize("nine, notes", [(False, False), (True, True)])
+def test_eval_from_columns_equals_eval_of_parsed_lists(tmp_path, nine, notes):
+    rng = np.random.default_rng(3 + nine)
+    ids = [1, 2, 7, 2**40, 2**63 + 5, 2**70]
+    # Frames 6-8 hold nothing; gt ends at 30, pred at 34.
+    frames = [f for f in range(1, 31) if not 6 <= f <= 8]
+    gt_rows = _tracks(rng, ids, frames)  # sorted by id, as MOT17 gt is
+    pred_rows = []
+    for frame, obj_id, left, top, w, h in sorted(gt_rows):
+        if rng.uniform() < 0.9:
+            pred_id = obj_id if rng.uniform() < 0.9 else ids[int(rng.integers(0, len(ids)))]
+            pred_rows.append((frame, pred_id, left + rng.normal(0, 4), top, w, h))
+    pred_rows = [r for r in pred_rows if r[0] != 3 or r[1] != 1]
+    pred_rows.append((34, 2**70, 1.0, 1.0, 10.0, 10.0))
+    # One id per frame at most: a pred id switch may repeat an id.
+    seen, unique = set(), []
+    for row in pred_rows:
+        if row[:2] not in seen:
+            seen.add(row[:2])
+            unique.append(row)
+    gt, pred = tmp_path / "gt.txt", tmp_path / "pred.txt"
+    gt.write_text(_mot_text(gt_rows, nine, notes))
+    pred.write_text(_mot_text(unique, nine, notes))
+    gt_frames, _ = parse_mot_file(gt)
+    pred_frames, _ = parse_mot_file(pred)
+    assert (len(gt_frames), len(pred_frames)) == (30, 34) and gt_frames[6] == []
+    n = max(len(gt_frames), len(pred_frames))
+    want = SequencePair(frames_to_id_boxes(gt_frames, n), frames_to_id_boxes(pred_frames, n))
+    got = pair_from_files(gt, pred)
+    assert evaluate(got) == evaluate(want)
+    assert evaluate(pair_from_files(pred, gt)) == evaluate(
+        SequencePair(frames_to_id_boxes(pred_frames, n), frames_to_id_boxes(gt_frames, n))
+    )
+    for side in ("_gt", "_pred"):
+        a, b = getattr(got, side), getattr(want, side)
+        assert a.n_ids == b.n_ids
+        for name in ("codes", "counts", "starts", "corners"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (side, name)
+
+
+@pytest.mark.parametrize("pred_rows, message", [
+    # The repeat is far from its first row in file order, not in frame order.
+    ([(1, 5, 0, 0, 9, 9), (2, 5, 0, 0, 9, 9), (3, 6, 0, 0, 9, 9), (2, 5, 5, 5, 9, 9)],
+     "pred frame 2: id 5 appears twice"),
+    ([(2, 4, 0, 0, 9, 9), (1, 3, 0, 0, 9, 9), (2, 0, 0, 0, 9, 9), (1, -1, 0, 0, 9, 9)],
+     "pred frame 1: ids must be positive, got -1"),
+    ([(1, 2**70, 0, 0, 9, 9), (1, -2**70, 0, 0, 9, 9), (1, 2**70, 0, 0, 9, 9)],
+     "pred frame 1: ids must be positive, got -1180591620717411303424"),
+])
+def test_side_errors_keep_their_text_from_columns(tmp_path, pred_rows, message):
+    gt, pred = tmp_path / "gt.txt", tmp_path / "pred.txt"
+    gt.write_text(_mot_text([(1, 1, 0, 0, 9, 9)]))
+    pred.write_text(_mot_text(pred_rows))
+    lists = [frames_to_id_boxes(parse_mot_file(p)[0], 3) for p in (gt, pred)]
+    with pytest.raises(ValueError) as want:
+        SequencePair(*lists)
+    with pytest.raises(ValueError) as got:
+        pair_from_files(gt, pred)
+    assert str(got.value) == str(want.value) == message
+
+
+def test_frame_far_beyond_the_row_count_is_named_before_any_frame_exists(tmp_path, capsys):
+    # Two rows may reach frame 4, twice the row count; frame 5 is refused.
+    rows = "# image_size=100x100\n1,1,0,0,10,10,1,-1,-1,-1\n{},2,0,0,10,10,1,-1,-1,-1\n"
+    frames, _ = parse_mot_text(rows.format(4))
+    assert len(frames) == 4 and frames[3][0][0] == 2
+    message = "line 3: frame 5 is beyond 4, twice the file's row count"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_mot_text(rows.format(5))
+    # A frame is checked in its row's turn: an earlier bad row is named first.
+    with pytest.raises(ValueError, match="^line 2: non-positive width"):
+        parse_mot_text(rows.replace("10,10,1", "0,10,1", 1).format(5))
+    bad, good = tmp_path / "bad.txt", tmp_path / "good.txt"
+    bad.write_text(rows.format(5))
+    good.write_text(rows.format(2))
+    for gt, pred in ((bad, good), (good, bad)):
+        assert main(["eval", "--gt", str(gt), "--pred", str(pred)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    emb = tmp_path / "emb.csv"
+    emb.write_text("1,0,0.5,0.5\n5,0,0.5,0.5\n")
+    with pytest.raises(ValueError) as got:
+        detections_from_files(bad, emb)
+    assert str(got.value) == f"{bad}: {message}"
+
+
+def _transient_and_peak(fn) -> Tuple[int, int]:
+    """Bytes allocated during ``fn()`` beyond what its result keeps, and the peak."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - kept, peak
+
+
+def _lines_peak(*paths: Path) -> int:
+    """The peak of holding every file's text and stripped lines at once."""
+    return _transient_and_peak(
+        lambda: [[raw.strip() for raw in p.read_text().splitlines()] for p in paths]
+    )[1]
+
+
+@pytest.fixture(scope="module")
+def big_scene(tmp_path_factory):
+    scenario = generate_scenario(ScenarioConfig(n_objects=20, n_frames=1000, seed=1))
+    return write_scenario(scenario, tmp_path_factory.mktemp("big"), (1920, 1080))
+
+
+def _reads_over_bound(scene, block_rows: int) -> List[Tuple[str, int, int]]:
+    """(read, transient bytes, bound) of ``track``'s read and ``eval``'s two.
+
+    Holding a file's lines is the one whole-file cost of a read. Beyond it,
+    a read may keep about 100 B per row (row numbers, the columns it fills,
+    the records it builds) and 2 KB per row of a block of ``block_rows``.
+    """
+    gt, det, emb = scene
+    n_rows = {p: len(p.read_text().splitlines()) for p in scene}
+    assert min(n_rows.values()) >= 8 * block_rows, "the files must span many blocks"
+    reads = [
+        ("detections_from_files", lambda: detections_from_files(det, emb), (det, emb)),
+        ("pair_from_files", lambda: pair_from_files(gt, gt), (gt, gt)),
+    ]
+    out = []
+    for name, read, paths in reads:
+        bound = _lines_peak(*paths) + 100 * sum(n_rows[p] for p in paths) + 2048 * block_rows
+        out.append((name, _transient_and_peak(read)[0], bound))
+    return out
+
+
+def test_reads_hold_one_block_of_converted_rows_at_a_time(big_scene):
+    for name, transient, bound in _reads_over_bound(big_scene, mot_io._BLOCK_ROWS):
+        assert transient < bound, (name, transient, bound)
+
+
+def test_the_memory_bound_refuses_a_whole_file_conversion(big_scene, monkeypatch):
+    # Converting ~20k rows at once holds 600 B to 1.2 KB more per row.
+    block_rows = mot_io._BLOCK_ROWS
+    monkeypatch.setattr(mot_io, "_BLOCK_ROWS", 10**9)
+    for name, transient, bound in _reads_over_bound(big_scene, block_rows):
+        assert transient > bound, (name, transient, bound)

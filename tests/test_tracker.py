@@ -255,19 +255,19 @@ def test_hungarian_equals_reference_with_forbidden_entries(shape):
         cost[trial % shape[0]] = FORBIDDEN_COST  # one all-forbidden row
         if trial % 5 == 0:
             cost[:] = FORBIDDEN_COST
-        got = hungarian_assign(cost)
-        assert got == hungarian_assign_reference(cost)
-        assert all(type(i) is int for pair in got for i in pair)
+        got, want = hungarian_assign(cost), hungarian_assign_reference(cost)
+        assert got.dtype == np.intp and got.shape == (len(want), 2)
+        assert got.tolist() == [list(pair) for pair in want]
 
 
 def test_hungarian_empty_and_forbidden():
-    assert hungarian_assign(np.zeros((0, 3))) == []
-    assert hungarian_assign(np.zeros((3, 0))) == []
-    assert hungarian_assign(np.zeros((0, 0))) == []
+    for shape in ((0, 3), (3, 0), (0, 0)):
+        none = hungarian_assign(np.zeros(shape))
+        assert none.shape == (0, 2) and none.dtype == np.intp
     cost = np.array([[FORBIDDEN_COST, 0.2], [0.1, FORBIDDEN_COST]])
-    assert hungarian_assign(cost) == [(0, 1), (1, 0)]
-    all_bad = np.full((2, 2), FORBIDDEN_COST)
-    assert hungarian_assign(all_bad) == []
+    assert hungarian_assign(cost).tolist() == [[0, 1], [1, 0]]
+    all_bad = hungarian_assign(np.full((2, 2), FORBIDDEN_COST))
+    assert all_bad.shape == (0, 2) and all_bad.dtype == np.intp
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
