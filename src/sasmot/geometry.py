@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,8 +21,10 @@ __all__ = [
     "Box2D",
     "iou",
     "iou_matrix",
+    "box_areas",
     "boxes_to_corners",
     "corners_of",
+    "valid_boxes",
     "max_iou_vs_others",
 ]
 
@@ -71,6 +73,40 @@ class Box2D:
         return (self.cx - hw, self.cy - hh, self.cx + hw, self.cy + hh)
 
 
+_set_cx, _set_cy, _set_w, _set_h = (slot.__set__ for slot in (Box2D.cx, Box2D.cy, Box2D.w, Box2D.h))
+
+
+def _box(cx: float, cy: float, w: float, h: float) -> Box2D:
+    """A ``Box2D`` of fields that ``valid_boxes`` has already accepted.
+
+    The simulator and the MOT readers check a whole block of boxes with one
+    mask, so ``__post_init__`` would only repeat its verdict; the public
+    constructor keeps its check.
+    """
+    box = object.__new__(Box2D)
+    _set_cx(box, cx)
+    _set_cy(box, cy)
+    _set_w(box, w)
+    _set_h(box, h)
+    return box
+
+
+def valid_boxes(cx: np.ndarray, cy: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Which boxes ``Box2D`` accepts, for broadcasting arrays of their fields.
+
+    The vector form of ``Box2D``'s rule, on the same elementwise operations,
+    so an element is True exactly when ``Box2D(cx, cy, w, h)`` raises nothing.
+    """
+    # A bad box may overflow or make a NaN here; the mask rejects it.
+    with np.errstate(all="ignore"):
+        hw, hh = w / 2.0, h / 2.0
+        left, top, right, bottom = cx - hw, cy - hh, cx + hw, cy + hh
+        area2 = (right - left) * (bottom - top) * 2.0
+        return ((-np.inf < left) & (left < right) & (right < np.inf)
+                & (-np.inf < top) & (top < bottom) & (bottom < np.inf)
+                & (0.0 < area2) & (area2 < np.inf))
+
+
 def iou(a: Box2D, b: Box2D) -> float:
     """Intersection over union of two boxes, in [0, 1]."""
     ax1, ay1, ax2, ay2 = a.corners()
@@ -108,12 +144,21 @@ def corners_of(centers: np.ndarray, extents: np.ndarray) -> np.ndarray:
     return np.concatenate((centers - half, centers + half)).T.copy()
 
 
-def iou_matrix(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarray:
+def box_areas(corners: np.ndarray) -> np.ndarray:
+    """(...,) areas of (..., 4) corner rows, the ones ``iou_matrix`` divides by."""
+    return (corners[..., 2] - corners[..., 0]) * (corners[..., 3] - corners[..., 1])
+
+
+def iou_matrix(
+    corners_a: np.ndarray, corners_b: np.ndarray, areas_b: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Pairwise IoU of (..., N, 4) and (..., M, 4) corner arrays; returns (..., N, M).
 
     Leading dimensions broadcast, so one call scores a batch of frames with
     the same elementwise operations, and so the same bits, as one call per
-    frame.
+    frame. ``areas_b``, when given, holds the (..., M) areas of the second
+    set as computed here, ``(right - left) * (bottom - top)``: a caller that
+    scores the same boxes many times computes them once.
     """
     a = corners_a[..., :, None, :]
     b = corners_b[..., None, :, :]
@@ -122,8 +167,8 @@ def iou_matrix(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarray:
     # A side that does not overlap is clamped to +0.0, so disjoint and
     # touching boxes get an intersection of exactly +0.0.
     inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
-    area_a = (corners_a[..., 2] - corners_a[..., 0]) * (corners_a[..., 3] - corners_a[..., 1])
-    area_b = (corners_b[..., 2] - corners_b[..., 0]) * (corners_b[..., 3] - corners_b[..., 1])
+    area_a = box_areas(corners_a)
+    area_b = box_areas(corners_b) if areas_b is None else areas_b
     union = area_a[..., :, None] + area_b[..., None, :] - inter
     # ``Box2D`` keeps every area above 0, so only two zero-size padding boxes
     # have inter = union = 0. The floor at the smallest double makes that

@@ -31,7 +31,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Deque, Optional, Tuple
+from typing import Deque, Optional
 
 import numpy as np
 
@@ -103,7 +103,10 @@ class TrackMemory:
     embedding, and overlap; returns whether a feature was stored),
     ``fused_query`` (blend a current embedding with the memory mean), and
     ``commit_store`` (normally invoked internally by ``observe``).
-    ``memory_term`` and ``policy`` are read-only.
+    ``memory_term`` and ``policy`` are read-only. ``entries`` holds a
+    ``MemoryEntry`` per stored feature, and ``accumulator`` the travel since
+    the last store; the pending candidate and the last centre are private
+    fields, so a frame that stores nothing builds no object.
 
     The memory checks none of its inputs. The caller guarantees them, and
     in the package each part has one owner:
@@ -133,10 +136,16 @@ class TrackMemory:
         self._total: Optional[np.ndarray] = None  # their sum
         self._memory_term: Optional[np.ndarray] = None
         self.accumulator: float = 0.0
-        self.last_center: Optional[Tuple[float, float]] = None
-        # The pending commit: for SPARSE_OFS the least-overlapped frame since
-        # the last store, otherwise the latest frame.
-        self.candidate: Optional[MemoryEntry] = None
+        # The last observed centre; None before the first observation.
+        self._last_x: Optional[float] = None
+        self._last_y = 0.0
+        # The pending commit's embedding, frame and overlap: for SPARSE_OFS
+        # the least-overlapped frame since the last store, otherwise the
+        # latest. No candidate is pending while the embedding is None; its
+        # overlap is then inf, above every overlap in [0, 1].
+        self._pending: Optional[np.ndarray] = None
+        self._pending_frame = 0
+        self._pending_overlap = math.inf
 
     @property
     def policy(self) -> MemoryPolicy:
@@ -155,16 +164,16 @@ class TrackMemory:
         if self._off:
             return False
 
-        if self.last_center is not None:
-            lx, ly = self.last_center
-            self.accumulator += math.hypot(box.cx - lx, box.cy - ly)
-        self.last_center = (box.cx, box.cy)
+        x, y = box.cx, box.cy
+        if self._last_x is not None:
+            self.accumulator += math.hypot(x - self._last_x, y - self._last_y)
+        self._last_x, self._last_y = x, y
 
         # SPARSE_OFS keeps the least-overlapped frame since the last store,
         # ties going to the earlier frame; every other policy keeps the latest.
-        if (not self._least_overlap or self.candidate is None
-                or overlap < self.candidate.overlap_at_store):
-            self.candidate = MemoryEntry(embedding, frame_idx, overlap)
+        if not self._least_overlap or overlap < self._pending_overlap:
+            self._pending, self._pending_frame, self._pending_overlap = (
+                embedding, frame_idx, overlap)
         # DENSE stores every frame; the others once past the motion gate, and
         # DELAYING only on a frame at or below its overlap threshold.
         store = self._every_frame or (
@@ -176,10 +185,10 @@ class TrackMemory:
 
     def commit_store(self) -> None:
         """Push the pending candidate into the ring and reset the gate."""
-        if self.candidate is None:
+        row, ring = self._pending, self._ring
+        if row is None:
             raise ValueError("commit_store called with no pending candidate")
-        self.entries.append(self.candidate)
-        row, ring = self.candidate.embedding, self._ring
+        self.entries.append(MemoryEntry(row, self._pending_frame, self._pending_overlap))
         if ring is None or len(ring) < self.entries.maxlen:
             # Nothing leaves: ``sum(entries)``'s left fold from int 0 goes on.
             self._total = (0.0 if ring is None else self._total) + row
@@ -190,7 +199,7 @@ class TrackMemory:
             self._total = np.add.accumulate(ring, axis=0)[-1] + 0.0
         self._memory_term = ((1.0 - self.cfg.alpha) / len(self._ring)) * self._total
         self.accumulator = 0.0
-        self.candidate = None
+        self._pending, self._pending_overlap = None, math.inf
 
     def fused_query(self, current: np.ndarray) -> np.ndarray:
         """Blend the current embedding with the memory mean.

@@ -51,7 +51,7 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequenc
 
 import numpy as np
 
-from .geometry import Box2D, corners_of
+from .geometry import Box2D, _box, corners_of, valid_boxes
 from .metrics import SequencePair
 from .simulator import Scenario
 from .tracker import DetectionFrame, FrameResult, _detection, _detection_frames, embedding_fault
@@ -129,7 +129,7 @@ def _in_frame_order(rows: _Rows) -> Tuple[np.ndarray, np.ndarray, Iterator[Box2D
     the row counts of frames 1..max; and the rows' boxes in that order."""
     order = np.argsort(rows.frames, kind="stable")
     counts = np.bincount(rows.frames, minlength=1)[1:]
-    return order, counts, map(Box2D, *rows.boxes[:, order].tolist())
+    return order, counts, map(_box, *rows.boxes[:, order].tolist())
 
 
 def _read_mot_columns(
@@ -215,9 +215,10 @@ def _mot_block(
 
     Frames and ids convert with ``int``, so ids keep Python-int range; the
     five float fields convert in one numpy call, which parses each string as
-    ``float()`` does. The pixel-field rules and ``Box2D``'s box rule then run
-    as masks over the same elementwise operations, so the boxes have the bits
-    of the per-line code's.
+    ``float()`` does. The pixel-field rules and ``Box2D``'s box rule
+    (``valid_boxes``) then run as masks over the same elementwise operations,
+    so the boxes have the bits of the per-line code's, and the readers build
+    them without a second check.
     """
     parts = [line.split(",") for line in block]
     if not set(map(len, parts)) <= {9, 10}:
@@ -232,16 +233,12 @@ def _mot_block(
         return None
     left, top, width, height, conf = fields
     w_img, h_img = size
-    # A bad row may overflow or make a NaN here; the mask rejects it.
+    # A bad row may overflow or make a NaN here; the masks reject it.
     with np.errstate(all="ignore"):
         w, h = width / w_img, height / h_img
         cx, cy = (left + width / 2.0) / w_img, (top + height / 2.0) / h_img
-        l, t, r, b = cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
-        area2 = (r - l) * (b - t) * 2.0
-        good = (np.isfinite(fields).all(axis=0) & (width > 0.0) & (height > 0.0)
-                & (-np.inf < l) & (l < r) & (r < np.inf) & (-np.inf < t) & (t < b) & (b < np.inf)
-                & (0.0 < area2) & (area2 < np.inf))
-    if not good.all():
+    good = np.isfinite(fields).all(axis=0) & (width > 0.0) & (height > 0.0)
+    if not (good & valid_boxes(cx, cy, w, h)).all():
         return None
     return frames, ids, (cx, cy, w, h), conf
 

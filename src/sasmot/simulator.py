@@ -34,9 +34,13 @@ its kept detections (``rng.box_muller``), the blend toward the occluder,
 the division by each row's norm, the jittered boxes and their corners
 (``geometry.corners_of``), and the block's ``DetectionFrame`` records from
 ``_detection_frames``, whose one zero-padded IoU pass gives each detection
-its largest overlap with the others. The pass builds each ``Detection`` without re-running its check:
-the box passes ``Box2D``'s, each row has unit norm and each confidence is
-in [0.5, 1] by construction. Every array step is
+its largest overlap with the others. The pass builds each ``Detection``
+and ``Box2D`` without re-running their checks: one ``valid_boxes`` mask
+per block checks the gt boxes and one the detection boxes (a block that
+fails builds them with ``Box2D``, which raises the first error), each row
+has unit norm and each confidence is in [0.5, 1] by construction, and the
+config's bounds on ``size_jitter`` and ``noise_sigma`` keep every size
+factor and squared norm finite. Every array step is
 elementwise and rounded as the scalar one (``exp``, ``cos`` and ``sin`` stay
 in Python ``math``, which numpy's versions need not match), and each norm is
 ``sqrt(row.dot(row))``, the 1-D formula of ``np.linalg.norm``, so the bits
@@ -52,16 +56,22 @@ block's array alive.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
-from .geometry import Box2D, boxes_to_corners, corners_of, iou_matrix, max_iou_vs_others
+from .geometry import Box2D, _box, corners_of, iou_matrix, max_iou_vs_others, valid_boxes
 from .rng import SplitMix64, box_muller
 from .tracker import Detection, DetectionFrame, _detection, _detection_frames
 
 __all__ = ["ScenarioConfig", "Scenario", "generate_scenario"]
+
+# The largest magnitude ``box_muller`` returns: its radius at the smallest
+# u1, 2**-64, times a cosine of at most 1.
+_GAUSS_MAX = math.sqrt(-2.0 * math.log(2.0**-64))
+_LOG_MAX = math.log(sys.float_info.max)  # the largest x whose math.exp is finite
 
 
 @dataclass
@@ -102,6 +112,19 @@ class ScenarioConfig:
         ):
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        # A detection's size factor is exp(size_jitter * g) for a variate g,
+        # which must not overflow.
+        if not self.size_jitter * _GAUSS_MAX <= _LOG_MAX:
+            raise ValueError(f"size_jitter must be at most {_LOG_MAX / _GAUSS_MAX:.6g}, "
+                             f"got {self.size_jitter}")
+        # Each component of a noisy embedding is at most 1 + noise_sigma * g
+        # in magnitude, so its squared norm at most embedding_dim times the
+        # square of that, which must stay finite; the factor 2 leaves room
+        # for rounding.
+        root = math.sqrt(sys.float_info.max / self.embedding_dim) / 2.0
+        if not (1.0 + self.noise_sigma * _GAUSS_MAX) <= root:
+            raise ValueError(f"noise_sigma must be at most {(root - 1.0) / _GAUSS_MAX:.6g} "
+                             f"for embedding_dim {self.embedding_dim}, got {self.noise_sigma}")
         if not math.isfinite(self.rotation_magnitude):
             raise ValueError(f"rotation_magnitude must be finite, got {self.rotation_magnitude}")
         for name, value in (
@@ -232,10 +255,9 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
                         direction = 1.0 if rng.uniform() < 0.5 else -1.0
                         thetas[i] += direction * cfg.rotation_magnitude
 
-            boxes = [Box2D(xs[i], ys[i], widths[i], heights[i]) for i in range(n)]
-            gt_frames.append(list(enumerate(boxes, 1)))
-            # The overlap sets the miss probability, so it cannot wait for the block.
-            corners = boxes_to_corners(boxes)
+            # The overlap sets the miss probability, so it cannot wait for the
+            # block; the gt boxes, checked with the block's, can.
+            corners = corners_of(np.array((xs, ys)), sizes)
             best, block_ious[b] = max_iou_vs_others(iou_matrix(corners, corners))
             for i, ov in enumerate(best.tolist()):
                 p_miss = cfg.miss_prob_occluded if ov > 0.5 else cfg.miss_prob_base
@@ -249,6 +271,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
             block_xy[1, b] = ys
             block_thetas.extend(thetas)
 
+        gt_frames += _gt_boxes(block_xy, sizes)
         apps = appearance[f0:stop]
         cos = np.fromiter(map(math.cos, block_thetas), float, size * n).reshape(size, n)
         sin = np.fromiter(map(math.sin, block_thetas), float, size * n).reshape(size, n)
@@ -268,13 +291,28 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
             factor = np.fromiter(map(math.exp, scale.tolist()), float, scale.size)
             extents = sizes[:, obj] * factor.reshape(2, -1)
             corners = corners_of(centers, extents)
+            make = _box if valid_boxes(*centers, *extents).all() else Box2D
             for f, cx, cy, w, h, emb, conf in zip(
                 frame.tolist(), *centers.tolist(), *extents.tolist(), embeddings, confs
             ):
-                block_dets[f].append(_detection(Box2D(cx, cy, w, h), emb, conf))
+                block_dets[f].append(_detection(make(cx, cy, w, h), emb, conf))
         det_frames += _detection_frames(block_dets, corners, embeddings)
 
     return Scenario(gt_frames, det_frames, appearance)
+
+
+def _gt_boxes(xy: np.ndarray, sizes: np.ndarray) -> List[List[Tuple[int, Box2D]]]:
+    """The (id, box) lists of a block's frames from their (2, frames, N)
+    centres and the (2, N) sizes.
+
+    One ``valid_boxes`` mask checks the whole block. A block that fails it
+    builds its boxes with ``Box2D`` in frame order, so the first bad box
+    raises ``Box2D``'s error, as a per-frame check would.
+    """
+    widths, heights = sizes.tolist()
+    make = _box if valid_boxes(xy[0], xy[1], sizes[0], sizes[1]).all() else Box2D
+    return [list(enumerate(map(make, xs, ys, widths, heights), 1))
+            for xs, ys in zip(*xy.tolist())]
 
 
 def _occluders(best: np.ndarray, ious: np.ndarray) -> np.ndarray:

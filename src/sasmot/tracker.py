@@ -1,13 +1,14 @@
 """Association tracker driving the sparse memory.
 
 A frame's detections travel as one ``DetectionFrame``: the ``Detection``s
-with their (N, 4) corners, (N, D) embeddings, (N,) scores and each one's
+with their (N, 4) corners, (N, D) embeddings, (N,) scores, each one's
 largest IoU with the others (``max_iou_vs_others``), which its memory
-records. ``_detection_frames`` builds the records of many frames at once,
-one zero-padded ``iou_matrix`` pass per group of frames, where detections
-enter: the simulator's block pass and the MOT/sidecar reader. A scene's
-records are scored once, however many trackers step through them; a plain
-list given to ``Tracker.step`` becomes a record there.
+records, and the box areas and embedding norms that the cost's IoU and
+cosine terms divide by. ``_detection_frames`` builds the records of many
+frames at once, one zero-padded ``iou_matrix`` pass per group of frames,
+where detections enter: the simulator's block pass and the MOT/sidecar
+reader. A scene's records are scored once, however many trackers step
+through them; a plain list given to ``Tracker.step`` becomes a record there.
 
 The tracks' side is two banks, their last corners (T, 4) and fused queries
 (T, D). Per frame one IoU pass, the corner bank against the record's
@@ -41,7 +42,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import Box2D, boxes_to_corners, iou_matrix, max_iou_vs_others
+from .geometry import Box2D, box_areas, boxes_to_corners, iou_matrix, max_iou_vs_others
 from .memory import MemoryConfig, MemoryPolicy, TrackMemory, fuse
 
 
@@ -73,6 +74,7 @@ __all__ = [
     "TrackerConfig",
     "TrackState",
     "FrameResult",
+    "row_norms",
     "cosine_distance",
     "build_cost_matrix",
     "hungarian_assign",
@@ -138,8 +140,11 @@ class DetectionFrame:
     Row i of ``corners`` (N, 4; left, top, right, bottom), ``embeddings``
     (N, D) and ``scores`` (N,) belongs to ``detections[i]``, and
     ``overlaps[i]`` is its largest IoU with any other detection of the frame,
-    0.0 when it is alone. Iterating, indexing and ``len`` see the
-    ``Detection`` list.
+    0.0 when it is alone. ``areas[i]`` and ``norms[i]`` are its box area
+    (``geometry.box_areas``) and embedding norm (``row_norms``), the halves
+    of the step's IoU and cosine terms that no track changes, so every
+    tracker that steps the record reads them. Iterating, indexing and
+    ``len`` see the ``Detection`` list.
 
     A record is read-only once built: the tracker scores its arrays, not
     the ``Detection``s, so neither the list nor a detection's box,
@@ -152,6 +157,8 @@ class DetectionFrame:
     embeddings: np.ndarray
     scores: np.ndarray
     overlaps: np.ndarray
+    areas: np.ndarray
+    norms: np.ndarray
 
     @classmethod
     def from_detections(cls, detections: Iterable[Detection]) -> DetectionFrame:
@@ -188,11 +195,13 @@ def _detection_frames(
     """Records of consecutive frames whose detections, in order, are the rows
     of (k, 4) ``corners`` and (k, D) ``embeddings``.
 
-    The records' arrays are row slices of these and of one scores and one
-    overlaps array. Overlaps come from one ``iou_matrix`` per group of
-    frames, each frame's corners zero-padded to the group's largest: a
-    zero-size box overlaps nothing, and every IoU is elementwise, so each
-    overlap has the bits of a pass over its frame alone.
+    The records' arrays are row slices of these and of one scores, one
+    overlaps, one areas and one norms array. Overlaps come from one
+    ``iou_matrix`` per group of frames, each frame's corners zero-padded to
+    the group's largest: a zero-size box overlaps nothing, and every IoU is
+    elementwise, so each overlap has the bits of a pass over its frame alone.
+    Areas and norms are one pass each over all rows; each row's value is
+    computed from that row alone, so it has the bits of a one-frame pass.
     """
     counts = [len(dets) for dets in frames]
     starts = np.cumsum([0, *counts])
@@ -211,9 +220,11 @@ def _detection_frames(
         padded[frame, slot] = corners[s:e]
         overlaps[s:e] = max_iou_vs_others(iou_matrix(padded, padded))[0][frame, slot]
         a = b
+    areas, norms = box_areas(corners), row_norms(embeddings)
     bounds = starts.tolist()
     return [
-        DetectionFrame(dets, corners[s:e], embeddings[s:e], scores[s:e], overlaps[s:e])
+        DetectionFrame(dets, corners[s:e], embeddings[s:e], scores[s:e], overlaps[s:e],
+                       areas[s:e], norms[s:e])
         for dets, s, e in zip(frames, bounds, bounds[1:])
     ]
 
@@ -266,21 +277,29 @@ class FrameResult:
     tracks: List[Tuple[int, Box2D]]
 
 
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """The (N,) Euclidean norms of the rows of an (N, D) array."""
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+
+
+def cosine_distance(
+    a: np.ndarray, b: np.ndarray, norms_b: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Pairwise 1 - cos for the rows of (T, D) ``a`` and (N, D) ``b``; (T, N) in [0, 2].
 
     A zero-norm row has no direction, so its distance to every row is 1.0,
     as in sklearn's ``cosine_distances``. Detections reject one at ingest,
-    but a fused track query can still cancel out to zero.
+    but a fused track query can still cancel out to zero. ``norms_b``, when
+    given, is ``row_norms(b)``, computed once by a caller that scores ``b``
+    many times.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = np.sqrt(np.einsum("ij,ij->i", a, a))
-    nb = np.sqrt(np.einsum("ij,ij->i", b, b))
-    norms = na[:, None] * nb
-    d = np.divide(a @ b.T, norms, out=np.zeros_like(norms), where=norms > 0.0)
+    nb = row_norms(b) if norms_b is None else norms_b
+    norms = row_norms(a)[:, None] * nb
+    d = np.divide(a @ b.T, norms, out=np.zeros(norms.shape), where=norms > 0.0)
     # 1 - cos, clamped in place; it is never -0.0, the one input on which
     # these two bounds and np.clip differ.
     np.subtract(1.0, d, out=d)
@@ -293,18 +312,26 @@ def build_cost_matrix(
     embeddings: np.ndarray,
     ov: np.ndarray,
     cfg: TrackerConfig,
+    norms: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Blended appearance/spatial cost, with gated-out pairs set to FORBIDDEN_COST.
 
     ``queries`` holds the (T, D) track queries and ``embeddings`` the (N, D)
     detection embeddings, and ``ov`` is the (T, N) IoU of each track's last
     box with each detection's box, the step's one ``iou_matrix`` pass.
+    ``norms``, when given, is ``row_norms(embeddings)`` (``cosine_distance``).
     """
     if not len(queries) or not len(embeddings):
         return np.zeros((len(queries), len(embeddings)), dtype=float)
     lam = cfg.cost_blend
-    appearance = cosine_distance(queries, embeddings)
-    cost = lam * appearance / 2.0 + (1.0 - lam) * (1.0 - ov)
+    # In place, one operation at a time in the order of
+    # lam * d / 2 + (1 - lam) * (1 - ov), so the bits are that expression's.
+    cost = cosine_distance(queries, embeddings, norms)
+    np.multiply(cost, lam, out=cost)
+    np.divide(cost, 2.0, out=cost)
+    spatial = np.subtract(1.0, ov)
+    np.multiply(spatial, 1.0 - lam, out=spatial)
+    np.add(cost, spatial, out=cost)
     forbidden = cost > cfg.match_threshold
     # IoU is never below 0, so a disabled gate (0.0) would forbid nothing.
     if cfg.iou_gate > 0.0:
@@ -376,22 +403,23 @@ class Tracker:
         self._last_frame = frame_idx
         keep = frame.scores >= self.cfg.min_score
         if keep.all():
-            ious = iou_matrix(self.corners, frame.corners)
+            ious = iou_matrix(self.corners, frame.corners, frame.areas)
         else:
             # The kept rows of the record make a new one. Its overlaps must be
             # among the kept detections, so one pass, (tracks + kept) x kept,
             # gives the cost's spatial term on top and the overlaps below.
             n = len(self.tracks)
-            corners = frame.corners[keep]
-            both = iou_matrix(np.concatenate((self.corners, corners)), corners)
+            corners, areas = frame.corners[keep], frame.areas[keep]
+            both = iou_matrix(np.concatenate((self.corners, corners)), corners, areas)
             ious = both[:n]
             frame = DetectionFrame(
                 list(compress(frame.detections, keep.tolist())), corners,
                 frame.embeddings[keep], frame.scores[keep], max_iou_vs_others(both[n:])[0],
+                areas, frame.norms[keep],
             )
         dets = frame.detections
 
-        cost = build_cost_matrix(self.queries, frame.embeddings, ious, self.cfg)
+        cost = build_cost_matrix(self.queries, frame.embeddings, ious, self.cfg, frame.norms)
         pairs = hungarian_assign(cost)
         overlaps = frame.overlaps.tolist()
 
@@ -407,7 +435,7 @@ class Tracker:
             track.misses = 0
             track.last_box = det.box
             track.memory.observe(det.box, det.embedding, overlaps[di], frame_idx)
-            term = track.memory.memory_term
+            term = track.memory._memory_term  # the field: no property call per match
             if term is not None:
                 fused.append(k)
                 terms.append(term)

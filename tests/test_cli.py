@@ -421,6 +421,24 @@ def test_nan_match_threshold_in_config_names_the_key(tmp_path, capsys):
     assert "match_threshold must be >= 0, got nan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("scenario.size_jitter = 1000", "size_jitter must be at most 75.3542, got 1000.0"),
+    ("scenario.noise_sigma = 1e160",
+     "noise_sigma must be at most 1.7793e+152 for embedding_dim 16, got 1e+160"),
+])
+def test_overflowing_scenario_values_exit_before_any_file_is_written(tmp_path, capsys, line,
+                                                                       message):
+    # A size factor exp(size_jitter * g) or a noisy embedding's squared norm
+    # that could overflow is a config error, not a traceback or a sidecar
+    # of zero embeddings that `track` refuses.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{line}\nscenario.n_frames = 40\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["n_seeds", "seed"])
 def test_bad_integer_in_config_names_the_key(tmp_path, capsys, key):
     cfg = tmp_path / "run.cfg"

@@ -753,6 +753,11 @@ def test_column_rules_accept_exactly_the_rows_box2d_accepts(image_size):
     assert _verdict(parse_mot_text, text, image_size) == _verdict(
         parse_mot_text_reference, text, image_size
     )
+    # The reader builds its boxes without Box2D's check; each is one that
+    # the check accepts, with the same fields.
+    boxes = [box for entries in parse_mot_text(text, image_size)[0] for _, box, _ in entries]
+    assert len(boxes) == len(kept)
+    assert boxes == [Box2D(box.cx, box.cy, box.w, box.h) for box in boxes]
 
 
 def test_parse_equals_per_line_reference_on_any_spelling_and_order(tmp_path):

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -174,12 +175,13 @@ RECORD_SCENES = [
 
 def assert_records_are_one_frame_records(frames):
     """Each record equals the public constructor's record of its detections,
-    byte for byte; returns how many detections overlap another."""
+    byte for byte, so a block-wide area or norm has a one-frame pass's bits;
+    returns how many detections overlap another."""
     overlapping = 0
     for frame in frames:
         want = DetectionFrame.from_detections(list(frame))
         assert frame.detections == want.detections
-        for name in ("corners", "embeddings", "scores", "overlaps"):
+        for name in ("corners", "embeddings", "scores", "overlaps", "areas", "norms"):
             got, ref = getattr(frame, name), getattr(want, name)
             assert got.dtype == ref.dtype == np.float64, name
             assert len(got) == len(ref) == len(frame) and got.tobytes() == ref.tobytes(), name
@@ -460,6 +462,80 @@ def test_config_validation():
         ScenarioConfig(size_min=0.3, size_max=0.2)
     with pytest.raises(ValueError):
         ScenarioConfig(speed=0.0)
+
+
+def test_jitter_and_noise_that_would_overflow_are_config_errors():
+    # The largest variate box_muller returns is sqrt(-2 ln 2**-64): a
+    # size_jitter above log(max double) / 9.419... could overflow exp, and
+    # a noise_sigma that could overflow an embedding's squared norm would
+    # zero its row. Both are refused before any frame is generated.
+    with pytest.raises(ValueError, match=r"size_jitter must be at most 75\.354\d*, got 1000"):
+        ScenarioConfig(size_jitter=1000, n_frames=40)
+    with pytest.raises(ValueError, match=r"noise_sigma must be at most .* for embedding_dim 16"):
+        ScenarioConfig(noise_sigma=1e160, n_frames=40)
+    # The bounds sit at the edge: just inside them the config is accepted
+    # and a scene generates or fails with a box error, never an overflow.
+    limit = math.log(sys.float_info.max) / math.sqrt(-2.0 * math.log(2.0**-64))
+    try:
+        generate_scenario(ScenarioConfig(size_jitter=limit * (1 - 1e-15), n_frames=4))
+    except ValueError as exc:  # such sizes collapse; an OverflowError would propagate
+        assert str(exc).startswith("box ")
+    with pytest.raises(ValueError):
+        ScenarioConfig(size_jitter=limit * (1 + 1e-15))
+    for dim in (2, 16, 1000):
+        root = math.sqrt(sys.float_info.max / dim) / 2.0
+        top = (root - 1.0) / math.sqrt(-2.0 * math.log(2.0**-64))
+        cfg = ScenarioConfig(noise_sigma=top * (1 - 1e-12), embedding_dim=dim, n_objects=3,
+                             n_frames=4)
+        with np.errstate(all="raise"):
+            scenario = generate_scenario(cfg)
+        for frame in scenario.detections:
+            assert np.all(np.isfinite(frame.norms)) and np.all(frame.norms > 0.0)
+        with pytest.raises(ValueError, match="noise_sigma must be at most"):
+            ScenarioConfig(noise_sigma=top * (1 + 1e-12), embedding_dim=dim)
+
+
+def test_first_bad_box_raises_the_box_error_of_the_per_frame_check():
+    # Boxes one subnormal wide collapse: the block's mask fails, and its
+    # boxes are built through Box2D in frame order, so the error is the
+    # first gt box's, as when every box was checked as it was built.
+    with pytest.raises(ValueError) as exc:
+        generate_scenario(ScenarioConfig(size_min=1e-320, size_max=1e-320, n_frames=40))
+    assert str(exc.value) == ("box corners collapse: cx=0.9710027535867963, "
+                              "cy=0.4443592170557721, w=1e-320, h=1e-320")
+    # A detection box that collapses: its block's gt boxes pass, its own fail.
+    with pytest.raises(ValueError) as exc:
+        generate_scenario(ScenarioConfig(size_jitter=60, n_frames=40))
+    assert str(exc.value) == ("box corners collapse: cx=0.9007451790713052, "
+                              "cy=0.4517094757351376, w=5.231107157208514e+89, "
+                              "h=1.76872253931876e-52")
+
+
+EDGE_SCENES = [
+    dict(size_jitter=60, n_frames=40),
+    dict(size_jitter=30, n_frames=64, seed=3),
+    dict(size_jitter=20, box_jitter=1e300, n_frames=40),
+    dict(size_min=1e-17, size_max=1e-17, n_frames=70, seed=2),
+    dict(size_min=1e-170, size_max=2e-170, n_frames=40),
+    dict(size_min=1e-15, size_max=1e-15, n_frames=40, seed=5),
+    dict(size_jitter=2.0, n_frames=70, seed=9),
+    dict(n_objects=3, n_frames=40, seed=4),
+]
+
+
+@pytest.mark.parametrize("kw", EDGE_SCENES)
+def test_block_masks_accept_exactly_the_boxes_box2d_accepts(kw, monkeypatch):
+    # With every box built through Box2D's check, each scene generates the
+    # same bytes or fails with the same first error.
+    def outcome():
+        try:
+            return _scenario_digest(generate_scenario(ScenarioConfig(**kw)))
+        except ValueError as exc:
+            return str(exc)
+
+    fast = outcome()
+    monkeypatch.setattr(simulator, "_box", Box2D)
+    assert outcome() == fast
 
 
 def test_scene_memory_per_object_frame():

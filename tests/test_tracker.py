@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from sasmot import tracker as tracker_mod
 from sasmot.geometry import Box2D, boxes_to_corners, iou, iou_matrix, max_iou_vs_others
 from sasmot.memory import MemoryConfig, MemoryPolicy, TrackMemory
 from sasmot.metrics import SequencePair, evaluate
@@ -824,3 +826,79 @@ def test_step_passes_each_detection_its_max_iou_with_the_others(monkeypatch):
             assert live > 0 and observed == []
     assert checked > 1000
     assert got == {id(lone.box): 0.0}
+
+
+STEP_SCENES = [
+    dict(n_objects=8, n_frames=120, seed=1),
+    dict(n_objects=24, n_frames=120, seed=2),
+    dict(n_objects=8, n_frames=120, seed=1, min_score=0.75),
+    dict(n_objects=24, n_frames=120, seed=2, min_score=0.75),
+]
+
+
+@pytest.mark.parametrize("kw", STEP_SCENES)
+def test_step_cost_equals_the_from_scratch_cost(kw, monkeypatch):
+    # The step passes the record's areas and norms, and blends the cost in
+    # place; every cost matrix of every policy must have the bits of one
+    # built from scratch, from the tracks' corners and queries and the kept
+    # detections, and of the blend written out as one expression.
+    scene_kw = dict(kw)
+    cfg = TrackerConfig(min_score=scene_kw.pop("min_score", TrackerConfig.min_score))
+    scenario = generate_scenario(ScenarioConfig(**scene_kw))
+    real = tracker_mod.build_cost_matrix
+    cells = []
+
+    def checked(queries, embeddings, ov, step_cfg, *rest):
+        # ``tracker`` and ``frame`` are the loop's below, mid-step.
+        got = real(queries, embeddings, ov, step_cfg, *rest)
+        kept = frame.scores >= step_cfg.min_score
+        scratch_ov = iou_matrix(tracker.corners.copy(), frame.corners[kept])
+        assert ov.tobytes() == scratch_ov.tobytes()
+        want = real(queries.copy(), frame.embeddings[kept], scratch_ov, step_cfg)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if got.size:
+            lam = step_cfg.cost_blend
+            blend = lam * cosine_distance(queries, frame.embeddings[kept]) / 2.0 + (
+                (1.0 - lam) * (1.0 - scratch_ov))
+            blend[blend > step_cfg.match_threshold] = FORBIDDEN_COST
+            assert got.tobytes() == blend.tobytes()
+        cells.append(got.size)
+        return got
+
+    monkeypatch.setattr(tracker_mod, "build_cost_matrix", checked)
+    for policy in MemoryPolicy:
+        tracker = Tracker(cfg, policy)
+        for frame_idx, frame in enumerate(scenario.detections, start=1):
+            tracker.step(frame, frame_idx)
+    assert len(cells) == 5 * len(scenario.detections) and sum(cells) > 5000
+
+
+def test_step_reaches_its_layers_through_the_tracker_module_names(monkeypatch):
+    # A per-layer timer wraps these names in sasmot.tracker and the memory's
+    # observe; a step that bypassed them would hide its time from it.
+    calls = Counter()
+    for name in ("iou_matrix", "build_cost_matrix", "hungarian_assign"):
+        def spy(*args, _real=getattr(tracker_mod, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(tracker_mod, name, spy)
+    observe = TrackMemory.observe
+
+    def counted(self, *args):
+        calls["observe"] += 1
+        return observe(self, *args)
+
+    monkeypatch.setattr(TrackMemory, "observe", counted)
+    scenario = generate_scenario(ScenarioConfig(n_objects=8, n_frames=60, seed=1))
+    # And a step without detections.
+    frames = scenario.detections + [DetectionFrame.from_detections([])]
+    for policy in MemoryPolicy:
+        for min_score in (0.5, 0.75):
+            tracker = Tracker(TrackerConfig(min_score=min_score), policy)
+            for frame_idx, frame in enumerate(frames, start=1):
+                calls.clear()
+                emitted = tracker.step(frame, frame_idx).tracks
+                # Each emitted track was matched or born, and observed once.
+                assert calls == Counter(iou_matrix=1, build_cost_matrix=1, hungarian_assign=1,
+                                        observe=len(emitted))
