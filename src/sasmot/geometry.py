@@ -150,15 +150,18 @@ def box_areas(corners: np.ndarray) -> np.ndarray:
 
 
 def iou_matrix(
-    corners_a: np.ndarray, corners_b: np.ndarray, areas_b: Optional[np.ndarray] = None
+    corners_a: np.ndarray,
+    corners_b: np.ndarray,
+    areas_b: Optional[np.ndarray] = None,
+    areas_a: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Pairwise IoU of (..., N, 4) and (..., M, 4) corner arrays; returns (..., N, M).
 
     Leading dimensions broadcast, so one call scores a batch of frames with
     the same elementwise operations, and so the same bits, as one call per
-    frame. ``areas_b``, when given, holds the (..., M) areas of the second
-    set as computed here, ``(right - left) * (bottom - top)``: a caller that
-    scores the same boxes many times computes them once.
+    frame. ``areas_b`` and ``areas_a``, when given, hold the (..., M) and
+    (..., N) areas of the two sets as ``box_areas`` computes them: a caller
+    that scores the same boxes many times computes them once.
     """
     a = corners_a[..., :, None, :]
     b = corners_b[..., None, :, :]
@@ -167,7 +170,7 @@ def iou_matrix(
     # A side that does not overlap is clamped to +0.0, so disjoint and
     # touching boxes get an intersection of exactly +0.0.
     inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
-    area_a = box_areas(corners_a)
+    area_a = box_areas(corners_a) if areas_a is None else areas_a
     area_b = box_areas(corners_b) if areas_b is None else areas_b
     union = area_a[..., :, None] + area_b[..., None, :] - inter
     # ``Box2D`` keeps every area above 0, so only two zero-size padding boxes

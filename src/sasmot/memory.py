@@ -7,9 +7,10 @@ exceeds a threshold does the memory commit a feature. Stored features span a
 long window of genuinely different poses instead of near-duplicates of the
 current frame, and the track's matching query is a weighted blend of the
 current embedding with the memory mean, ``fuse``, for one query or a stack
-of them. That state (the travel accumulator, the pending candidate and the
-ring of stored embeddings, summed in ``sum``'s order) is all a memory holds;
-it re-checks no input, since the tracker owns every input rule.
+of them. That state (the travel accumulator, the pending candidate, the
+stored entries and one array of their suffix sums, folded in ``sum``'s
+order) is all a memory holds; it re-checks no input, since the tracker
+owns every input rule.
 
 Policies:
 
@@ -108,6 +109,14 @@ class TrackMemory:
     the last store; the pending candidate and the last centre are private
     fields, so a frame that stores nothing builds no object.
 
+    The stored embeddings sit in a ring of ``m_max`` slots, and row j of an
+    (m_max, D) array is ``sum``'s left fold from 0 of the embeddings from
+    slot j to the newest. A commit adds its row to every fold and starts
+    its own slot's fold anew, so the oldest slot's fold is ``sum`` over the
+    entries, bit for bit, whatever was evicted. The array has room for 16
+    rows at the first commit and doubles while the ring fills, so a full
+    ring's commit allocates only its ``MemoryEntry`` and its term.
+
     The memory checks none of its inputs. The caller guarantees them, and
     in the package each part has one owner:
 
@@ -132,8 +141,11 @@ class TrackMemory:
         self._every_frame = policy is MemoryPolicy.DENSE
         self._calm_only = policy is MemoryPolicy.DELAYING
         self.entries: Deque[MemoryEntry] = deque(maxlen=cfg.m_max)
-        self._ring: Optional[np.ndarray] = None  # stored embeddings as rows, oldest first
-        self._total: Optional[np.ndarray] = None  # their sum
+        # The suffix folds and the newest row in every slot, from the first
+        # commit on, and the slot the next commit writes.
+        self._folds: Optional[np.ndarray] = None
+        self._spread: Optional[np.ndarray] = None
+        self._slot = 0
         self._memory_term: Optional[np.ndarray] = None
         self.accumulator: float = 0.0
         # The last observed centre; None before the first observation.
@@ -185,19 +197,33 @@ class TrackMemory:
 
     def commit_store(self) -> None:
         """Push the pending candidate into the ring and reset the gate."""
-        row, ring = self._pending, self._ring
+        row, folds, slot = self._pending, self._folds, self._slot
         if row is None:
             raise ValueError("commit_store called with no pending candidate")
-        self.entries.append(MemoryEntry(row, self._pending_frame, self._pending_overlap))
-        if ring is None or len(ring) < self.entries.maxlen:
-            # Nothing leaves: ``sum(entries)``'s left fold from int 0 goes on.
-            self._total = (0.0 if ring is None else self._total) + row
-            self._ring = row[None] if ring is None else np.concatenate((ring, row[None]))
-        else:
-            # The oldest leaves: refold the rows; + 0.0 makes -0.0 +0.0, as sum's fold from 0 does.
-            self._ring = ring = np.concatenate((ring[1:], row[None]))
-            self._total = np.add.accumulate(ring, axis=0)[-1] + 0.0
-        self._memory_term = ((1.0 - self.cfg.alpha) / len(self._ring)) * self._total
+        entries = self.entries
+        entries.append(MemoryEntry(row, self._pending_frame, self._pending_overlap))
+        if folds is None or slot == len(folds):
+            # Room for 16 rows, doubled while the ring fills, up to m_max:
+            # a large capacity costs nothing until its entries come.
+            grown = np.zeros((min(entries.maxlen, max(16, 2 * slot)), row.size))
+            if folds is not None:
+                grown[:slot] = folds
+            folds = self._folds = grown
+            self._spread = np.empty_like(folds)
+        # Each fold takes one more addition, in ``sum``'s order; the slot
+        # written starts its fold anew from 0, and + 0.0 makes -0.0 +0.0, as
+        # sum's fold from int 0 does. Folds of free slots are never read. The
+        # row is spread over a slot-shaped array first: numpy buffers a
+        # broadcast add, allocating about the folds' size on every call.
+        spread = self._spread
+        np.copyto(spread, row)
+        folds += spread
+        np.add(row, 0.0, out=folds[slot])
+        self._slot = slot = (slot + 1) % entries.maxlen
+        m = len(entries)
+        # The oldest entry's slot: the next one written once the ring is full.
+        oldest = slot if m == entries.maxlen else 0
+        self._memory_term = ((1.0 - self.cfg.alpha) / m) * folds[oldest]
         self.accumulator = 0.0
         self._pending, self._pending_overlap = None, math.inf
 

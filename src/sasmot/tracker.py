@@ -3,24 +3,26 @@
 A frame's detections travel as one ``DetectionFrame``: the ``Detection``s
 with their (N, 4) corners, (N, D) embeddings, (N,) scores, each one's
 largest IoU with the others (``max_iou_vs_others``), which its memory
-records, and the box areas and embedding norms that the cost's IoU and
-cosine terms divide by. ``_detection_frames`` builds the records of many
-frames at once, one zero-padded ``iou_matrix`` pass per group of frames,
-where detections enter: the simulator's block pass and the MOT/sidecar
-reader. A scene's records are scored once, however many trackers step
+records, the box areas and embedding norms that the cost's IoU and cosine
+terms divide by, and the lowest score. ``_detection_frames`` builds the
+records of many frames at once, one zero-padded ``iou_matrix`` pass per
+group of frames, where detections enter: the simulator's block pass and the
+MOT/sidecar reader. A scene's records are scored once, however many trackers step
 through them; a plain list given to ``Tracker.step`` becomes a record there.
 
-The tracks' side is two banks, their last corners (T, 4) and fused queries
-(T, D). Per frame one IoU pass, the corner bank against the record's
-corners, is the spatial term of a cost matrix that blends it with
-appearance, the cosine distance of queries and embeddings. The tracker
-solves a minimum-cost one-to-one assignment, feeds the matched tracks'
-memories and rewrites their rows, the queries in one ``fuse`` pass over the
-rows whose ``memory_term`` is set (the rest stay raw). New tracks append
-rows; tracks unmatched past ``max_misses`` drop theirs. When ``min_score``
-drops a detection, the kept rows of the record make a new one, and the
-step's IoU pass also scores the kept detections against each other for its
-overlaps, as one (tracks + kept) x kept pass.
+The tracks' side is three banks, their last corners (T, 4), those boxes'
+areas (T,) and their fused queries (T, D). Per frame one IoU pass, the
+corner and area banks against the record's corners and areas, is the
+spatial term of a cost matrix that blends it with appearance, the cosine
+distance of queries and embeddings. The tracker solves a minimum-cost
+one-to-one assignment, feeds the matched tracks' memories and rewrites
+their rows, the queries in one ``fuse`` pass over the rows whose
+``memory_term`` is set (the rest stay raw). New tracks append rows; tracks
+unmatched past ``max_misses`` drop theirs. A record whose lowest score is
+at least ``min_score`` is stepped as it is; when ``min_score`` drops a
+detection, the kept rows of the record make a new one, and the step's IoU
+pass also scores the kept detections against each other for its overlaps,
+as one (tracks + kept) x kept pass.
 
 The solver is scipy's compiled ``linear_sum_assignment``, loaded straight
 from the ``_lsap`` extension in scipy's ``optimize/`` directory under its
@@ -143,8 +145,10 @@ class DetectionFrame:
     0.0 when it is alone. ``areas[i]`` and ``norms[i]`` are its box area
     (``geometry.box_areas``) and embedding norm (``row_norms``), the halves
     of the step's IoU and cosine terms that no track changes, so every
-    tracker that steps the record reads them. Iterating, indexing and
-    ``len`` see the ``Detection`` list.
+    tracker that steps the record reads them. ``lowest_score`` is the
+    smallest of ``scores``, inf for an empty frame, so a step whose
+    ``min_score`` keeps every detection builds no mask. Iterating, indexing
+    and ``len`` see the ``Detection`` list.
 
     A record is read-only once built: the tracker scores its arrays, not
     the ``Detection``s, so neither the list nor a detection's box,
@@ -159,6 +163,7 @@ class DetectionFrame:
     overlaps: np.ndarray
     areas: np.ndarray
     norms: np.ndarray
+    lowest_score: float
 
     @classmethod
     def from_detections(cls, detections: Iterable[Detection]) -> DetectionFrame:
@@ -196,7 +201,8 @@ def _detection_frames(
     of (k, 4) ``corners`` and (k, D) ``embeddings``.
 
     The records' arrays are row slices of these and of one scores, one
-    overlaps, one areas and one norms array. Overlaps come from one
+    overlaps, one areas and one norms array; each record's lowest score is
+    the least of its slice of the scores. Overlaps come from one
     ``iou_matrix`` per group of frames, each frame's corners zero-padded to
     the group's largest: a zero-size box overlaps nothing, and every IoU is
     elementwise, so each overlap has the bits of a pass over its frame alone.
@@ -205,7 +211,8 @@ def _detection_frames(
     """
     counts = [len(dets) for dets in frames]
     starts = np.cumsum([0, *counts])
-    scores = np.array([det.score for dets in frames for det in dets], dtype=float)
+    score_list = [det.score for dets in frames for det in dets]
+    scores = np.array(score_list, dtype=float)
     overlaps = np.empty(len(scores))
     a = 0
     while a < len(frames):
@@ -224,7 +231,7 @@ def _detection_frames(
     bounds = starts.tolist()
     return [
         DetectionFrame(dets, corners[s:e], embeddings[s:e], scores[s:e], overlaps[s:e],
-                       areas[s:e], norms[s:e])
+                       areas[s:e], norms[s:e], min(score_list[s:e], default=math.inf))
         for dets, s, e in zip(frames, bounds, bounds[1:])
     ]
 
@@ -358,8 +365,11 @@ def hungarian_assign(cost: np.ndarray) -> np.ndarray:
 class Tracker:
     """Per-sequence association engine; feed frames in order via :meth:`step`.
 
-    Row i of ``corners`` (T, 4) and ``queries`` (T, D) is the last box and
-    the fused query of ``tracks[i]``; ``queries`` takes D when ``dim`` does."""
+    Row i of ``corners`` (T, 4), ``areas`` (T,) and ``queries`` (T, D) is
+    the last box, its area (``geometry.box_areas``, the bits ``iou_matrix``
+    would compute from the corner) and the fused query of ``tracks[i]``;
+    ``queries`` takes D when ``dim`` does. The area bank is written with
+    the corner bank, from the record's areas, so no step recomputes it."""
 
     def __init__(
         self,
@@ -370,6 +380,7 @@ class Tracker:
         self.policy = policy
         self.tracks: List[TrackState] = []
         self.corners = np.empty((0, 4))
+        self.areas = np.empty(0)
         self.queries = np.empty((0, 0))
         self._next_id = 1
         self._last_frame: Optional[int] = None
@@ -401,21 +412,21 @@ class Tracker:
                 )
             self.dim, self.queries = dim, np.empty((0, dim))  # no track lives yet
         self._last_frame = frame_idx
-        keep = frame.scores >= self.cfg.min_score
-        if keep.all():
-            ious = iou_matrix(self.corners, frame.corners, frame.areas)
+        if frame.lowest_score >= self.cfg.min_score:
+            ious = iou_matrix(self.corners, frame.corners, frame.areas, self.areas)
         else:
             # The kept rows of the record make a new one. Its overlaps must be
             # among the kept detections, so one pass, (tracks + kept) x kept,
             # gives the cost's spatial term on top and the overlaps below.
-            n = len(self.tracks)
-            corners, areas = frame.corners[keep], frame.areas[keep]
-            both = iou_matrix(np.concatenate((self.corners, corners)), corners, areas)
+            n, keep = len(self.tracks), frame.scores >= self.cfg.min_score
+            corners, areas, scores = frame.corners[keep], frame.areas[keep], frame.scores[keep]
+            both = iou_matrix(np.concatenate((self.corners, corners)), corners, areas,
+                              np.concatenate((self.areas, areas)))
             ious = both[:n]
             frame = DetectionFrame(
                 list(compress(frame.detections, keep.tolist())), corners,
-                frame.embeddings[keep], frame.scores[keep], max_iou_vs_others(both[n:])[0],
-                areas, frame.norms[keep],
+                frame.embeddings[keep], scores, max_iou_vs_others(both[n:])[0],
+                areas, frame.norms[keep], scores.min(initial=math.inf),
             )
         dets = frame.detections
 
@@ -444,6 +455,7 @@ class Tracker:
             rows, cols = pairs.T
             # Rows are gathered with ``take``, which costs less than indexing.
             self.corners[rows] = frame.corners.take(cols, 0)
+            self.areas[rows] = frame.areas.take(cols)
             queries, alpha = frame.embeddings.take(cols, 0), self.cfg.memory.alpha
             if fused:
                 queries[fused] = fuse(alpha, queries.take(fused, 0), np.array(terms))
@@ -452,10 +464,12 @@ class Tracker:
         if len(keep) < len(self.tracks):
             self.tracks = [self.tracks[i] for i in keep]
             self.corners, self.queries = self.corners.take(keep, 0), self.queries.take(keep, 0)
+            self.areas = self.areas.take(keep)
         paired = set(pairs[:, 1].tolist())
         born = [di for di in range(len(dets)) if di not in paired]
         if born:
             self.corners = np.concatenate((self.corners, frame.corners.take(born, 0)))
+            self.areas = np.concatenate((self.areas, frame.areas.take(born)))
             self.queries = np.concatenate((self.queries, frame.embeddings.take(born, 0)))
         for di in born:
             det = dets[di]

@@ -1,5 +1,7 @@
 """Memory semantics: accumulation, commit timing, selection, fusion, eviction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -266,6 +268,96 @@ def test_memory_term_equals_the_left_fold_of_sum_exactly(dim, m_max):
         )
         assert mem.memory_term.tobytes() == want.tobytes()
     assert len(mem.entries) == m_max
+
+
+def _memory_term_of_sum(mem, cfg):
+    """``((1 - alpha) / m) * sum(entries)``, None with no entries."""
+    if not mem.entries:
+        return None
+    return ((1.0 - cfg.alpha) / len(mem.entries)) * sum(entry.embedding for entry in mem.entries)
+
+
+@given(
+    st.sampled_from(list(MemoryPolicy)),
+    st.sampled_from([1, 2, 3, 10]),
+    st.sampled_from([1, 16, 33]),
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.integers(0, 2**32),
+    # Per frame: a step along x, an overlap, and whether to commit directly.
+    st.lists(st.tuples(st.sampled_from([0.0, 0.03, 0.2]), st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+                       st.booleans()), min_size=1, max_size=40),
+)
+@settings(max_examples=120, deadline=None)
+def test_memory_term_is_the_term_of_sum_through_every_commit(policy, m_max, dim, alpha, seed,
+                                                            frames):
+    """Whatever commits a memory makes, by its policy, through eviction or
+    by a direct ``commit_store``, its term has the bits of ``sum``'s."""
+    cfg = MemoryConfig(epsilon=0.1, m_max=m_max, alpha=alpha)
+    mem = TrackMemory(cfg, policy)
+    rows = _ring_rows(np.random.default_rng(seed), dim, len(frames))
+    x, stored = 0.1, 0
+    for frame, ((dx, overlap, direct), e) in enumerate(zip(frames, rows)):
+        x += dx
+        committed = mem.observe(_box(x, 0.5), e, overlap, frame)
+        # A candidate is pending after any observation that stored nothing.
+        if direct and policy is not MemoryPolicy.NONE and not committed:
+            mem.commit_store()
+            committed = True
+        stored += committed
+        want = _memory_term_of_sum(mem, cfg)
+        if want is None:
+            assert mem.memory_term is None
+        else:
+            assert mem.memory_term.tobytes() == want.tobytes()
+    assert len(mem.entries) == min(stored, m_max)
+    if policy is MemoryPolicy.NONE:
+        assert stored == 0 and mem.memory_term is None
+
+
+def test_a_full_dense_memory_commits_without_refolding():
+    """Once the ring is full, a commit allocates its entry and its term,
+    not a new ring or a refold of the rows: below ``m_max * D * 8`` bytes."""
+    m_max, dim = 10, 64
+    mem = TrackMemory(MemoryConfig(m_max=m_max), MemoryPolicy.DENSE)
+    rows = np.random.default_rng(5).standard_normal((3 * m_max, dim))
+    for frame, e in enumerate(rows[:m_max]):
+        mem.observe(_box(0.5, 0.5), e, 0.0, frame)
+    tracemalloc.start()
+    try:
+        for frame, e in enumerate(rows[m_max:], start=m_max):
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            assert mem.observe(_box(0.5, 0.5), e, 0.0, frame)
+            assert tracemalloc.get_traced_memory()[1] - held < m_max * dim * 8
+    finally:
+        tracemalloc.stop()
+    assert len(mem.entries) == m_max
+
+
+@pytest.mark.parametrize("m_max", [16, 17, 40, 100])
+def test_memory_term_holds_while_the_folds_grow(m_max):
+    """The folds have room for 16 rows at the first commit and double while
+    the ring fills; the term keeps ``sum``'s bits through every growth and
+    the evictions after it."""
+    cfg = MemoryConfig(m_max=m_max, alpha=0.3)
+    mem = TrackMemory(cfg, MemoryPolicy.DENSE)
+    for frame, e in enumerate(_ring_rows(np.random.default_rng(m_max), 3, 2 * m_max + 5)):
+        assert mem.observe(_box(0.5, 0.5), e, 0.0, frame)
+        assert mem.memory_term.tobytes() == _memory_term_of_sum(mem, cfg).tobytes()
+    assert len(mem.entries) == m_max
+
+
+def test_a_large_capacity_costs_nothing_until_its_entries_come():
+    """A memory of capacity 10**6 holds room for 16 rows, not 10**6."""
+    tracemalloc.start()
+    try:
+        mem = TrackMemory(MemoryConfig(m_max=10**6), MemoryPolicy.DENSE)
+        for frame in range(3):
+            mem.observe(_box(0.5, 0.5), np.ones(16), 0.0, frame)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(mem.entries) == 3 and held < 64 * 16 * 8
 
 
 def ofs_oracle_stream(seed, n_frames=60):

@@ -175,8 +175,9 @@ RECORD_SCENES = [
 
 def assert_records_are_one_frame_records(frames):
     """Each record equals the public constructor's record of its detections,
-    byte for byte, so a block-wide area or norm has a one-frame pass's bits;
-    returns how many detections overlap another."""
+    byte for byte, so a block-wide area or norm has a one-frame pass's bits,
+    and its lowest score is its scores' least; returns how many detections
+    overlap another."""
     overlapping = 0
     for frame in frames:
         want = DetectionFrame.from_detections(list(frame))
@@ -185,6 +186,7 @@ def assert_records_are_one_frame_records(frames):
             got, ref = getattr(frame, name), getattr(want, name)
             assert got.dtype == ref.dtype == np.float64, name
             assert len(got) == len(ref) == len(frame) and got.tobytes() == ref.tobytes(), name
+        assert frame.lowest_score == want.lowest_score == frame.scores.min(initial=math.inf)
         overlapping += int(np.count_nonzero(frame.overlaps))
     return overlapping
 

@@ -16,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from sasmot import tracker as tracker_mod
-from sasmot.geometry import Box2D, boxes_to_corners, iou, iou_matrix, max_iou_vs_others
+from sasmot.geometry import (
+    Box2D, box_areas, boxes_to_corners, iou, iou_matrix, max_iou_vs_others,
+)
 from sasmot.memory import MemoryConfig, MemoryPolicy, TrackMemory
 from sasmot.metrics import SequencePair, evaluate
 from sasmot.rng import SplitMix64
@@ -389,8 +391,9 @@ def test_embedding_size_change_names_frame_and_detection():
 
 
 def _banks(tracker):
-    """The tracker's corner and query banks, shape and bytes."""
-    return [(bank.shape, bank.tobytes()) for bank in (tracker.corners, tracker.queries)]
+    """The tracker's corner, area and query banks, shape and bytes."""
+    banks = (tracker.corners, tracker.areas, tracker.queries)
+    return [(bank.shape, bank.tobytes()) for bank in banks]
 
 
 def _check_banks(tracker, dets, result, live_before, reference):
@@ -408,6 +411,10 @@ def _check_banks(tracker, dets, result, live_before, reference):
     tracks = tracker.tracks
     assert tracker.corners.tobytes() == boxes_to_corners([t.last_box for t in tracks]).tobytes()
     assert tracker.corners.shape == (len(tracks), 4)
+    # The area bank has the bits of the areas that ``iou_matrix`` would
+    # compute from the corner bank itself.
+    assert tracker.areas.shape == (len(tracks),)
+    assert tracker.areas.tobytes() == box_areas(tracker.corners).tobytes()
     # D comes from the first accepted frame with detections, as ``dim`` does.
     assert tracker.queries.shape == (len(tracks), tracker.dim or 0)
     for track, row in zip(tracks, tracker.queries):
@@ -875,7 +882,8 @@ def test_step_cost_equals_the_from_scratch_cost(kw, monkeypatch):
 
 def test_step_reaches_its_layers_through_the_tracker_module_names(monkeypatch):
     # A per-layer timer wraps these names in sasmot.tracker and the memory's
-    # observe; a step that bypassed them would hide its time from it.
+    # observe and commit_store; a step that bypassed them would hide its time
+    # from it, and an inlined commit would read as no commits.
     calls = Counter()
     for name in ("iou_matrix", "build_cost_matrix", "hungarian_assign"):
         def spy(*args, _real=getattr(tracker_mod, name), _name=name):
@@ -885,20 +893,34 @@ def test_step_reaches_its_layers_through_the_tracker_module_names(monkeypatch):
         monkeypatch.setattr(tracker_mod, name, spy)
     observe = TrackMemory.observe
 
+    commit_store = TrackMemory.commit_store
+
     def counted(self, *args):
         calls["observe"] += 1
-        return observe(self, *args)
+        stored = observe(self, *args)
+        calls["stored"] += stored
+        return stored
+
+    def committed(self):
+        calls["commit_store"] += 1
+        return commit_store(self)
 
     monkeypatch.setattr(TrackMemory, "observe", counted)
+    monkeypatch.setattr(TrackMemory, "commit_store", committed)
     scenario = generate_scenario(ScenarioConfig(n_objects=8, n_frames=60, seed=1))
     # And a step without detections.
     frames = scenario.detections + [DetectionFrame.from_detections([])]
     for policy in MemoryPolicy:
         for min_score in (0.5, 0.75):
             tracker = Tracker(TrackerConfig(min_score=min_score), policy)
+            commits = 0
             for frame_idx, frame in enumerate(frames, start=1):
                 calls.clear()
                 emitted = tracker.step(frame, frame_idx).tracks
-                # Each emitted track was matched or born, and observed once.
+                # Each emitted track was matched or born, and observed once;
+                # each stored feature went through one commit_store.
+                stored = calls.pop("stored", 0)
                 assert calls == Counter(iou_matrix=1, build_cost_matrix=1, hungarian_assign=1,
-                                        observe=len(emitted))
+                                        observe=len(emitted), commit_store=stored)
+                commits += stored
+            assert (commits > 0) == (policy is not MemoryPolicy.NONE)
