@@ -73,8 +73,7 @@ def track_scenario(
 
 
 def evaluate_tracking(scenario: Scenario, results: Sequence[FrameResult]) -> MetricsReport:
-    pred = [list(r.tracks) for r in results]
-    return evaluate(SequencePair(gt=scenario.gt, pred=pred))
+    return evaluate(SequencePair(gt=scenario.gt, pred=[r.tracks for r in results]))
 
 
 def _run_variants(

@@ -135,7 +135,7 @@ class TrackMemory:
 
     def __init__(self, cfg: MemoryConfig, policy: MemoryPolicy = MemoryPolicy.SPARSE_OFS):
         self.cfg = cfg
-        self._policy = policy
+        self._policy = policy = MemoryPolicy(policy)  # a value string, e.g. "none", is its member
         self._off = policy is MemoryPolicy.NONE
         self._least_overlap = policy is MemoryPolicy.SPARSE_OFS
         self._every_frame = policy is MemoryPolicy.DENSE

@@ -54,7 +54,7 @@ import numpy as np
 from .geometry import Box2D, _box, corners_of, valid_boxes
 from .metrics import SequencePair
 from .simulator import Scenario
-from .tracker import DetectionFrame, FrameResult, _detection, _detection_frames, embedding_fault
+from .tracker import DetectionFrame, FrameResult, _detection_frames, embedding_fault
 
 __all__ = [
     "parse_image_size",
@@ -316,9 +316,8 @@ def write_embeddings_csv(path: Path | str, scenario: Scenario) -> None:
     """Sidecar: one `frame,det_index,e_1,...,e_D` line per detection."""
     lines = []
     dim, fmt = -1, ""
-    for frame_idx, dets in enumerate(scenario.detections, start=1):
-        for det_index, det in enumerate(dets):
-            values = det.embedding.tolist()
+    for frame_idx, frame in enumerate(scenario.detections, start=1):
+        for det_index, values in enumerate(frame.embeddings.tolist()):
             if len(values) != dim:
                 dim = len(values)
                 fmt = "%d,%d" + ",%.9g" * dim
@@ -406,9 +405,9 @@ def detections_from_files(
     row a detection; the first detection, in frame order, that breaks a rule
     is named, then the first unmatched sidecar row. Each row is checked once,
     by the sidecar reader. The join is an array pass over the detections in
-    frame order: their sidecar rows are gathered into one (k, D) array, whose
-    rows become the embeddings, and ``_detection_frames`` builds the records
-    over the whole file.
+    frame order: their sidecar rows are gathered into one (k, D) array, and
+    ``_detection_frames`` builds the records over the whole file from the
+    rows' boxes, corners, embeddings and scores.
     """
     rows, size = _read_mot_columns(det_path, image_size)
     index, values = _read_sidecar(emb_path)
@@ -434,11 +433,8 @@ def detections_from_files(
         raise ValueError(
             f"{emb_path}: embedding for frame {frame} detection {det_index} matches no detection"
         )
-    block = values.take(found, 0)
-    dets = map(_detection, boxes, block, confs.tolist())
-    by_frame = [list(islice(dets, count)) for count in counts.tolist()]
     corners = corners_of(rows.boxes[:2, order], rows.boxes[2:, order])
-    return _detection_frames(by_frame, corners, block), size
+    return _detection_frames(counts.tolist(), boxes, corners, values.take(found, 0), confs), size
 
 
 def pair_from_files(

@@ -33,14 +33,14 @@ block's frames, each object's occluder, Box-Muller over all raw outputs of
 its kept detections (``rng.box_muller``), the blend toward the occluder,
 the division by each row's norm, the jittered boxes and their corners
 (``geometry.corners_of``), and the block's ``DetectionFrame`` records from
-``_detection_frames``, whose one zero-padded IoU pass gives each detection
-its largest overlap with the others. The pass builds each ``Detection``
-and ``Box2D`` without re-running their checks: one ``valid_boxes`` mask
-per block checks the gt boxes and one the detection boxes (a block that
-fails builds them with ``Box2D``, which raises the first error), each row
-has unit norm and each confidence is in [0.5, 1] by construction, and the
-config's bounds on ``size_jitter`` and ``noise_sigma`` keep every size
-factor and squared norm finite. Every array step is
+``_detection_frames``, which takes the block's rows and makes their
+``Detection``s; its one zero-padded IoU pass gives each detection its
+largest overlap with the others. No ``Box2D`` or ``Detection`` re-runs its
+checks: one ``valid_boxes`` mask per block checks the gt boxes and one the
+detection boxes (a block that fails builds them with ``Box2D``, which
+raises the first error), each row has unit norm and each confidence is in
+[0.5, 1] by construction, and the config's bounds on ``size_jitter`` and
+``noise_sigma`` keep every size factor and squared norm finite. Every array step is
 elementwise and rounded as the scalar one (``exp``, ``cos`` and ``sin`` stay
 in Python ``math``, which numpy's versions need not match), and each norm is
 ``sqrt(row.dot(row))``, the 1-D formula of ``np.linalg.norm``, so the bits
@@ -64,7 +64,7 @@ import numpy as np
 
 from .geometry import Box2D, _box, corners_of, iou_matrix, max_iou_vs_others, valid_boxes
 from .rng import SplitMix64, box_muller
-from .tracker import Detection, DetectionFrame, _detection, _detection_frames
+from .tracker import DetectionFrame, _detection_frames
 
 __all__ = ["ScenarioConfig", "Scenario", "generate_scenario"]
 
@@ -276,7 +276,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
         cos = np.fromiter(map(math.cos, block_thetas), float, size * n).reshape(size, n)
         sin = np.fromiter(map(math.sin, block_thetas), float, size * n).reshape(size, n)
         apps[:] = cos[..., None] * plane_u + sin[..., None] * plane_v
-        block_dets: List[List[Detection]] = [[] for _ in range(size)]
+        counts, boxes = [0] * size, []
         corners = np.empty((0, 4))
         embeddings = np.empty((0, dim))
         if kept:
@@ -292,11 +292,9 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
             extents = sizes[:, obj] * factor.reshape(2, -1)
             corners = corners_of(centers, extents)
             make = _box if valid_boxes(*centers, *extents).all() else Box2D
-            for f, cx, cy, w, h, emb, conf in zip(
-                frame.tolist(), *centers.tolist(), *extents.tolist(), embeddings, confs
-            ):
-                block_dets[f].append(_detection(make(cx, cy, w, h), emb, conf))
-        det_frames += _detection_frames(block_dets, corners, embeddings)
+            boxes = list(map(make, *centers.tolist(), *extents.tolist()))
+            counts = np.bincount(frame, minlength=size).tolist()
+        det_frames += _detection_frames(counts, boxes, corners, embeddings, confs)
 
     return Scenario(gt_frames, det_frames, appearance)
 

@@ -5,10 +5,10 @@ with their (N, 4) corners, (N, D) embeddings, (N,) scores, each one's
 largest IoU with the others (``max_iou_vs_others``), which its memory
 records, the box areas and embedding norms that the cost's IoU and cosine
 terms divide by, and the lowest score. ``_detection_frames`` builds the
-records of many frames at once, one zero-padded ``iou_matrix`` pass per
-group of frames, where detections enter: the simulator's block pass and the
-MOT/sidecar reader. A scene's records are scored once, however many trackers step
-through them; a plain list given to ``Tracker.step`` becomes a record there.
+records and their ``Detection``s from flat rows where detections enter:
+the simulator's block pass and the MOT/sidecar reader. A scene's records
+are scored once, however many trackers step through them; a plain list
+given to ``Tracker.step`` becomes a record there.
 
 The tracks' side is three banks, their last corners (T, 4), those boxes'
 areas (T,) and their fused queries (T, D). Per frame one IoU pass, the
@@ -126,9 +126,9 @@ class Detection:
 def _detection(box: Box2D, embedding: np.ndarray, score: float) -> Detection:
     """A ``Detection`` of fields its ingest path has already checked.
 
-    The simulator and the sidecar reader check each box, embedding row and
-    score once, where they build it, so ``__post_init__`` would only repeat
-    their verdicts; the public constructor keeps its check.
+    Only ``_detection_frames`` calls it, on rows its callers have checked,
+    so ``__post_init__`` would only repeat their verdicts; the public
+    constructor keeps its check.
     """
     det = object.__new__(Detection)
     det.box, det.embedding, det.score = box, embedding, score
@@ -147,8 +147,8 @@ class DetectionFrame:
     of the step's IoU and cosine terms that no track changes, so every
     tracker that steps the record reads them. ``lowest_score`` is the
     smallest of ``scores``, inf for an empty frame, so a step whose
-    ``min_score`` keeps every detection builds no mask. Iterating, indexing
-    and ``len`` see the ``Detection`` list.
+    ``min_score`` keeps every detection builds no mask. Iterating and
+    ``len`` see the ``Detection`` list; a record is not indexed.
 
     A record is read-only once built: the tracker scores its arrays, not
     the ``Detection``s, so neither the list nor a detection's box,
@@ -167,7 +167,8 @@ class DetectionFrame:
 
     @classmethod
     def from_detections(cls, detections: Iterable[Detection]) -> DetectionFrame:
-        """The record of one frame's ``Detection``s; their embeddings share one size."""
+        """The record of one frame's ``Detection``s, whose embeddings share one
+        size; its ``Detection``s are new ones around the same boxes."""
         dets = list(detections)
         sizes = [det.embedding.size for det in dets]
         for di, size in enumerate(sizes):
@@ -176,16 +177,15 @@ class DetectionFrame:
                     f"detection {di} has embedding size {size}, expected {sizes[0]}"
                 )
         embeddings = np.array([det.embedding for det in dets]) if dets else np.empty((0, 0))
-        return _detection_frames([dets], boxes_to_corners([det.box for det in dets]), embeddings)[0]
+        boxes = [det.box for det in dets]
+        return _detection_frames([len(dets)], boxes, boxes_to_corners(boxes), embeddings,
+                                 [det.score for det in dets])[0]
 
     def __iter__(self) -> Iterator[Detection]:
         return iter(self.detections)
 
     def __len__(self) -> int:
         return len(self.detections)
-
-    def __getitem__(self, index):
-        return self.detections[index]
 
 
 # Padded cells of one IoU pass: frames times the square of their largest
@@ -195,10 +195,12 @@ _IOU_CELLS = 1 << 15
 
 
 def _detection_frames(
-    frames: Sequence[List[Detection]], corners: np.ndarray, embeddings: np.ndarray
+    counts: Sequence[int], boxes: Iterable[Box2D], corners: np.ndarray, embeddings: np.ndarray,
+    scores: Sequence[float],
 ) -> List[DetectionFrame]:
-    """Records of consecutive frames whose detections, in order, are the rows
-    of (k, 4) ``corners`` and (k, D) ``embeddings``.
+    """Records of consecutive frames of ``counts[f]`` detections, whose rows
+    in frame order are the ``boxes``, (k, 4) ``corners``, (k, D)
+    ``embeddings`` and ``scores``; each row becomes a ``Detection``.
 
     The records' arrays are row slices of these and of one scores, one
     overlaps, one areas and one norms array; each record's lowest score is
@@ -209,15 +211,15 @@ def _detection_frames(
     Areas and norms are one pass each over all rows; each row's value is
     computed from that row alone, so it has the bits of a one-frame pass.
     """
-    counts = [len(dets) for dets in frames]
     starts = np.cumsum([0, *counts])
-    score_list = [det.score for dets in frames for det in dets]
-    scores = np.array(score_list, dtype=float)
+    scores = np.array(scores, dtype=float)
+    score_list = scores.tolist()
+    dets = list(map(_detection, boxes, embeddings, score_list))
     overlaps = np.empty(len(scores))
     a = 0
-    while a < len(frames):
+    while a < len(counts):
         b, width = a + 1, counts[a]
-        while b < len(frames) and (b + 1 - a) * max(width, counts[b]) ** 2 <= _IOU_CELLS:
+        while b < len(counts) and (b + 1 - a) * max(width, counts[b]) ** 2 <= _IOU_CELLS:
             width = max(width, counts[b])
             b += 1
         s, e = starts[a], starts[b]
@@ -230,9 +232,9 @@ def _detection_frames(
     areas, norms = box_areas(corners), row_norms(embeddings)
     bounds = starts.tolist()
     return [
-        DetectionFrame(dets, corners[s:e], embeddings[s:e], scores[s:e], overlaps[s:e],
+        DetectionFrame(dets[s:e], corners[s:e], embeddings[s:e], scores[s:e], overlaps[s:e],
                        areas[s:e], norms[s:e], min(score_list[s:e], default=math.inf))
-        for dets, s, e in zip(frames, bounds, bounds[1:])
+        for s, e in zip(bounds, bounds[1:])
     ]
 
 
@@ -268,11 +270,10 @@ class TrackerConfig:
 
 @dataclass(eq=False, slots=True)
 class TrackState:
-    """A live track: identity, memory, last box, miss counter."""
+    """A live track: identity, memory, miss counter (its box: ``Tracker.corners``)."""
 
     track_id: int
     memory: TrackMemory
-    last_box: Box2D
     misses: int = 0
 
 
@@ -377,7 +378,7 @@ class Tracker:
         policy: MemoryPolicy = MemoryPolicy.SPARSE_OFS,
     ):
         self.cfg = cfg if cfg is not None else TrackerConfig()
-        self.policy = policy
+        self.policy = MemoryPolicy(policy)  # a value string, e.g. "none", is its member
         self.tracks: List[TrackState] = []
         self.corners = np.empty((0, 4))
         self.areas = np.empty(0)
@@ -444,7 +445,6 @@ class Tracker:
             track = self.tracks[ti]
             det = dets[di]
             track.misses = 0
-            track.last_box = det.box
             track.memory.observe(det.box, det.embedding, overlaps[di], frame_idx)
             term = track.memory._memory_term  # the field: no property call per match
             if term is not None:
@@ -477,7 +477,7 @@ class Tracker:
             # The birth observation seeds last_center and the candidate; a
             # DENSE memory also stores, but the query stays raw until a match.
             memory.observe(det.box, det.embedding, overlaps[di], frame_idx)
-            self.tracks.append(TrackState(track_id=self._next_id, memory=memory, last_box=det.box))
+            self.tracks.append(TrackState(track_id=self._next_id, memory=memory))
             emitted.append((self._next_id, det.box))
             self._next_id += 1
         return FrameResult(frame_idx, emitted)

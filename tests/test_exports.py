@@ -110,6 +110,18 @@ def test_every_instance_attribute_is_read():
     assert unread == [], "instance attributes that nothing reads"
 
 
+def test_only_the_tracker_makes_unchecked_detections():
+    # ``tracker._detection`` skips ``Detection``'s checks, so only
+    # ``_detection_frames`` may use it; every other module hands it rows.
+    uses = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted([*SRC.glob("*.py"), *BENCH.glob("*.py")]) if path.name != "tracker.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and node.id == "_detection"
+    ]
+    assert uses == [], "tracker._detection used outside tracker.py"
+
+
 # Records made once per box, detection, stored feature, track or frame: a
 # scene or a run holds thousands, and a per-instance ``__dict__`` would cost
 # more than their fields.

@@ -154,7 +154,7 @@ def test_scene_does_not_depend_on_the_block_size(kw, monkeypatch):
         # The embeddings of a block are row views of one array: the first
         # block's array has a row per detection of its frames.
         first_block = scenario.detections[: min(block, cfg.n_frames)]
-        assert len(first_block[0][0].embedding.base) == sum(map(len, first_block)), block
+        assert len(first_block[0].detections[0].embedding.base) == sum(map(len, first_block)), block
 
 
 # The configs of the frozen scenes above: D = 2 to 33, 1 to 200 frames,
@@ -177,11 +177,20 @@ def assert_records_are_one_frame_records(frames):
     """Each record equals the public constructor's record of its detections,
     byte for byte, so a block-wide area or norm has a one-frame pass's bits,
     and its lowest score is its scores' least; returns how many detections
-    overlap another."""
+    overlap another.
+
+    The constructor wraps the same boxes in new ``Detection``s, so the two
+    records' boxes are the same objects, and each ``Detection`` of either
+    holds the embedding and score of its record's row."""
     overlapping = 0
     for frame in frames:
         want = DetectionFrame.from_detections(list(frame))
-        assert frame.detections == want.detections
+        assert len(frame.detections) == len(want.detections) == len(frame)
+        for record in (frame, want):
+            for det, e, score in zip(record.detections, record.embeddings, record.scores.tolist()):
+                assert det.embedding.tobytes() == e.tobytes() and det.score == score
+                assert type(det.score) is float
+        assert all(a.box is b.box for a, b in zip(frame.detections, want.detections))
         for name in ("corners", "embeddings", "scores", "overlaps", "areas", "norms"):
             got, ref = getattr(frame, name), getattr(want, name)
             assert got.dtype == ref.dtype == np.float64, name

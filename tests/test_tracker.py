@@ -396,21 +396,33 @@ def _banks(tracker):
     return [(bank.shape, bank.tobytes()) for bank in banks]
 
 
-def _check_banks(tracker, dets, result, live_before, reference):
+def _corner_rows(tracker):
+    """Each live track's corner row, as bytes, by track id."""
+    return {t.track_id: row.tobytes() for t, row in zip(tracker.tracks, tracker.corners)}
+
+
+def _check_banks(tracker, dets, result, rows_before, reference):
     """Hold the banks to the track list after one step.
 
-    ``reference`` maps each track id to its query: the raw embedding at
-    birth, then ``fused_query`` of each matched embedding; it is updated
-    from ``result``, the step's output for ``dets``.
+    ``rows_before`` is ``_corner_rows`` before the step: a track emitted by
+    the step, matched or newborn, has the corners of its emitted box, and
+    every other live track keeps its row. ``reference`` maps each track id
+    to its query: the raw embedding at birth, then ``fused_query`` of each
+    matched embedding; it is updated from ``result``, the step's output for
+    ``dets``.
     """
     embedding = {id(det.box): det.embedding for det in dets}
     by_id = {track.track_id: track for track in tracker.tracks}
     for track_id, box in result.tracks:
         e = embedding[id(box)]
-        reference[track_id] = by_id[track_id].memory.fused_query(e) if track_id in live_before else e
+        reference[track_id] = by_id[track_id].memory.fused_query(e) if track_id in rows_before else e
     tracks = tracker.tracks
-    assert tracker.corners.tobytes() == boxes_to_corners([t.last_box for t in tracks]).tobytes()
     assert tracker.corners.shape == (len(tracks), 4)
+    emitted = dict(result.tracks)
+    for track, row in zip(tracks, tracker.corners):
+        box = emitted.get(track.track_id)
+        want = rows_before[track.track_id] if box is None else np.array(box.corners()).tobytes()
+        assert row.tobytes() == want
     # The area bank has the bits of the areas that ``iou_matrix`` would
     # compute from the corner bank itself.
     assert tracker.areas.shape == (len(tracks),)
@@ -439,7 +451,8 @@ def test_a_step_that_raises_changes_no_state(before, frame):
 
     def state():
         return (list(tracker.tracks), tracker.dim, tracker._last_frame, tracker._next_id,
-                [(t.last_box, t.misses, len(t.memory.entries)) for t in tracker.tracks],
+                [(row.tobytes(), t.misses, len(t.memory.entries))
+                 for t, row in zip(tracker.tracks, tracker.corners)],
                 _banks(tracker))
 
     kept = state()
@@ -455,14 +468,17 @@ def test_frame_order_is_checked_before_any_state_changes():
     tracker = Tracker(TrackerConfig())
     tracker.step([_det(0.2, 0.5, E1), _det(0.8, 0.5, E2)], 5)
     tracks = list(tracker.tracks)
-    state = [(t.track_id, t.last_box, t.misses, len(t.memory.entries)) for t in tracks]
-    banks = _banks(tracker)
+
+    def state():
+        return [(t.track_id, row.tobytes(), t.misses, len(t.memory.entries))
+                for t, row in zip(tracks, tracker.corners)]
+
+    kept, banks = state(), _banks(tracker)
     for frame_idx in (5, 4):
         with pytest.raises(ValueError, match=rf"frame_idx must increase: got {frame_idx} after 5"):
             tracker.step([_det(0.2, 0.5, E1), _det(0.5, 0.9, E3)], frame_idx)
         assert tracker.tracks == tracks
-        assert [(t.track_id, t.last_box, t.misses, len(t.memory.entries))
-                for t in tracks] == state
+        assert state() == kept
         assert _banks(tracker) == banks
     # The next id is still 3: the rejected steps gave out none.
     assert [track_id for track_id, _ in tracker.step([_det(0.5, 0.9, E3)], 6).tracks] == [3]
@@ -540,6 +556,22 @@ def test_memoryless_settings_reduce_to_no_memory_policy():
     assert baseline == reduced
 
 
+def test_a_policy_value_string_is_its_member():
+    # A string once failed every ``policy is MemoryPolicy.X`` test in
+    # ``TrackMemory`` and ran as SPARSE; both constructors now coerce it,
+    # and a string that names no policy raises.
+    scenario = generate_scenario(ScenarioConfig(n_objects=8, n_frames=100, seed=1))
+    runs = {policy: _run(scenario, TrackerConfig(), policy) for policy in MemoryPolicy}
+    assert runs[MemoryPolicy.NONE] != runs[MemoryPolicy.SPARSE]
+    for policy in MemoryPolicy:
+        assert Tracker(policy=policy.value).policy is policy
+        assert TrackMemory(MemoryConfig(), policy.value).policy is policy
+        assert _run(scenario, TrackerConfig(), policy.value) == runs[policy]
+    for make in (lambda p: Tracker(policy=p), lambda p: TrackMemory(MemoryConfig(), p)):
+        with pytest.raises(ValueError, match="'bogus' is not a valid MemoryPolicy"):
+            make("bogus")
+
+
 @given(
     st.integers(1, 6),
     st.integers(1, 40),
@@ -554,7 +586,7 @@ def test_tracker_invariants_on_simulated_scenes(n_objects, n_frames, seed, polic
     last_seen = {}  # id -> frame it was last emitted
     reference = {}
     for frame_idx, dets in enumerate(scenario.detections, start=1):
-        live_before = {t.track_id for t in tracker.tracks}
+        live_before = _corner_rows(tracker)
         result = tracker.step(dets, frame_idx)
         _check_banks(tracker, dets, result, live_before, reference)
         ids = [track_id for track_id, _ in result.tracks]
@@ -630,10 +662,11 @@ _edge_configs = st.builds(
 @settings(max_examples=60, deadline=None)
 def test_generated_edge_streams_keep_step_invariants_and_metric_ranges(stream, cfg, policy):
     tracker = Tracker(cfg, policy=policy)
-    live, seen = set(), set()
+    seen = set()
     gt, pred = [], []
     reference = {}
     for frame_idx, dets in enumerate(stream, start=1):
+        live = _corner_rows(tracker)
         try:
             result = tracker.step(dets, frame_idx)
         except ValueError as exc:
@@ -648,7 +681,6 @@ def test_generated_edge_streams_keep_step_invariants_and_metric_ranges(stream, c
         assert {id(box) for _, box in result.tracks} <= {id(d.box) for d in dets}
         assert all(track_id in live or track_id not in seen for track_id in ids)
         seen.update(ids)
-        live = {t.track_id for t in tracker.tracks}
         # The memory invariants its caller's input rules keep: it checks
         # none of them itself.
         for track in tracker.tracks:
