@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import re
 import sys
 from dataclasses import dataclass, field
@@ -39,6 +40,8 @@ from .experiments import (
 from .memory import MemoryConfig, MemoryPolicy
 from .metrics import evaluate
 from .mot_io import (
+    _named,
+    _read_text,
     detections_from_files,
     pair_from_files,
     parse_image_size,
@@ -189,7 +192,11 @@ def _add_flags(parser: argparse.ArgumentParser, *groups) -> None:
 def _resolve_run(args: argparse.Namespace) -> RunConfig:
     """The ``--config`` file's keys, then every given flag on top, applied
     once: every key is checked, and a file value a flag replaces is not read."""
-    items = parse_flat_config(args.config.read_text()) if args.config is not None else {}
+    items = {}
+    if args.config is not None:
+        text = _read_text(args.config)
+        with _named(args.config):
+            items = parse_flat_config(text)
     items.update((key, str(value)) for key, value in vars(args).items()
                  if key in _CONFIG_KEYS and value is not None)
     return apply_flat_config(RunConfig(), items)
@@ -248,7 +255,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     # Only the commands that take --policy pass it; the policy tables run fixed rows.
     policy = {"policy": run.policy} if "policy" in vars(args) else {}
     seeds = list(range(run.scenario.seed, run.scenario.seed + run.n_seeds))
-    table, lines = args.build(run.scenario, run.tracker, seeds, **policy)
+    build = {"ablate": ablation_table, "design": design_table, "sweep": sweep_table}[args.command]
+    table, lines = build(run.scenario, run.tracker, seeds, **policy)
     markdown = render_table_markdown(table)
     if lines:
         markdown += "\n\n" + "\n".join(lines)
@@ -275,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--image-size", type=str, default=None,
                        help="pixel canvas as WxH (default 1920x1080)")
     _add_flags(p_sim, _OUT_DIR_FLAGS)
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_track = sub.add_parser("track", help="track detections from files")
     p_track.add_argument("--det", type=Path, required=True, help="detection file")
@@ -284,34 +291,39 @@ def build_parser() -> argparse.ArgumentParser:
     p_track.add_argument("--config", type=Path, default=None)
     p_track.add_argument("--image-size", type=str, default=None)
     _add_flags(p_track, _POLICY_FLAGS, _MEMORY_FLAGS, _TRACKER_FLAGS)
-    p_track.set_defaults(func=cmd_track)
 
     p_eval = sub.add_parser("eval", help="score predictions against ground truth")
     p_eval.add_argument("--gt", type=Path, required=True)
     p_eval.add_argument("--pred", type=Path, required=True)
     p_eval.add_argument("--image-size", type=str, default=None)
     p_eval.add_argument("--out", type=Path, default=None, help="report CSV path")
-    p_eval.set_defaults(func=cmd_eval)
 
-    for name, helptext, stem, build, policy_flags in (
-        ("ablate", "memory ablation over seeds", "ablation", ablation_table, ()),
-        ("design", "storage-rule comparison over seeds", "design", design_table, ()),
-        ("sweep", "epsilon and capacity sweep over seeds", "sweep", sweep_table, _POLICY_FLAGS),
+    for name, helptext, stem, policy_flags in (
+        ("ablate", "memory ablation over seeds", "ablation", ()),
+        ("design", "storage-rule comparison over seeds", "design", ()),
+        ("sweep", "epsilon and capacity sweep over seeds", "sweep", _POLICY_FLAGS),
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", type=Path, default=None,
                        help="flat key = value config file")
         _add_flags(p, _SCENARIO_FLAGS, _SEED_FLAGS, policy_flags, _MEMORY_FLAGS, _TRACKER_FLAGS,
                    _OUT_DIR_FLAGS)
-        p.set_defaults(func=cmd_table, stem=stem, build=build)
+        p.set_defaults(stem=stem)
 
     return parser
 
 
+# One parser serves every ``main`` call in a process. It holds no command:
+# ``main`` and ``cmd_table`` look commands and table builders up by name when
+# they run, so a replaced module attribute is the one that runs.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    command = {"simulate": cmd_simulate, "track": cmd_track, "eval": cmd_eval}
     try:
-        return args.func(args)
+        return command.get(args.command, cmd_table)(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

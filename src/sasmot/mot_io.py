@@ -28,26 +28,32 @@ value is parsed as ``float()`` parses it, and every embedding must satisfy
 wording; a bad row is an error naming its line. Writers format each row
 with one ``%`` operation.
 
-Both readers work in column passes over blocks of ``_BLOCK_ROWS`` data
-rows: one pass sorts the lines into comments and data, then each block is
-split, its int fields converted with ``int`` and its float fields with one
-numpy call, and its rules checked as masks; the first bad row is worded by
-the per-line rules, so the error is the one a line-by-line reader raises
-first. The MOT columns become the parsed frames, the detections of
-``detections_from_files`` (joined to their sidecar rows by one array pass,
-each row checked once, by the sidecar reader, and built into
-``DetectionFrame`` records by ``_detection_frames``), or the two sides of
-``pair_from_files``, which builds ``eval``'s pair without a ``Box2D`` per row.
+Files are read as UTF-8, a leading byte-order mark dropped; a byte that is
+not UTF-8 is an error naming the file and its line. Both readers work in
+column passes over blocks of ``_BLOCK_ROWS`` data rows: one pass sorts the
+lines into comments and data, then numpy's C text reader converts each
+block in one call, and its rules are checked as masks. That reader accepts
+only spellings that ``int()`` and ``float()`` accept, with their values; a
+block it refuses (an id of 2**63 or more, ``1_5``, any non-ASCII text, or
+a bad row) goes to the per-line rules, the only other converter, which
+convert it or raise. The first bad row is worded by the per-line rules, so
+the error is the one a line-by-line reader raises first. The MOT columns
+become the parsed frames, the detections of ``detections_from_files``
+(joined to their sidecar rows by one array pass, each row checked once, by
+the sidecar reader, and built into ``DetectionFrame`` records by
+``_detection_frames``), or the two sides of ``pair_from_files``, which
+builds ``eval``'s pair without a ``Box2D`` per row.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from bisect import bisect_left
 from contextlib import contextmanager
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -101,9 +107,22 @@ def parse_mot_file(
     path: Path | str, image_size: Optional[Tuple[int, int]] = None
 ) -> Tuple[_Frames, Tuple[int, int]]:
     """Parse a MOT file; every parse error starts with the path."""
-    text = Path(path).read_text()
+    text = _read_text(path)
     with _named(path):
         return parse_mot_text(text, image_size)
+
+
+def _read_text(path: Path | str) -> str:
+    """A text file decoded as UTF-8, a leading byte-order mark dropped; a
+    byte that is not UTF-8 is an error naming the path and its line."""
+    try:
+        return Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # ``exc.object`` is what followed the mark, and every byte before
+        # ``exc.start`` decodes, so the lines before it count as a reader's do.
+        line = len((exc.object[: exc.start].decode() + ".").splitlines())
+        byte = exc.object[exc.start]
+        raise ValueError(f"{path}: line {line}: byte 0x{byte:02x} is not UTF-8") from None
 
 
 @contextmanager
@@ -136,7 +155,7 @@ def _read_mot_columns(
     path: Path | str, image_size: Optional[Tuple[int, int]] = None
 ) -> Tuple[_Rows, Tuple[int, int]]:
     """``_mot_columns`` of a file; every parse error starts with the path."""
-    text = Path(path).read_text()
+    text = _read_text(path)
     with _named(path):
         return _mot_columns(text, image_size)
 
@@ -180,13 +199,22 @@ def _mot_columns(
     for a in range(0, n, _BLOCK_ROWS):
         at = data[a : a + _BLOCK_ROWS]
         block = [lines[i] for i in at]
-        columns = _mot_block(block, size, max_frame)
+        table = _c_rows(block, _MOT_DTYPE, {8, 9}, range(7))
+        columns = None
+        if table is not None:
+            columns = _mot_block(table["frame"], table["id"].tolist(), table["fields"].T, size,
+                                 max_frame)
         if columns is None:
+            # The per-line rules name the first bad line, or, when the C
+            # reader refused a spelling they accept, convert the block.
+            checked = []
             for i, line in zip(at, block):
                 try:
-                    _check_mot_line(line, size, max_frame)
+                    checked.append(_check_mot_line(line, size, max_frame))
                 except ValueError as exc:
                     raise ValueError(f"line {i + 1}: {exc}") from None
+            frames, ids, *fields = zip(*checked)
+            columns = _mot_block(np.array(frames), list(ids), np.array(fields), size, max_frame)
         b = a + len(at)
         rows.frames[a:b], ids, rows.boxes[:, a:b], rows.confs[a:b] = columns
         rows.ids.extend(ids)
@@ -202,34 +230,54 @@ def _data_lines(text: str) -> Tuple[List[str], List[int]]:
     return lines, [i for i, line in enumerate(lines) if line and line[0] != "#"]
 
 
-# Data rows converted at a time: bounds the split fields and temporaries a
-# read holds, whatever the size of the file. Larger blocks read no faster.
+# Data rows converted at a time: bounds the temporaries a read holds,
+# whatever the size of the file. Larger blocks read no faster.
 _BLOCK_ROWS = 512
+
+_MOT_DTYPE = np.dtype([("frame", np.int64), ("id", np.int64), ("fields", np.float64, (5,))])
+
+
+def _c_rows(
+    block: List[str], dtype: np.dtype, commas: Set[int], usecols: Optional[range] = None
+) -> Optional[np.ndarray]:
+    """A block of data lines converted by numpy's C text reader, or None
+    when the reader might misread the block or refuses it.
+
+    The reader is given only ASCII blocks without the unit separator (0x1F)
+    whose every line has a comma count in ``commas``: its integer parser
+    reads some other letters as digits (U+01FE then 5 as 4625), it strips
+    0x1F as white space where ``int()`` and ``float()`` refuse both, and
+    ``usecols`` reads the leading fields of a row of any length. On such a
+    block it accepts only spellings that ``int()`` and ``float()`` accept,
+    and gives their values. It refuses a block by raising or by warning;
+    the per-line rules then convert the block or name its first bad line.
+    """
+    joined = "".join(block)
+    if not joined.isascii() or "\x1f" in joined:
+        return None
+    if not set(map(str.count, block, repeat(","))) <= commas:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(block, dtype=dtype, delimiter=",", comments=None, usecols=usecols,
+                              ndmin=1)
+    except (ValueError, Warning):
+        return None
 
 
 def _mot_block(
-    block: List[str], size: Tuple[int, int], max_frame: int
-) -> Optional[Tuple[List[int], List[int], Tuple[np.ndarray, ...], np.ndarray]]:
-    """(frames, ids, boxes, confs) of a block of data lines, or None when a
-    line breaks a rule of ``_check_mot_line``.
+    frames: np.ndarray, ids: List[int], fields: np.ndarray, size: Tuple[int, int], max_frame: int
+) -> Optional[Tuple[np.ndarray, List[int], Tuple[np.ndarray, ...], np.ndarray]]:
+    """(frames, ids, boxes, confs) of a block's converted columns, or None
+    when a row breaks a rule of ``_check_mot_line``.
 
-    Frames and ids convert with ``int``, so ids keep Python-int range; the
-    five float fields convert in one numpy call, which parses each string as
-    ``float()`` does. The pixel-field rules and ``Box2D``'s box rule
-    (``valid_boxes``) then run as masks over the same elementwise operations,
-    so the boxes have the bits of the per-line code's, and the readers build
+    The frame bound, the pixel-field rules and ``Box2D``'s box rule
+    (``valid_boxes``) run as masks over the same elementwise operations, so
+    the boxes have the bits of the per-line code's, and the readers build
     them without a second check.
     """
-    parts = [line.split(",") for line in block]
-    if not set(map(len, parts)) <= {9, 10}:
-        return None
-    try:
-        frames = list(map(int, [p[0] for p in parts]))
-        ids = list(map(int, [p[1] for p in parts]))
-        fields = np.array([p[2:7] for p in parts], dtype=float).T
-    except ValueError:
-        return None
-    if not 1 <= min(frames) <= max(frames) <= max_frame:
+    if not 1 <= frames.min() <= frames.max() <= max_frame:
         return None
     left, top, width, height, conf = fields
     w_img, h_img = size
@@ -243,15 +291,16 @@ def _mot_block(
     return frames, ids, (cx, cy, w, h), conf
 
 
-def _check_mot_line(line: str, size: Tuple[int, int], max_frame: int) -> None:
-    """Raise the first fault of one data line: the rules ``_mot_block``
-    applies as masks, in the order and wording of the line-by-line reader."""
+def _check_mot_line(line: str, size: Tuple[int, int], max_frame: int) -> _PixelRow:
+    """One data line's (frame, id, left, top, width, height, conf), or its
+    first fault raised, in the order and wording of the line-by-line reader:
+    the rules ``_mot_block`` applies as masks."""
     parts = line.split(",")
     if len(parts) not in (9, 10):
         raise ValueError(f"expected 9 or 10 fields, got {len(parts)}")
     try:
         frame = int(parts[0])
-        int(parts[1])
+        track_id = int(parts[1])
         left, top, width, height, conf = map(float, parts[2:7])
     except ValueError:
         raise ValueError(f"non-numeric field in {line!r}") from None
@@ -267,6 +316,7 @@ def _check_mot_line(line: str, size: Tuple[int, int], max_frame: int) -> None:
         raise ValueError(f"non-positive height {height}")
     w_img, h_img = size
     Box2D((left + width / 2.0) / w_img, (top + height / 2.0) / h_img, width / w_img, height / h_img)
+    return frame, track_id, left, top, width, height, conf
 
 
 def write_mot_file(
@@ -340,27 +390,27 @@ def read_embeddings_csv(path: Path | str) -> Dict[Tuple[int, int], np.ndarray]:
 
 def _read_sidecar(path: Path | str) -> Tuple[Dict[Tuple[int, int], int], np.ndarray]:
     """The checked sidecar: each key's row number, in file order, and the rows."""
-    lines, data = _data_lines(Path(path).read_text())
+    lines, data = _data_lines(_read_text(path))
     width = len(lines[data[0]].split(",")) if data else 2
     values = np.empty((len(data), max(width - 2, 0)))
+    dtype = np.dtype([("frame", np.int64), ("det_index", np.int64),
+                      ("values", np.float64, values.shape[1:])])
     index: Dict[Tuple[int, int], int] = {}
     for a in range(0, len(data), _BLOCK_ROWS):
         at = data[a : a + _BLOCK_ROWS]
-        parts = [lines[i].split(",") for i in at]
         block = values[a : a + len(at)]
-        try:
-            if width < 3 or set(map(len, parts)) != {width}:
-                raise ValueError
-            keys = list(zip(map(int, [p[0] for p in parts]), map(int, [p[1] for p in parts])))
-            block[:] = [p[2:] for p in parts]  # numpy parses each string as float() does
-        except ValueError:
-            keys = [None] * len(at)  # a row did not convert; the loop finds it
+        table = _c_rows([lines[i] for i in at], dtype, {width - 1}) if width >= 3 else None
+        if table is None:
+            keys = [None] * len(at)  # the C reader refused a row; the loop converts or names it
+        else:
+            keys = list(zip(table["frame"].tolist(), table["det_index"].tolist()))
+            block[:] = table["values"]
         for k, (i, key, row) in enumerate(zip(at, keys, block)):
             try:
                 if key is None:
-                    key = _sidecar_row(parts[k], width, row)
+                    key = _sidecar_row(lines[i].split(","), width, row)
             except ValueError:
-                fault = _row_fault(parts[k], width - 2)
+                fault = _row_fault(lines[i].split(","), width - 2)
             else:
                 fault = embedding_fault(row) or (f"duplicate key {key}" if key in index else None)
             if fault:

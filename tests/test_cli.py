@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface via ``main(argv)``."""
 
+import codecs
 import hashlib
 import math
 import os
@@ -214,6 +215,75 @@ def test_track_rejects_sidecar_row_without_detection(tmp_path, capsys):
         fh.write("999,0," + first.split(",", 2)[2] + "\n")
     assert _track(run) == 1
     assert "frame 999 detection 0 matches no detection" in capsys.readouterr().err
+
+
+# Hand-written inputs of track, eval and simulate --config, as bytes.
+_HAND = {
+    "det.txt": (b"# image_size=100x100\n1,-1,10,10,20,20,0.9,-1,-1,-1\n"
+                b"2,-1,11,10,20,20,0.9,-1,-1,-1\n"),
+    "embeddings.csv": b"1,0,0.6,0.8\n2,0,0.8,0.6\n",
+    "gt.txt": b"# image_size=100x100\n1,1,10,10,20,20,1,-1,-1,-1\n2,1,11,10,20,20,1,-1,-1,-1\n",
+    "run.cfg": b"seed = 3\nscenario.n_frames = 5\n",
+}
+
+
+def _hand_run(directory: Path, files: dict) -> Path:
+    """A run directory of the hand-written inputs, ``files`` replacing some,
+    with an empty ``out`` directory for the outputs."""
+    (directory / "out").mkdir(parents=True)
+    for name, data in {**_HAND, **files}.items():
+        (directory / name).write_bytes(data)
+    return directory
+
+
+def _argv(run: Path, name: str) -> list:
+    """The command that reads the input ``name`` of a hand-written run."""
+    if name == "run.cfg":
+        return ["simulate", "--config", str(run / name), "--out", str(run / "out")]
+    if name == "gt.txt":
+        return ["eval", "--gt", str(run / name), "--pred", str(run / name),
+                "--out", str(run / "out" / "report.csv")]
+    return ["track", "--det", str(run / "det.txt"), "--emb", str(run / "embeddings.csv"),
+            "--out", str(run / "out" / "pred.txt")]
+
+
+@pytest.mark.parametrize("name, data, line, byte", [
+    ("det.txt", _HAND["det.txt"].replace(b",11,", b",1\xff,"), 3, 0xFF),
+    ("embeddings.csv", b"1,0,0.6,0.8\n\n2,0,0.8,\xfe0.6\n", 3, 0xFE),
+    # After a byte-order mark, which is not a line's text.
+    ("gt.txt", codecs.BOM_UTF8 + _HAND["gt.txt"].replace(b"2,1,", b"2,1\xc3,"), 3, 0xC3),
+    ("run.cfg", b"seed = 3\n# caf\xe9 au lait\n", 2, 0xE9),
+], ids=["det.txt", "embeddings.csv", "gt.txt after a mark", "run.cfg"])
+def test_a_byte_that_is_not_utf8_is_named_with_its_file_and_line(tmp_path, capsys, name, data,
+                                                                  line, byte):
+    run = _hand_run(tmp_path, {name: data})
+    assert main(_argv(run, name)) == 1
+    message = f"line {line}: byte 0x{byte:02x} is not UTF-8"
+    assert capsys.readouterr().err == f"error: {run / name}: {message}\n"
+
+
+@pytest.mark.parametrize("name", sorted(_HAND))
+def test_a_utf8_byte_order_mark_is_not_read_as_text(tmp_path, capsys, name):
+    # Windows editors write one; read as text it would turn a MOT header
+    # into a data row, and make a key of the config file's first.
+    outputs = []
+    for mark in (b"", codecs.BOM_UTF8):
+        run = _hand_run(tmp_path / f"mark{len(mark)}", {name: mark + _HAND[name]})
+        assert main(_argv(run, name)) == 0, capsys.readouterr().err
+        outputs.append((capsys.readouterr().out.replace(str(run), "<run>"), _read_all(run / "out")))
+    assert outputs[0] == outputs[1]
+
+
+def test_config_file_errors_name_the_file_and_flag_errors_do_not(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    run = _hand_run(tmp_path, {"run.cfg": b"seed = 3\nbogus line\n"})
+    assert main(_argv(run, "run.cfg")) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: line 2: expected key = value, got 'bogus line'\n"
+    )
+    cfg.write_bytes(_HAND["run.cfg"])
+    assert main([*_argv(run, "run.cfg"), "--n-objects", "0"]) == 1
+    assert capsys.readouterr().err == "error: n_objects must be >= 1, got 0\n"
 
 
 def test_unknown_config_key_exits_nonzero(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -384,24 +385,46 @@ def test_bulk_reader_equals_per_line_reference_on_simulated_sidecars(tmp_path, d
     _assert_same_table(read_embeddings_csv(path), read_embeddings_csv_reference(path))
 
 
-def test_bulk_reader_equals_per_line_reference_on_any_float_spelling(tmp_path):
+def _spy_c_rows(monkeypatch) -> List[bool]:
+    """Whether numpy's C reader refused each block it was given, in order."""
+    original, refused = mot_io._c_rows, []
+
+    def spy(*args, **kwargs):
+        table = original(*args, **kwargs)
+        refused.append(table is None)
+        return table
+
+    monkeypatch.setattr(mot_io, "_c_rows", spy)
+    return refused
+
+
+def test_bulk_reader_equals_per_line_reference_on_any_float_spelling(tmp_path, monkeypatch):
     rng = np.random.default_rng(5)
-    spellings = ("%.9g", "%.17g", "%r", "%.3e", "%.25f", " %s", "%s ", "%+.6E")
+    spellings = ("%.9g", "%.17g", "%r", "%.3e", "%.25f", " %s", "%s ", "%+.6E", "\t%s\t")
+    # Spellings that float() and int() read and numpy's C reader refuses
+    # (underscores, non-ASCII digits, a key of 2**63) sit in the first and
+    # third blocks of rows, so the per-line rules convert those two and the
+    # C reader the others.
     lines = ["# written by hand", ""]
-    for frame in range(1, 60):
+    for frame in range(1, 1600):
         values = rng.uniform(-1.0, 1.0, 7) * 10.0 ** rng.integers(-150, 150, 7)
         picks = rng.integers(0, len(spellings), 7)
         fields = [spellings[k] % v for k, v in zip(picks, values.tolist())]
-        fields[rng.integers(0, 7)] = rng.choice(["0", "-0.0", "1_5", "7"])
-        key = (" %d" % frame, "+0 ") if frame % 3 else ("%d" % frame, "0")
+        odd = ["1_5", "\u0661\u0662", "\uff11.\uff15"] if frame <= mot_io._BLOCK_ROWS else []
+        fields[rng.integers(0, 7)] = rng.choice(["0", "-0.0", "7", *odd])
+        key = (" %d" % frame, "+0 ") if frame % 3 else ("%d" % frame, "\t0")
+        if frame == 1100:
+            key = (str(2**63), "0")
         lines.append(",".join([*key, *fields]))
         if frame % 11 == 0:
             lines += ["  ", "#", "   # indented comment"]
     path = tmp_path / "emb.csv"
     path.write_text("\n".join(lines) + "\n")
     want = read_embeddings_csv_reference(path)
-    assert len(want) == 59
+    assert len(want) == 1599
+    refused = _spy_c_rows(monkeypatch)
     _assert_same_table(read_embeddings_csv(path), want)
+    assert refused == [True, False, True, False]
 
 
 def test_empty_sidecar_reads_as_no_rows(tmp_path):
@@ -445,6 +468,19 @@ def test_bad_row_on_line_7_is_named_as_the_reference_names_it(tmp_path, kind):
         read_embeddings_csv(path)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith(f"{path}: line 7: ")
+
+
+@pytest.mark.parametrize("row", ["3,\u01fe5,0.5,0.5", "3\u01ff,0,0.5,0.5", "3,0,\x1f0.5,0.5",
+                                 "3,0,0.5\x1f,0.5"])
+def test_spellings_numpy_misreads_are_named_as_the_reference_names_them(tmp_path, row):
+    # numpy's integer parser reads some non-ASCII letters as digits, and it
+    # strips "\x1f" as white space; int() and float() refuse both.
+    path = _sidecar_with(tmp_path, row)
+    with pytest.raises(ValueError) as want:
+        read_embeddings_csv_reference(path)
+    with pytest.raises(ValueError) as got:
+        read_embeddings_csv(path)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("row, problem", [
@@ -682,6 +718,24 @@ BAD_TEXTS = {
     "8 fields": (f"# image_size=100x100\n{ROW}\n1,2,0,0,10,10,1,-1\n", None),
     "11 fields": (f"# image_size=100x100\n{ROW}\n1,2,0,0,10,10,1,-1,-1,-1,0\n", None),
     "9 then 8 fields": (f"# image_size=100x100\n{ROW[:-3]}\n1,2,0,0,10,10,1,1\n", None),
+    # What numpy's C reader reads or refuses: the first error is still the
+    # reference's, whichever converter met the block.
+    "11 fields, the last empty": (f"# image_size=100x100\n{ROW}\n{ROW},\n", None),
+    "9 and 10 then 11 fields": (f"{ROW[:-3]}\n{ROW}\n{ROW},-1\n", (100, 100)),
+    "# in a read field": (f"{ROW}\n1,2,0,0,#10,10,1,-1,-1,-1\n", (100, 100)),
+    "frame spelled 1.0": (f"{ROW}\n1.0,2,0,0,10,10,1,-1,-1,-1\n", (100, 100)),
+    "empty read field": (f"{ROW}\n1,2,0,,10,10,1,-1,-1,-1\n", (100, 100)),
+    "id 2**63 before a bad row": (f"{ROW}\n1,{2**63},0,0,10,10,1,-1,-1,-1\n"
+                                  "1,3,0,0,0,10,1,-1,-1,-1\n", (100, 100)),
+    "1_5 before a bad row": (f"{ROW}\n1,2,0,0,1_5,10,1,-1,-1,-1\n1,3,0,0,10,-1,1,-1,-1,-1\n",
+                             (100, 100)),
+    "non-ASCII digit before a bad row": (f"{ROW}\n1,\u0662,0,0,10,10,1,-1,-1,-1\n"
+                                         "1,3,0,0,10,10,nan,-1,-1,-1\n", (100, 100)),
+    "tabs around fields, then a bad row": (f"{ROW}\n\t1\t,\t2 ,0,0,10,10,1,-1,-1,-1\n"
+                                           "1,3,0,0,x,10,1,-1,-1,-1\n", (100, 100)),
+    # numpy's integer parser reads this letter as digits, 5\u01fe as 512.
+    "a letter numpy reads as a digit": (f"{ROW}\n1,5\u01fe,0,0,10,10,1,-1,-1,-1\n", (100, 100)),
+    "\\x1f around a field": (f"{ROW}\n1,2,\x1f0,0,10,10,1,-1,-1,-1\n", (100, 100)),
 }
 
 
@@ -760,27 +814,74 @@ def test_column_rules_accept_exactly_the_rows_box2d_accepts(image_size):
     assert boxes == [Box2D(box.cx, box.cy, box.w, box.h) for box in boxes]
 
 
-def test_parse_equals_per_line_reference_on_any_spelling_and_order(tmp_path):
+def test_parse_equals_per_line_reference_on_any_spelling_and_order(tmp_path, monkeypatch):
     rng = np.random.default_rng(11)
-    spellings = ("%.6f", "%r", "%.3e", " %s", "%s ", "%+.9E")
+    spellings = ("%.6f", "%r", "%.3e", " %s", "%s ", "%+.9E", "\t%s\t")
+    # Spellings that int() and float() read and numpy's C reader refuses, by
+    # data row: the first block of rows has ids up to 2**70, and the third,
+    # fourth and fifth one odd row each; the C reader converts the others,
+    # whose rows mix 9 and 10 fields and put "#" or nothing in fields that
+    # are not read.
+    odd = {1200: (4, "1_5"), 1700: (1, "\u0661\u0662"), 1800: (2, "\uff11\uff15"),
+           2200: (1, str(2**63))}
     lines = ["# image_size=640x480", "# a comment", ""]
     for k in range(3000):
         frame = int(rng.integers(1, 400))
         left, top = rng.uniform(-50, 600, 2)
         width, height = rng.uniform(0.5, 90, 2)
-        fields = [spellings[int(rng.integers(0, 6))] % float(v)
+        fields = [spellings[int(rng.integers(0, len(spellings)))] % float(v)
                   for v in (left, top, width, height, rng.uniform())]
         tail = ["-1", "-1", "-1"] if k % 3 else ["1", "0.5"]
+        if k % 5 == 0:
+            tail[-1] = str(rng.choice(["", "#", "# a note"]))
         obj_id = int(rng.integers(1, 2**62)) << int(rng.integers(0, 9))  # up to 2**70
-        lines.append(",".join([" %d" % frame, str(obj_id), *fields, *tail]))
+        obj_id = obj_id if k < mot_io._BLOCK_ROWS else obj_id >> 8
+        row = [" %d" % frame, str(obj_id), *fields, *tail]
+        if k in odd:
+            row[odd[k][0]] = odd[k][1]
+        lines.append(",".join(row))
         if k % 97 == 0:
             lines += ["  ", "   # indented"]
     text = "\n".join(lines) + "\n"
     want = _verdict(parse_mot_text_reference, text, None)
+    refused = _spy_c_rows(monkeypatch)
     assert _verdict(parse_mot_text, text, None) == want
     path = tmp_path / "gt.txt"
     path.write_text(text)
     assert _box_bits(parse_mot_file(path)[0]) == want[0]
+    assert refused == [True, False, True, True, True, False] * 2
+
+
+def test_a_block_the_c_reader_warns_on_is_read_by_the_per_line_rules(tmp_path, monkeypatch):
+    # numpy 1.24 to 1.26 read "1.0" into an int column and only warn: a
+    # warning refuses the block as an error does, even where warnings are
+    # otherwise ignored.
+    loadtxt, calls = np.loadtxt, []
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("a spelling numpy will refuse", DeprecationWarning)
+        return loadtxt(*args, **kwargs)
+
+    def counted(convert):
+        def run(*args):
+            calls.append(convert.__name__)
+            return convert(*args)
+        return run
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    for convert in (mot_io._check_mot_line, mot_io._sidecar_row):
+        monkeypatch.setattr(mot_io, convert.__name__, counted(convert))
+    text = "# image_size=640x480\n" + "".join(
+        f"{k % 7 + 1},{k},{k},2.5,30,40,0.5,-1,-1,-1\n" for k in range(600))
+    emb = tmp_path / "emb.csv"
+    emb.write_text("".join(f"{k % 7 + 1},{k},0.5,{k}\n" for k in range(600)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = _verdict(parse_mot_text, text, None)
+        table = read_embeddings_csv(emb)
+    assert got == _verdict(parse_mot_text_reference, text, None)
+    _assert_same_table(table, read_embeddings_csv_reference(emb))
+    assert calls == ["_check_mot_line"] * 600 + ["_sidecar_row"] * 600
 
 
 def _mot_text(rows, nine: bool = False, notes: bool = False) -> str:
@@ -920,7 +1021,8 @@ def big_scene(tmp_path_factory):
 
 
 def _reads_over_bound(scene, block_rows: int) -> List[Tuple[str, int, int]]:
-    """(read, transient bytes, bound) of ``track``'s read and ``eval``'s two.
+    """(read, transient bytes, bound) of ``track``'s read, its det file's
+    read alone, and ``eval``'s two.
 
     Holding a file's lines is the one whole-file cost of a read. Beyond it,
     a read may keep about 100 B per row (row numbers, the columns it fills,
@@ -931,6 +1033,7 @@ def _reads_over_bound(scene, block_rows: int) -> List[Tuple[str, int, int]]:
     assert min(n_rows.values()) >= 8 * block_rows, "the files must span many blocks"
     reads = [
         ("detections_from_files", lambda: detections_from_files(det, emb), (det, emb)),
+        ("det read", lambda: mot_io._read_mot_columns(det), (det,)),
         ("pair_from_files", lambda: pair_from_files(gt, gt), (gt, gt)),
     ]
     out = []
@@ -940,14 +1043,46 @@ def _reads_over_bound(scene, block_rows: int) -> List[Tuple[str, int, int]]:
     return out
 
 
-def test_reads_hold_one_block_of_converted_rows_at_a_time(big_scene):
-    for name, transient, bound in _reads_over_bound(big_scene, mot_io._BLOCK_ROWS):
-        assert transient < bound, (name, transient, bound)
+@pytest.fixture(scope="module")
+def refused_scene(big_scene, tmp_path_factory):
+    """``big_scene`` respelled so that numpy's C reader refuses every block
+    and the per-line rules convert it: gt ids from 2**63 up, det ids of
+    2**63, and sidecar frames spelled ``0_<frame>``, which ``int()`` reads."""
+    out = tmp_path_factory.mktemp("refused")
+
+    def respell(path: Path, field: int, spell) -> Path:
+        lines = path.read_text().splitlines()
+        for k, line in enumerate(lines):
+            if not line.startswith("#"):
+                parts = line.split(",")
+                parts[field] = spell(parts[field])
+                lines[k] = ",".join(parts)
+        (out / path.name).write_text("\n".join(lines) + "\n")
+        return out / path.name
+
+    gt, det, emb = big_scene
+    return (respell(gt, 1, lambda s: str(2**63 + int(s))), respell(det, 1, lambda s: str(2**63)),
+            respell(emb, 0, lambda s: "0_" + s))
 
 
-def test_the_memory_bound_refuses_a_whole_file_conversion(big_scene, monkeypatch):
-    # Converting ~20k rows at once holds 600 B to 1.2 KB more per row.
+def test_reads_hold_one_block_of_converted_rows_at_a_time(big_scene, refused_scene):
+    for scene in (big_scene, refused_scene):
+        for name, transient, bound in _reads_over_bound(scene, mot_io._BLOCK_ROWS):
+            assert transient < bound, (name, transient, bound)
+
+
+def test_the_memory_bound_refuses_a_whole_file_conversion(refused_scene, monkeypatch):
+    # The per-line rules hold each converted MOT row, about 450 B, until the
+    # block's columns are built; on this corpus the C reader refuses every
+    # block, so the conversion runs in Python. The C reader holds little more
+    # than the columns it fills, even for a whole file, and the sidecar's rows
+    # convert into the array they fill, so neither can break the bound.
+    # ``detections_from_files`` is not asserted: its transient is its peak
+    # less the records it keeps, and building them peaks above its reads.
     block_rows = mot_io._BLOCK_ROWS
+    refused = _spy_c_rows(monkeypatch)
     monkeypatch.setattr(mot_io, "_BLOCK_ROWS", 10**9)
-    for name, transient, bound in _reads_over_bound(big_scene, block_rows):
-        assert transient > bound, (name, transient, bound)
+    for name, transient, bound in _reads_over_bound(refused_scene, block_rows):
+        if name != "detections_from_files":
+            assert transient > bound, (name, transient, bound)
+    assert refused == [True] * 5  # det and sidecar, det, gt twice: one whole-file block each
