@@ -120,9 +120,9 @@ class TrackMemory:
     The memory checks none of its inputs. The caller guarantees them, and
     in the package each part has one owner:
 
-    * every embedding is a 1-D float64 array with ``0 < e·e < inf``
+    * every embedding e is a 1-D float64 array with ``0 < row_norms(e) < inf``
       (``tracker.Detection``, or the path that built it: the simulator, or
-      the sidecar reader's one check per row), and all have one size
+      the sidecar reader's one mask per block), and all have one size
       (``Tracker.step``, which names the frame and detection index of a
       mismatch);
     * ``overlap`` is in [0, 1] (``geometry.iou_matrix`` clamps every IoU at

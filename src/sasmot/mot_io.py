@@ -23,10 +23,10 @@ and tracker output carry conf 1, detections carry id -1 and their score,
 and rows are sorted by (frame, id) with 6 decimals per float. Embeddings ride in a sidecar CSV
 (``frame,det_index,e_1,...,e_D``, 9 significant digits) keyed by position
 within the frame, because MOT rows cannot carry vectors. Each sidecar
-value is parsed as ``float()`` parses it, and every embedding must satisfy
-``0 < e·e < inf``, the rule ``Detection`` applies, by the same check and
-wording; a bad row is an error naming its line. Writers format each row
-with one ``%`` operation.
+value is parsed as ``float()`` parses it, and every embedding e must
+satisfy ``0 < |e| < inf``, |e| as ``row_norms`` computes it: the rule
+``Detection`` applies, with its wording; a bad row is an error naming its
+line. Writers format each row with one ``%`` operation.
 
 Files are read as UTF-8, a leading byte-order mark dropped; a byte that is
 not UTF-8 is an error naming the file and its line. Both readers work in
@@ -40,7 +40,7 @@ convert it or raise. The first bad row is worded by the per-line rules, so
 the error is the one a line-by-line reader raises first. The MOT columns
 become the parsed frames, the detections of ``detections_from_files``
 (joined to their sidecar rows by one array pass, each row checked once, by
-the sidecar reader, and built into ``DetectionFrame`` records by
+the sidecar reader's mask, and built into ``DetectionFrame`` records by
 ``_detection_frames``), or the two sides of ``pair_from_files``, which
 builds ``eval``'s pair without a ``Box2D`` per row.
 """
@@ -60,7 +60,7 @@ import numpy as np
 from .geometry import Box2D, _box, corners_of, valid_boxes
 from .metrics import SequencePair
 from .simulator import Scenario
-from .tracker import DetectionFrame, FrameResult, _detection_frames, embedding_fault
+from .tracker import DetectionFrame, FrameResult, _detection_frames, embedding_fault, row_norms
 
 __all__ = [
     "parse_image_size",
@@ -365,13 +365,10 @@ def results_to_rows(results: Sequence[FrameResult], image_size: Tuple[int, int])
 def write_embeddings_csv(path: Path | str, scenario: Scenario) -> None:
     """Sidecar: one `frame,det_index,e_1,...,e_D` line per detection."""
     lines = []
-    dim, fmt = -1, ""
     for frame_idx, frame in enumerate(scenario.detections, start=1):
-        for det_index, values in enumerate(frame.embeddings.tolist()):
-            if len(values) != dim:
-                dim = len(values)
-                fmt = "%d,%d" + ",%.9g" * dim
-            lines.append(fmt % (frame_idx, det_index, *values))
+        fmt = "%d,%d" + ",%.9g" * frame.embeddings.shape[1]
+        lines += [fmt % (frame_idx, det_index, *values)
+                  for det_index, values in enumerate(frame.embeddings.tolist())]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -380,16 +377,18 @@ def read_embeddings_csv(path: Path | str) -> Dict[Tuple[int, int], np.ndarray]:
     the same size D, and each value is a row view of one (rows, D) array.
 
     The rows convert ``_BLOCK_ROWS`` at a time, values as ``float()`` parses
-    them, and each row is then checked: its embedding by ``embedding_fault``,
-    the rule ``Detection`` applies, then its key. The first bad row in the
-    file stops the read, and the error names its line.
+    them, and each block is checked by one mask: every row's ``row_norms`` in
+    (0, inf), the rule ``Detection`` applies, and no key repeated. The first
+    bad row in the file stops the read, and the error names its line.
     """
     index, values = _read_sidecar(path)
     return dict(zip(index, values))
 
 
 def _read_sidecar(path: Path | str) -> Tuple[Dict[Tuple[int, int], int], np.ndarray]:
-    """The checked sidecar: each key's row number, in file order, and the rows."""
+    """The checked sidecar: each key's row number, in file order, and the rows.
+    A block that breaks the mask, or that the C reader refuses, goes to
+    ``_check_sidecar_line``, which converts it or names its first bad line."""
     lines, data = _data_lines(_read_text(path))
     width = len(lines[data[0]].split(",")) if data else 2
     values = np.empty((len(data), max(width - 2, 0)))
@@ -400,47 +399,45 @@ def _read_sidecar(path: Path | str) -> Tuple[Dict[Tuple[int, int], int], np.ndar
         at = data[a : a + _BLOCK_ROWS]
         block = values[a : a + len(at)]
         table = _c_rows([lines[i] for i in at], dtype, {width - 1}) if width >= 3 else None
-        if table is None:
-            keys = [None] * len(at)  # the C reader refused a row; the loop converts or names it
-        else:
-            keys = list(zip(table["frame"].tolist(), table["det_index"].tolist()))
+        if table is not None:
             block[:] = table["values"]
-        for k, (i, key, row) in enumerate(zip(at, keys, block)):
+            norms = row_norms(block)  # a NaN norm makes min() NaN, failing the mask
+            fresh = dict(zip(table[["frame", "det_index"]].tolist(), range(a, a + len(at))))
+            if (0.0 < norms.min() <= norms.max() < math.inf and len(fresh) == len(at)
+                    and index.keys().isdisjoint(fresh)):
+                index.update(fresh)
+                continue
+        for k, i in enumerate(at):
             try:
-                if key is None:
-                    key = _sidecar_row(lines[i].split(","), width, row)
-            except ValueError:
-                fault = _row_fault(lines[i].split(","), width - 2)
-            else:
-                fault = embedding_fault(row) or (f"duplicate key {key}" if key in index else None)
-            if fault:
-                raise ValueError(f"{path}: line {i + 1}: {fault}")
-            index[key] = a + k
+                index[_check_sidecar_line(lines[i], block[k], index)] = a + k
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {i + 1}: {exc}") from None
     return index, values
 
 
-def _sidecar_row(parts: List[str], width: int, row: np.ndarray) -> Tuple[int, int]:
-    """Convert one sidecar row's values into ``row``; returns its key."""
-    if not 3 <= len(parts) == width:
-        raise ValueError  # short or of another size: _row_fault words it
-    key = (int(parts[0]), int(parts[1]))
-    row[:] = parts[2:]
-    return key
-
-
-def _row_fault(parts: List[str], dim: int) -> str:
-    """Why a sidecar row that did not convert is bad, its rules checked in the
-    order a row is read; a row of finite numbers has the wrong size."""
+def _check_sidecar_line(
+    line: str, row: np.ndarray, seen: Dict[Tuple[int, int], int]
+) -> Tuple[int, int]:
+    """One sidecar data line's key, its values converted into ``row``, or
+    its first fault raised, in the order and wording of the line-by-line
+    reader: the rules ``_read_sidecar`` applies as a mask, a key in ``seen``
+    among them."""
+    parts = line.split(",")
     if len(parts) < 3:
-        return "embedding row needs frame,det_index,values"
+        raise ValueError("embedding row needs frame,det_index,values")
     try:
-        int(parts[0]), int(parts[1])
-        row = [float(p) for p in parts[2:]]
+        key = int(parts[0]), int(parts[1])
+        embedding = np.array([float(p) for p in parts[2:]])
     except ValueError:
-        return "non-numeric field in embeddings file"
-    if not all(map(math.isfinite, row)):
-        return "non-finite value in embedding"
-    return f"embedding dim {len(row)} != {dim}"
+        raise ValueError("non-numeric field in embeddings file") from None
+    if len(embedding) != len(row) and np.isfinite(embedding).all():
+        raise ValueError(f"embedding dim {len(embedding)} != {len(row)}")
+    if fault := embedding_fault(embedding):
+        raise ValueError(fault)
+    if key in seen:
+        raise ValueError(f"duplicate key {key}")
+    row[:] = embedding
+    return key
 
 
 def detections_from_files(

@@ -90,17 +90,18 @@ FORBIDDEN_COST = 1e9
 
 
 def embedding_fault(e: np.ndarray) -> Optional[str]:
-    """Why a 1-D float embedding breaks ``0 < e·e < inf``, or None if it holds."""
-    # One squared norm covers every case: NaN fails both comparisons.
-    # np.vdot, unlike ``@``, does not warn when the sum overflows.
-    norm2 = np.vdot(e, e)
-    if 0.0 < norm2 < math.inf:
+    """Why a 1-D float embedding breaks ``0 < |e| < inf``, or None if it holds;
+    |e| is ``row_norms`` of e as the contiguous row the tracker stacks and
+    ``cosine_distance`` divides by (a strided row's sum may round apart)."""
+    # One norm covers every case: NaN fails both comparisons.
+    norm = row_norms(np.ascontiguousarray(e)[None])[0]
+    if 0.0 < norm < math.inf:
         return None
     if not np.all(np.isfinite(e)):
         return "non-finite value in embedding"
     if not np.any(e):
         return "zero-norm embedding"
-    if norm2:
+    if norm:
         return "embedding squared norm overflows to inf"
     return "embedding squared norm underflows to 0"
 

@@ -22,6 +22,7 @@ from sasmot.cli import (
 )
 from sasmot.experiments import mean, paired_sign_test, render_table_csv, render_table_markdown
 from sasmot.memory import MemoryPolicy
+from test_tracker import NORM_INF_ROW
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -194,17 +195,20 @@ def test_track_rejects_zero_norm_sidecar_row_with_its_line(tmp_path, capsys):
 
 
 def test_track_names_the_sidecar_line_whose_norm_overflows(tmp_path, capsys):
-    # Both rows pass a finiteness check, but e·e overflows: the distance
-    # would be inf/inf and the solver would stop on an unnamed NaN.
+    # Each row passes a finiteness check, but its norm overflows: the distance
+    # would be inf/inf and the solver would stop on an unnamed NaN. The second
+    # row's norm is inf where np.vdot's sum stops short of it; accepted, its
+    # distance to itself would be 1.0.
     run = tmp_path / "run"
     run.mkdir()
     (run / "det.txt").write_text(
         "# image_size=100x100\n1,-1,10,10,20,20,0.9,-1,-1,-1\n2,-1,11,10,20,20,0.9,-1,-1,-1\n"
     )
-    (run / "embeddings.csv").write_text("1,0,1e300,-1e300\n2,0,1e300,-1e300\n")
-    assert _track(run) == 1
-    err = capsys.readouterr().err
-    assert f"{run / 'embeddings.csv'}: line 1: embedding squared norm overflows to inf" in err
+    for values in ("1e300,-1e300", ",".join(map(repr, NORM_INF_ROW))):
+        (run / "embeddings.csv").write_text(f"1,0,{values}\n2,0,{values}\n")
+        assert _track(run) == 1
+        err = capsys.readouterr().err
+        assert f"{run / 'embeddings.csv'}: line 1: embedding squared norm overflows to inf" in err
 
 
 def test_track_rejects_sidecar_row_without_detection(tmp_path, capsys):

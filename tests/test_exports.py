@@ -3,8 +3,8 @@ a module imports is used and comes from the stdlib, numpy or the package
 itself (scipy's compiled solver is loaded from its file, never imported),
 every function and class it defines is referenced from the package or the
 benchmark (a name only tests use does not count), the record dataclasses
-declare slots, and every name the benchmark under ``bench/`` reaches for is
-still there.
+declare slots, ``tracker.row_norms`` is the one embedding norm, and every
+name the benchmark under ``bench/`` reaches for is still there.
 
 The benchmark checks are read from ``bench/`` source without importing it,
 so a change that deletes a name the benchmark needs fails here.
@@ -144,6 +144,31 @@ def test_record_dataclasses_declare_slots(module, name):
         if kw.arg == "slots" and isinstance(kw.value, ast.Constant)
     ]
     assert slots == [True], f"{module}: {name} is not @dataclass(..., slots=True)"
+
+
+def test_row_norms_is_the_one_embedding_norm():
+    # ``embedding_fault``, the sidecar reader's mask and ``cosine_distance``
+    # must round each norm alike: a second sum of squares may round a row
+    # to the other side of inf. The simulator makes its unit rows with
+    # np.linalg.norm's 1-D formula, so only ``vdot`` is refused there.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # each node's innermost enclosing function
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            called = ast.unparse(node.func)
+            name = called.rpartition(".")[2]
+            if (name == "vdot"
+                    or (path.stem in ("tracker", "mot_io")
+                        and (called.endswith("linalg.norm") or name == "dot"))
+                    or (name == "einsum" and owner.get(node) != "row_norms")):
+                found.append(f"{path.name}:{node.lineno} {called}")
+    assert found == [], "embedding norms computed outside tracker.row_norms"
 
 
 def test_imports_are_stdlib_numpy_or_relative():

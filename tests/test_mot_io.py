@@ -8,6 +8,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sasmot import mot_io
 from sasmot import tracker as tracker_mod
@@ -28,8 +29,9 @@ from sasmot.mot_io import (
     write_scenario,
 )
 from sasmot.simulator import ScenarioConfig, generate_scenario
-from sasmot.tracker import Detection, FrameResult
+from sasmot.tracker import Detection, FrameResult, embedding_fault, row_norms
 from test_simulator import RECORD_SCENES, assert_records_are_one_frame_records
+from test_tracker import NORM_INF_ROW
 
 
 def test_parse_row_normalizes_by_image_size():
@@ -289,19 +291,46 @@ def test_file_records_equal_one_frame_records(tmp_path, kw, monkeypatch):
 
 
 def test_each_sidecar_row_is_checked_once(tmp_path, monkeypatch):
+    # A block the C reader converts is checked by one row_norms mask: no
+    # embedding_fault call and no Detection check runs on a clean read, and
+    # only a block that breaks the mask goes to the per-line rule.
     scenario = generate_scenario(ScenarioConfig(n_objects=4, n_frames=20, seed=3))
     _, det_path, emb_path = write_scenario(scenario, tmp_path, (640, 480))
-    original, calls = tracker_mod.embedding_fault, []
+    n_rows = sum(map(len, scenario.detections))
+    calls: Dict[str, List[int]] = {"embedding_fault": [], "__post_init__": [], "row_norms": [],
+                                   "_check_sidecar_line": []}
 
-    def counting(e):
-        calls.append(e)
-        return original(e)
+    def spy(owner, name, size=lambda *args: 1):
+        original = getattr(owner, name)
 
-    # The reader's check and the one Detection(...) would make.
-    monkeypatch.setattr(mot_io, "embedding_fault", counting)
-    monkeypatch.setattr(tracker_mod, "embedding_fault", counting)
+        def run(*args):
+            calls[name].append(size(*args))
+            return original(*args)
+        monkeypatch.setattr(owner, name, run)
+
+    spy(tracker_mod, "embedding_fault")
+    spy(mot_io, "embedding_fault")
+    spy(Detection, "__post_init__")
+    spy(mot_io, "row_norms", len)
+    spy(mot_io, "_check_sidecar_line")
+    monkeypatch.setattr(mot_io, "_BLOCK_ROWS", 32)
     frames, _ = detections_from_files(det_path, emb_path)
-    assert len(calls) == sum(map(len, frames)) == sum(map(len, scenario.detections)) > 0
+    assert sum(map(len, frames)) == n_rows > 2 * 32
+    assert calls["embedding_fault"] == calls["__post_init__"] == calls["_check_sidecar_line"] == []
+    assert calls["row_norms"] == [32] * (n_rows // 32) + [n_rows % 32]
+    # A zero row in the second block: that block alone is read line by line,
+    # up to the row, which is named.
+    lines = emb_path.read_text().splitlines()
+    frame, det_index, *values = lines[40].split(",")
+    lines[40] = ",".join([frame, det_index] + ["0"] * len(values))
+    emb_path.write_text("\n".join(lines) + "\n")
+    for seen in calls.values():
+        seen.clear()
+    with pytest.raises(ValueError) as got:
+        detections_from_files(det_path, emb_path)
+    assert str(got.value) == f"{emb_path}: line 41: zero-norm embedding"
+    assert calls["row_norms"] == [32, 32]
+    assert len(calls["_check_sidecar_line"]) == len(calls["embedding_fault"]) == 41 - 32
 
 
 def test_embeddings_sidecar_round_trip(tmp_path):
@@ -331,6 +360,9 @@ def test_embeddings_sidecar_errors(tmp_path):
         read_embeddings_csv(path)
     path.write_text("1,0,0.5,0.5\n1,x,0.5,0.5\n")
     with pytest.raises(ValueError, match="emb.csv: line 2: non-numeric field"):
+        read_embeddings_csv(path)
+    path.write_text("1,0" + ",0.5" * 16 + "\n1,1," + ",".join(map(repr, NORM_INF_ROW)) + "\n")
+    with pytest.raises(ValueError, match="line 2: embedding squared norm overflows to inf"):
         read_embeddings_csv(path)
 
 
@@ -559,6 +591,44 @@ def test_reader_and_detection_give_one_verdict_at_the_overflow_boundary(tmp_path
     assert disagree == [], f"{len(disagree)} of 300 rows got two verdicts"
     # Rows on both sides of the boundary, so the test shows something.
     assert verdicts == {None, "embedding squared norm overflows to inf"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(dim=st.sampled_from([1, 2, 3, 16, 33]), overflow=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 12))
+def test_embedding_fault_and_the_block_mask_decide_by_row_norms(
+    tmp_path_factory, dim, overflow, seed, n_rows
+):
+    # Rows whose e·e lies within a few ulps of overflow, or whose squares
+    # sit at the edge of the subnormals, so that two sums may disagree.
+    rng = np.random.default_rng(seed)
+    if overflow:
+        scale = math.sqrt(sys.float_info.max / dim)
+        scale *= 1.0 + rng.uniform(-4e-15, 4e-15, (n_rows, 1))
+        rows = scale * (1.0 + rng.uniform(-4e-15, 4e-15, (n_rows, dim)))
+    else:
+        scale = math.sqrt(5e-324) * rng.uniform(0.2, 1.5, (n_rows, 1))
+        rows = scale * rng.uniform(0.5, 1.0, (n_rows, dim))
+    rows *= rng.choice([-1.0, 1.0], (n_rows, dim))
+    faults = [embedding_fault(e) for e in rows]
+    for e, fault in zip(rows, faults):
+        assert (fault is None) == (0.0 < row_norms(e[None])[0] < math.inf)
+    norms = row_norms(rows)  # the reader's block mask
+    assert [fault is None for fault in faults] == ((0.0 < norms) & (norms < math.inf)).tolist()
+    # A strided row is judged as the contiguous row the tracker stacks.
+    wide = np.zeros((n_rows, 2 * dim))
+    wide[:, ::2] = rows
+    assert [embedding_fault(e) for e in wide[:, ::2]] == faults
+    path = tmp_path_factory.getbasetemp() / "norm_edge_emb.csv"
+    path.write_text("".join(f"1,{k}," + ",".join(map(repr, e)) + "\n"
+                            for k, e in enumerate(rows.tolist())))
+    bad = [k for k, fault in enumerate(faults) if fault]
+    if not bad:
+        assert np.concatenate(list(read_embeddings_csv(path).values())).tobytes() == rows.tobytes()
+        return
+    with pytest.raises(ValueError) as got:
+        read_embeddings_csv(path)
+    assert str(got.value) == f"{path}: line {bad[0] + 1}: {faults[bad[0]]}"
 
 
 def test_embedding_fault_is_named_at_its_sidecar_line_never_the_detection_file(tmp_path):
@@ -869,7 +939,7 @@ def test_a_block_the_c_reader_warns_on_is_read_by_the_per_line_rules(tmp_path, m
         return run
 
     monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
-    for convert in (mot_io._check_mot_line, mot_io._sidecar_row):
+    for convert in (mot_io._check_mot_line, mot_io._check_sidecar_line):
         monkeypatch.setattr(mot_io, convert.__name__, counted(convert))
     text = "# image_size=640x480\n" + "".join(
         f"{k % 7 + 1},{k},{k},2.5,30,40,0.5,-1,-1,-1\n" for k in range(600))
@@ -881,7 +951,7 @@ def test_a_block_the_c_reader_warns_on_is_read_by_the_per_line_rules(tmp_path, m
         table = read_embeddings_csv(emb)
     assert got == _verdict(parse_mot_text_reference, text, None)
     _assert_same_table(table, read_embeddings_csv_reference(emb))
-    assert calls == ["_check_mot_line"] * 600 + ["_sidecar_row"] * 600
+    assert calls == ["_check_mot_line"] * 600 + ["_check_sidecar_line"] * 600
 
 
 def _mot_text(rows, nine: bool = False, notes: bool = False) -> str:

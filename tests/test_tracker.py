@@ -32,6 +32,7 @@ from sasmot.tracker import (
     build_cost_matrix,
     cosine_distance,
     hungarian_assign,
+    row_norms,
 )
 
 
@@ -733,6 +734,17 @@ def test_config_validation():
         Detection(Box2D(0, 0, 1, 1), np.array([[1.0, 0.0]]), 1.0)
 
 
+# A D = 16 row whose squared norm np.vdot sums to 1.7976931348623155e308 on
+# some BLAS builds, while row_norms, the norm cosine_distance divides by, is
+# inf: accepted, its cosine distance to itself would be 1.0.
+NORM_INF_ROW = [
+    3.3519519824856485e153, 3.35195198248565e153, 3.3519519824856478e153, 3.3519519824856515e153,
+    3.351951982485651e153, 3.3519519824856478e153, 3.351951982485646e153, 3.35195198248565e153,
+    3.351951982485647e153, 3.3519519824856478e153, 3.3519519824856493e153, 3.3519519824856515e153,
+    3.3519519824856474e153, 3.3519519824856485e153, 3.3519519824856493e153, 3.35195198248565e153,
+]
+
+
 def test_detection_embedding_needs_a_finite_nonzero_squared_norm():
     box = Box2D(0.5, 0.5, 0.1, 0.1)
     for scale in (1e150, 1e-150):
@@ -742,8 +754,10 @@ def test_detection_embedding_needs_a_finite_nonzero_squared_norm():
         Detection(box, [1.0, math.inf], 1.0)
     with pytest.raises(ValueError, match="zero-norm"):
         Detection(box, [0.0, -0.0], 1.0)
-    with pytest.raises(ValueError, match="embedding squared norm overflows to inf"):
-        Detection(box, [1e300, -1e300], 1.0)
+    for row in ([1e300, -1e300], NORM_INF_ROW):
+        with pytest.raises(ValueError, match="embedding squared norm overflows to inf"):
+            Detection(box, row, 1.0)
+    assert row_norms(np.array([NORM_INF_ROW]))[0] == math.inf
     with pytest.raises(ValueError, match="embedding squared norm underflows to 0"):
         Detection(box, [1e-300] * 16, 1.0)
 
