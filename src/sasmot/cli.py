@@ -40,8 +40,7 @@ from .experiments import (
 from .memory import MemoryConfig, MemoryPolicy
 from .metrics import evaluate
 from .mot_io import (
-    _named,
-    _read_text,
+    _parse_file,
     detections_from_files,
     pair_from_files,
     parse_image_size,
@@ -194,9 +193,7 @@ def _resolve_run(args: argparse.Namespace) -> RunConfig:
     once: every key is checked, and a file value a flag replaces is not read."""
     items = {}
     if args.config is not None:
-        text = _read_text(args.config)
-        with _named(args.config):
-            items = parse_flat_config(text)
+        items = _parse_file(args.config, parse_flat_config)
     items.update((key, str(value)) for key, value in vars(args).items()
                  if key in _CONFIG_KEYS and value is not None)
     return apply_flat_config(RunConfig(), items)

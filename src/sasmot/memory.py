@@ -36,8 +36,6 @@ from typing import Deque, Optional
 
 import numpy as np
 
-from .geometry import Box2D
-
 __all__ = [
     "MemoryPolicy",
     "MemoryConfig",
@@ -100,8 +98,8 @@ class MemoryEntry:
 class TrackMemory:
     """Mutable per-track memory driven by :meth:`observe`, one instance per track.
 
-    The three public operations are ``observe`` (feed one frame's box,
-    embedding, and overlap; returns whether a feature was stored),
+    The three public operations are ``observe`` (feed one frame's box
+    centre, embedding, and overlap; returns whether a feature was stored),
     ``fused_query`` (blend a current embedding with the memory mean), and
     ``commit_store`` (normally invoked internally by ``observe``).
     ``memory_term`` and ``policy`` are read-only. ``entries`` holds a
@@ -120,6 +118,8 @@ class TrackMemory:
     The memory checks none of its inputs. The caller guarantees them, and
     in the package each part has one owner:
 
+    * the centre (x, y) is finite (``Tracker.step`` passes the ``cx`` and
+      ``cy`` of a checked ``Box2D``);
     * every embedding e is a 1-D float64 array with ``0 < row_norms(e) < inf``
       (``tracker.Detection``, or the path that built it: the simulator, or
       the sidecar reader's one mask per block), and all have one size
@@ -171,12 +171,13 @@ class TrackMemory:
         in entry order, set on each commit, so ``alpha`` is read at commit."""
         return self._memory_term
 
-    def observe(self, box: Box2D, embedding: np.ndarray, overlap: float, frame_idx: int) -> bool:
-        """Feed one observed frame; returns True when a feature was stored."""
+    def observe(
+        self, x: float, y: float, embedding: np.ndarray, overlap: float, frame_idx: int
+    ) -> bool:
+        """Feed one observed frame, box centre first; returns True when a feature was stored."""
         if self._off:
             return False
 
-        x, y = box.cx, box.cy
         if self._last_x is not None:
             self.accumulator += math.hypot(x - self._last_x, y - self._last_y)
         self._last_x, self._last_y = x, y

@@ -139,25 +139,16 @@ def _list_side(name: str, frames: List[FrameEntries]) -> _Side:
 _Columns = Tuple[np.ndarray, List[int], np.ndarray]
 
 
-@dataclass(eq=False)
 class SequencePair:
-    """Frame-aligned ground truth and predictions: per-frame (id, box) lists.
+    """Frame-aligned ground truth and predictions, read at construction from
+    per-frame (id, box) lists into the arrays that scoring uses; the pair
+    keeps no reference to the lists."""
 
-    ``gt`` and ``pred`` are read once, at construction, into the arrays that
-    scoring uses; changing the lists afterwards changes no score. A pair
-    built by ``from_columns`` has no lists: both are None.
-    """
-
-    gt: List[FrameEntries]
-    pred: List[FrameEntries]
-
-    def __post_init__(self):
-        if len(self.gt) != len(self.pred):
-            raise ValueError(
-                f"gt has {len(self.gt)} frames but pred has {len(self.pred)}"
-            )
-        self._gt = _list_side("gt", self.gt)
-        self._pred = _list_side("pred", self.pred)
+    def __init__(self, gt: List[FrameEntries], pred: List[FrameEntries]):
+        if len(gt) != len(pred):
+            raise ValueError(f"gt has {len(gt)} frames but pred has {len(pred)}")
+        self._gt = _list_side("gt", gt)
+        self._pred = _list_side("pred", pred)
 
     @classmethod
     def from_columns(cls, gt: _Columns, pred: _Columns) -> SequencePair:
@@ -166,7 +157,6 @@ class SequencePair:
         as per-frame lists does."""
         n_frames = max(int(frames.max(initial=0)) for frames, _, _ in (gt, pred))
         pair = cls.__new__(cls)
-        pair.gt = pair.pred = None
         pair._gt = _Side("gt", gt[0] - 1, gt[1], gt[2], n_frames)
         pair._pred = _Side("pred", pred[0] - 1, pred[1], pred[2], n_frames)
         return pair

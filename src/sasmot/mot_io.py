@@ -17,8 +17,10 @@ order, and writing takes the pixel rows that one converter builds from
 ``# image_size=WxH`` header so they can be normalized back to unit
 coordinates without external context; a caller-supplied image size
 overrides the header, which otherwise must come before the first row. A
-frame number above twice the file's row count is an error naming its line,
-so no reader makes a frame for a row far past the others. Ground truth
+frame number above the larger of ``_FRAME_FLOOR`` (16384) and twice the
+file's row count is an error naming its line, so no reader makes frames
+without end for a row far past the others, while a short file may leave
+frames empty. Ground truth
 and tracker output carry conf 1, detections carry id -1 and their score,
 and rows are sorted by (frame, id) with 6 decimals per float. Embeddings ride in a sidecar CSV
 (``frame,det_index,e_1,...,e_D``, 9 significant digits) keyed by position
@@ -28,8 +30,10 @@ satisfy ``0 < |e| < inf``, |e| as ``row_norms`` computes it: the rule
 ``Detection`` applies, with its wording; a bad row is an error naming its
 line. Writers format each row with one ``%`` operation.
 
-Files are read as UTF-8, a leading byte-order mark dropped; a byte that is
-not UTF-8 is an error naming the file and its line. Both readers work in
+Every file, a ``--config`` file too, reaches its parser through
+``_parse_file``: it is read as UTF-8, a leading byte-order mark dropped, a
+byte that is not UTF-8 is an error naming the file and its line, and every
+parse error starts with the path. Both readers work in
 column passes over blocks of ``_BLOCK_ROWS`` data rows: one pass sorts the
 lines into comments and data, then numpy's C text reader converts each
 block in one call, and its rules are checked as masks. That reader accepts
@@ -50,10 +54,10 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_left
-from contextlib import contextmanager
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple, TypeVar)
 
 import numpy as np
 
@@ -107,29 +111,27 @@ def parse_mot_file(
     path: Path | str, image_size: Optional[Tuple[int, int]] = None
 ) -> Tuple[_Frames, Tuple[int, int]]:
     """Parse a MOT file; every parse error starts with the path."""
-    text = _read_text(path)
-    with _named(path):
-        return parse_mot_text(text, image_size)
+    return _parse_file(path, parse_mot_text, image_size)
 
 
-def _read_text(path: Path | str) -> str:
-    """A text file decoded as UTF-8, a leading byte-order mark dropped; a
-    byte that is not UTF-8 is an error naming the path and its line."""
+_T = TypeVar("_T")
+
+
+def _parse_file(path: Path | str, parse: Callable[..., _T], *args) -> _T:
+    """``parse(text, *args)`` of a file's text, decoded as UTF-8 with a
+    leading byte-order mark dropped. A byte that is not UTF-8 is an error
+    naming the path and its line, and every ``ValueError`` of ``parse``
+    starts with the path."""
     try:
-        return Path(path).read_bytes().decode("utf-8-sig")
+        text = Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         # ``exc.object`` is what followed the mark, and every byte before
         # ``exc.start`` decodes, so the lines before it count as a reader's do.
         line = len((exc.object[: exc.start].decode() + ".").splitlines())
         byte = exc.object[exc.start]
         raise ValueError(f"{path}: line {line}: byte 0x{byte:02x} is not UTF-8") from None
-
-
-@contextmanager
-def _named(path: Path | str) -> Iterator[None]:
-    """Prefix the path to a ``ValueError`` raised inside."""
     try:
-        yield
+        return parse(text, *args)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -137,7 +139,7 @@ def _named(path: Path | str) -> Iterator[None]:
 class _Rows(NamedTuple):
     """A MOT text's data rows as columns, in file order."""
 
-    frames: np.ndarray  # (k,) int64, each in 1..2k
+    frames: np.ndarray  # (k,) int64, each in 1..max(2k, _FRAME_FLOOR)
     ids: List[int]  # Python ints, of any size
     boxes: np.ndarray  # (4, k): normalized cx, cy, w, h, the fields of each row's Box2D
     confs: np.ndarray  # (k,)
@@ -149,15 +151,6 @@ def _in_frame_order(rows: _Rows) -> Tuple[np.ndarray, np.ndarray, Iterator[Box2D
     order = np.argsort(rows.frames, kind="stable")
     counts = np.bincount(rows.frames, minlength=1)[1:]
     return order, counts, map(_box, *rows.boxes[:, order].tolist())
-
-
-def _read_mot_columns(
-    path: Path | str, image_size: Optional[Tuple[int, int]] = None
-) -> Tuple[_Rows, Tuple[int, int]]:
-    """``_mot_columns`` of a file; every parse error starts with the path."""
-    text = _read_text(path)
-    with _named(path):
-        return _mot_columns(text, image_size)
 
 
 def _mot_columns(
@@ -175,7 +168,7 @@ def _mot_columns(
     first = data[0] if data else len(lines)
     # The row count is known before any row is read, so each row's frame is
     # checked against the bound as it converts.
-    max_frame = 2 * len(data)
+    max_frame = max(2 * len(data), _FRAME_FLOOR)
     size, late = image_size, None
     for i in notes:
         body = lines[i].lstrip("#").strip()
@@ -233,6 +226,10 @@ def _data_lines(text: str) -> Tuple[List[str], List[int]]:
 # Data rows converted at a time: bounds the temporaries a read holds,
 # whatever the size of the file. Larger blocks read no faster.
 _BLOCK_ROWS = 512
+
+# The least frame bound: a file of few rows may still leave many frames
+# empty, and the frames up to it cost a reader and a run well under a second.
+_FRAME_FLOOR = 16384
 
 _MOT_DTYPE = np.dtype([("frame", np.int64), ("id", np.int64), ("fields", np.float64, (5,))])
 
@@ -309,7 +306,8 @@ def _check_mot_line(line: str, size: Tuple[int, int], max_frame: int) -> _PixelR
     if frame < 1:
         raise ValueError(f"frame must be >= 1, got {frame}")
     if frame > max_frame:
-        raise ValueError(f"frame {frame} is beyond {max_frame}, twice the file's row count")
+        raise ValueError(f"frame {frame} is beyond {max_frame}, the larger of {_FRAME_FLOOR} "
+                         "and twice the file's row count")
     if width <= 0:
         raise ValueError(f"non-positive width {width}")
     if height <= 0:
@@ -381,15 +379,16 @@ def read_embeddings_csv(path: Path | str) -> Dict[Tuple[int, int], np.ndarray]:
     (0, inf), the rule ``Detection`` applies, and no key repeated. The first
     bad row in the file stops the read, and the error names its line.
     """
-    index, values = _read_sidecar(path)
+    index, values = _parse_file(path, _sidecar_columns)
     return dict(zip(index, values))
 
 
-def _read_sidecar(path: Path | str) -> Tuple[Dict[Tuple[int, int], int], np.ndarray]:
-    """The checked sidecar: each key's row number, in file order, and the rows.
-    A block that breaks the mask, or that the C reader refuses, goes to
-    ``_check_sidecar_line``, which converts it or names its first bad line."""
-    lines, data = _data_lines(_read_text(path))
+def _sidecar_columns(text: str) -> Tuple[Dict[Tuple[int, int], int], np.ndarray]:
+    """The checked rows of a sidecar text: each key's row number, in file
+    order, and the rows. A block that breaks the mask, or that the C reader
+    refuses, goes to ``_check_sidecar_line``, which converts it or names its
+    first bad line."""
+    lines, data = _data_lines(text)
     width = len(lines[data[0]].split(",")) if data else 2
     values = np.empty((len(data), max(width - 2, 0)))
     dtype = np.dtype([("frame", np.int64), ("det_index", np.int64),
@@ -411,7 +410,7 @@ def _read_sidecar(path: Path | str) -> Tuple[Dict[Tuple[int, int], int], np.ndar
             try:
                 index[_check_sidecar_line(lines[i], block[k], index)] = a + k
             except ValueError as exc:
-                raise ValueError(f"{path}: line {i + 1}: {exc}") from None
+                raise ValueError(f"line {i + 1}: {exc}") from None
     return index, values
 
 
@@ -420,7 +419,7 @@ def _check_sidecar_line(
 ) -> Tuple[int, int]:
     """One sidecar data line's key, its values converted into ``row``, or
     its first fault raised, in the order and wording of the line-by-line
-    reader: the rules ``_read_sidecar`` applies as a mask, a key in ``seen``
+    reader: the rules ``_sidecar_columns`` applies as a mask, a key in ``seen``
     among them."""
     parts = line.split(",")
     if len(parts) < 3:
@@ -456,8 +455,8 @@ def detections_from_files(
     ``_detection_frames`` builds the records over the whole file from the
     rows' boxes, corners, embeddings and scores.
     """
-    rows, size = _read_mot_columns(det_path, image_size)
-    index, values = _read_sidecar(emb_path)
+    rows, size = _parse_file(det_path, _mot_columns, image_size)
+    index, values = _parse_file(emb_path, _sidecar_columns)
     order, counts, boxes = _in_frame_order(rows)
     frames = rows.frames[order]
     slots = np.arange(len(frames)) - (np.cumsum(counts) - counts)[frames - 1]
@@ -497,7 +496,7 @@ def pair_from_files(
     """
     sides = []
     for path in (gt_path, pred_path):
-        rows, _ = _read_mot_columns(path, image_size)
+        rows, _ = _parse_file(path, _mot_columns, image_size)
         sides.append((rows.frames, rows.ids, corners_of(rows.boxes[:2], rows.boxes[2:])))
     return SequencePair.from_columns(*sides)
 

@@ -445,13 +445,14 @@ class Tracker:
         for k, (ti, di) in enumerate(pairs.tolist()):
             track = self.tracks[ti]
             det = dets[di]
+            box = det.box
             track.misses = 0
-            track.memory.observe(det.box, det.embedding, overlaps[di], frame_idx)
+            track.memory.observe(box.cx, box.cy, det.embedding, overlaps[di], frame_idx)
             term = track.memory._memory_term  # the field: no property call per match
             if term is not None:
                 fused.append(k)
                 terms.append(term)
-            emitted.append((track.track_id, det.box))
+            emitted.append((track.track_id, box))
         if len(pairs):
             rows, cols = pairs.T
             # Rows are gathered with ``take``, which costs less than indexing.
@@ -474,11 +475,12 @@ class Tracker:
             self.queries = np.concatenate((self.queries, frame.embeddings.take(born, 0)))
         for di in born:
             det = dets[di]
+            box = det.box
             memory = TrackMemory(self.cfg.memory, self.policy)
-            # The birth observation seeds last_center and the candidate; a
+            # The birth observation seeds the last centre and the candidate; a
             # DENSE memory also stores, but the query stays raw until a match.
-            memory.observe(det.box, det.embedding, overlaps[di], frame_idx)
+            memory.observe(box.cx, box.cy, det.embedding, overlaps[di], frame_idx)
             self.tracks.append(TrackState(track_id=self._next_id, memory=memory))
-            emitted.append((self._next_id, det.box))
+            emitted.append((self._next_id, box))
             self._next_id += 1
         return FrameResult(frame_idx, emitted)

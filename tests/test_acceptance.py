@@ -44,10 +44,6 @@ def _verdict(num: int, label: str):
     print(f"\ncriterion {num} ({label}): PASS")
 
 
-def _box(x: float, y: float) -> Box2D:
-    return Box2D(x, y, 0.1, 0.1)
-
-
 @pytest.fixture(scope="module")
 def policy_suite():
     """20 rotation-heavy scenarios, all five policies on identical inputs."""
@@ -68,7 +64,7 @@ def test_criterion_1_equations_and_storage_choice_oracle():
         mem = TrackMemory(MemoryConfig(epsilon=math.inf), MemoryPolicy.SPARSE)
         points = [(0.10, 0.20), (0.15, 0.26), (0.40, 0.10), (0.42, 0.12)]
         for frame, (x, y) in enumerate(points):
-            mem.observe(_box(x, y), np.array([1.0, 0.0]), 0.0, frame)
+            mem.observe(x, y, np.array([1.0, 0.0]), 0.0, frame)
         expected = sum(
             math.hypot(x1 - x0, y1 - y0)
             for (x0, y0), (x1, y1) in zip(points, points[1:])
@@ -77,8 +73,8 @@ def test_criterion_1_equations_and_storage_choice_oracle():
 
         # Fusion: alpha=1 keeps the current embedding untouched.
         mem = TrackMemory(MemoryConfig(epsilon=0.01, alpha=1.0))
-        mem.observe(_box(0.1, 0.5), np.array([1.0, 0.0]), 0.0, 0)
-        mem.observe(_box(0.3, 0.5), np.array([0.0, 1.0]), 0.0, 1)
+        mem.observe(0.1, 0.5, np.array([1.0, 0.0]), 0.0, 0)
+        mem.observe(0.3, 0.5, np.array([0.0, 1.0]), 0.0, 1)
         assert len(mem.entries) == 1
         cur = np.array([0.25, 0.75])
         assert np.array_equal(mem.fused_query(cur), cur)
@@ -91,15 +87,15 @@ def test_criterion_1_equations_and_storage_choice_oracle():
         # point at alpha=0.5 (both halves are exact binary fractions).
         v = np.array([0.375, -2.0])
         mem = TrackMemory(MemoryConfig(epsilon=0.01, alpha=0.5))
-        mem.observe(_box(0.1, 0.5), v, 0.0, 0)
-        mem.observe(_box(0.3, 0.5), v, 0.0, 1)
+        mem.observe(0.1, 0.5, v, 0.0, 0)
+        mem.observe(0.3, 0.5, v, 0.0, 1)
         assert np.array_equal(mem.fused_query(v), v)
 
         # Fusion: analytic two-entry case at alpha=0.5.
         mem = TrackMemory(MemoryConfig(epsilon=0.01, alpha=0.5))
-        mem.observe(_box(0.1, 0.5), np.array([1.0, 0.0]), 0.0, 0)
-        mem.observe(_box(0.3, 0.5), np.array([1.0, 0.0]), 0.0, 1)
-        mem.observe(_box(0.5, 0.5), np.array([0.0, 1.0]), 0.0, 2)
+        mem.observe(0.1, 0.5, np.array([1.0, 0.0]), 0.0, 0)
+        mem.observe(0.3, 0.5, np.array([1.0, 0.0]), 0.0, 1)
+        mem.observe(0.5, 0.5, np.array([0.0, 1.0]), 0.0, 2)
         assert len(mem.entries) == 2
         fused = mem.fused_query(np.array([2.0, 2.0]))
         assert np.array_equal(fused, np.array([1.25, 1.25]))
@@ -117,7 +113,7 @@ def test_criterion_2_accumulation_semantics():
         # A stationary object never commits, no matter how long it sits.
         mem = TrackMemory(MemoryConfig(), MemoryPolicy.SPARSE)
         for frame in range(200):
-            stored = mem.observe(_box(0.4, 0.6), np.array([1.0, 0.0]), 0.0, frame)
+            stored = mem.observe(0.4, 0.6, np.array([1.0, 0.0]), 0.0, frame)
             assert not stored
         assert len(mem.entries) == 0
 
@@ -126,7 +122,7 @@ def test_criterion_2_accumulation_semantics():
         commits = [
             frame
             for frame in range(6)
-            if mem.observe(_box(0.1 + 0.04 * frame, 0.5), np.array([1.0, 0.0]), 0.0, frame)
+            if mem.observe(0.1 + 0.04 * frame, 0.5, np.array([1.0, 0.0]), 0.0, frame)
         ]
         assert commits[0] == 3
 
@@ -147,8 +143,8 @@ def test_criterion_2_accumulation_semantics():
                 for frame, entries in enumerate(scenario.gt):
                     box = entries[obj][1]
                     emb = scenario.true_appearance[frame][obj]
-                    n_sparse += sparse.observe(box, emb, 0.0, frame)
-                    n_dense += dense.observe(box, emb, 0.0, frame)
+                    n_sparse += sparse.observe(box.cx, box.cy, emb, 0.0, frame)
+                    n_dense += dense.observe(box.cx, box.cy, emb, 0.0, frame)
                 assert n_dense == n_frames
                 assert n_sparse < n_dense, (n_frames, speed, seed, obj)
 
@@ -206,10 +202,11 @@ def test_criterion_4_metric_oracles():
         # Association scores equal exhaustive-search oracles on random
         # short sequences with up to 3 ids per side.
         for seed in range(200):
-            pair = random_small_pair(seed)
-            assert idf1(pair) == pytest.approx(idf1_oracle(pair), abs=1e-12), seed
+            gt, pred = random_small_pair(seed)
+            pair = SequencePair(gt, pred)
+            assert idf1(pair) == pytest.approx(idf1_oracle(gt, pred), abs=1e-12), seed
             got = hota(pair)
-            want = hota_oracle(pair)
+            want = hota_oracle(gt, pred)
             for g, w in zip(got, want):
                 assert g == pytest.approx(w, abs=1e-9), seed
 

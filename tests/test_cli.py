@@ -90,6 +90,31 @@ def test_track_then_eval_pipeline(tmp_path, capsys):
     assert len(values.split(",")) == 6
 
 
+def test_eval_scores_the_pred_file_that_track_writes_with_empty_frames(tmp_path, capsys):
+    # One object over frames 1-10, detected above min_score only at frames 1
+    # and 10: pred.txt has two rows, so its last frame is five times its row
+    # count, and frames 2-9 are empty, as the format allows.
+    run = tmp_path / "run"
+    run.mkdir()
+    boxes = [f"{10 + f},10,20,20" for f in range(1, 11)]
+    scores = [0.9] + [0.1] * 8 + [0.9]
+    (run / "det.txt").write_text("# image_size=100x100\n" + "".join(
+        f"{f},-1,{box},{score},-1,-1,-1\n" for f, (box, score) in enumerate(zip(boxes, scores), 1)))
+    (run / "embeddings.csv").write_text("".join(f"{f},0,0.6,0.8\n" for f in range(1, 11)))
+    (run / "gt.txt").write_text("# image_size=100x100\n" + "".join(
+        f"{f},1,{box},1,-1,-1,-1\n" for f, box in enumerate(boxes, 1)))
+    assert _track(run) == 0, capsys.readouterr().err
+    pred_rows = (run / "pred.txt").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in pred_rows] == ["1", "10"]
+    assert main(["eval", "--gt", str(run / "gt.txt"), "--pred", str(run / "pred.txt"),
+                 "--out", str(run / "report.csv")]) == 0, capsys.readouterr().err
+    # Two exact matches of ten gt rows, one id throughout: DetA = AssA =
+    # MOTA = 2/10, HOTA = sqrt(0.2 * 0.2), IDF1 = 4/12.
+    assert (run / "report.csv").read_text() == (
+        "hota,deta,assa,mota,idf1,idsw\n0.200000,0.200000,0.200000,0.200000,0.333333,0\n"
+    )
+
+
 def test_eval_of_ground_truth_against_itself_is_perfect(tmp_path):
     run = tmp_path / "run"
     _simulate(run, n_objects=3, n_frames=15, seed=5)

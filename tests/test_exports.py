@@ -3,8 +3,9 @@ a module imports is used and comes from the stdlib, numpy or the package
 itself (scipy's compiled solver is loaded from its file, never imported),
 every function and class it defines is referenced from the package or the
 benchmark (a name only tests use does not count), the record dataclasses
-declare slots, ``tracker.row_norms`` is the one embedding norm, and every
-name the benchmark under ``bench/`` reaches for is still there.
+declare slots, ``tracker.row_norms`` is the one embedding norm, the
+memory imports nothing from the package, and every name the benchmark
+under ``bench/`` reaches for is still there.
 
 The benchmark checks are read from ``bench/`` source without importing it,
 so a change that deletes a name the benchmark needs fails here.
@@ -191,6 +192,21 @@ def test_imports_are_stdlib_numpy_or_relative():
                 for name in names if name.split(".")[0] not in allowed
             ]
     assert foreign == [], "imports outside the stdlib and numpy"
+
+
+def test_the_memory_imports_nothing_from_the_package():
+    # TrackMemory takes a centre, an embedding, an overlap and a frame
+    # index, so a tracker outside the package can drive it: memory.py may
+    # import only the stdlib and numpy, never a sasmot module or name.
+    inner = [
+        f"memory.py:{node.lineno}"
+        for node in ast.walk(ast.parse((SRC / "memory.py").read_text()))
+        if (isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or node.module.split(".")[0] == "sasmot"))
+        or (isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "sasmot" for alias in node.names))
+    ]
+    assert inner == [], "memory.py imports from the package"
 
 
 def test_bench_tracer_targets_resolve():

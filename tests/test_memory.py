@@ -6,13 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sasmot.geometry import Box2D
 from sasmot.memory import MemoryConfig, MemoryPolicy, TrackMemory
 from sasmot.rng import SplitMix64
-
-
-def _box(cx, cy, w=0.1, h=0.1):
-    return Box2D(cx, cy, w, h)
 
 
 def _emb(dim, value=1.0):
@@ -25,7 +20,7 @@ def _walk(memory, positions, dim=4, overlaps=None, start_frame=0):
     committed = []
     for i, (cx, cy) in enumerate(positions):
         ov = overlaps[i] if overlaps is not None else 0.0
-        if memory.observe(_box(cx, cy), _emb(dim, float(i + 1)), ov, start_frame + i):
+        if memory.observe(cx, cy, _emb(dim, float(i + 1)), ov, start_frame + i):
             committed.append(start_frame + i)
     return committed
 
@@ -103,10 +98,10 @@ def test_ofs_stores_minimum_overlap_frame_in_window():
     # frame-7 snapshot (overlap 0.1) is the cleanest in the window and
     # must be the one stored.
     mem = TrackMemory(MemoryConfig(epsilon=0.1), MemoryPolicy.SPARSE_OFS)
-    mem.observe(_box(0.10, 0.5), _emb(4, 1.0), 0.3, 5)
-    mem.observe(_box(0.14, 0.5), _emb(4, 2.0), 0.2, 6)
-    mem.observe(_box(0.18, 0.5), _emb(4, 3.0), 0.1, 7)
-    committed = mem.observe(_box(0.22, 0.5), _emb(4, 4.0), 0.6, 8)
+    mem.observe(0.10, 0.5, _emb(4, 1.0), 0.3, 5)
+    mem.observe(0.14, 0.5, _emb(4, 2.0), 0.2, 6)
+    mem.observe(0.18, 0.5, _emb(4, 3.0), 0.1, 7)
+    committed = mem.observe(0.22, 0.5, _emb(4, 4.0), 0.6, 8)
     assert committed
     entry = mem.entries[-1]
     assert entry.frame_idx == 7
@@ -116,18 +111,18 @@ def test_ofs_stores_minimum_overlap_frame_in_window():
 
 def test_ofs_tie_keeps_earlier_frame():
     mem = TrackMemory(MemoryConfig(epsilon=0.1), MemoryPolicy.SPARSE_OFS)
-    mem.observe(_box(0.10, 0.5), _emb(4, 1.0), 0.0, 0)
-    mem.observe(_box(0.18, 0.5), _emb(4, 2.0), 0.0, 1)
-    committed = mem.observe(_box(0.26, 0.5), _emb(4, 3.0), 0.0, 2)
+    mem.observe(0.10, 0.5, _emb(4, 1.0), 0.0, 0)
+    mem.observe(0.18, 0.5, _emb(4, 2.0), 0.0, 1)
+    committed = mem.observe(0.26, 0.5, _emb(4, 3.0), 0.0, 2)
     assert committed
     assert mem.entries[-1].frame_idx == 0
 
 
 def test_plain_sparse_stores_commit_frame():
     mem = TrackMemory(MemoryConfig(epsilon=0.1), MemoryPolicy.SPARSE)
-    mem.observe(_box(0.10, 0.5), _emb(4, 1.0), 0.0, 0)
-    mem.observe(_box(0.18, 0.5), _emb(4, 2.0), 0.9, 1)
-    committed = mem.observe(_box(0.26, 0.5), _emb(4, 3.0), 0.7, 2)
+    mem.observe(0.10, 0.5, _emb(4, 1.0), 0.0, 0)
+    mem.observe(0.18, 0.5, _emb(4, 2.0), 0.9, 1)
+    committed = mem.observe(0.26, 0.5, _emb(4, 3.0), 0.7, 2)
     assert committed
     assert mem.entries[-1].frame_idx == 2
     assert mem.entries[-1].overlap_at_store == pytest.approx(0.7)
@@ -136,12 +131,12 @@ def test_plain_sparse_stores_commit_frame():
 def test_delaying_waits_for_low_overlap():
     cfg = MemoryConfig(epsilon=0.1, delay_overlap_threshold=0.2)
     mem = TrackMemory(cfg, MemoryPolicy.DELAYING)
-    mem.observe(_box(0.10, 0.5), _emb(4, 1.0), 0.0, 0)
+    mem.observe(0.10, 0.5, _emb(4, 1.0), 0.0, 0)
     # Threshold crossed here, but the object is still overlapped.
-    assert not mem.observe(_box(0.22, 0.5), _emb(4, 2.0), 0.5, 1)
-    assert not mem.observe(_box(0.34, 0.5), _emb(4, 3.0), 0.3, 2)
+    assert not mem.observe(0.22, 0.5, _emb(4, 2.0), 0.5, 1)
+    assert not mem.observe(0.34, 0.5, _emb(4, 3.0), 0.3, 2)
     # First sufficiently clean frame commits.
-    assert mem.observe(_box(0.46, 0.5), _emb(4, 4.0), 0.2, 3)
+    assert mem.observe(0.46, 0.5, _emb(4, 4.0), 0.2, 3)
     assert mem.entries[-1].frame_idx == 3
 
 
@@ -158,9 +153,9 @@ def test_capacity_evicts_oldest():
 def test_fused_query_analytic_half_alpha():
     cfg = MemoryConfig(epsilon=0.01, m_max=10, alpha=0.5)
     mem = TrackMemory(cfg, MemoryPolicy.SPARSE)
-    mem.observe(_box(0.1, 0.5), np.array([0.0, 2.0]), 0.0, 0)
-    mem.observe(_box(0.2, 0.5), np.array([0.0, 2.0]), 0.0, 1)  # commits (0, 2)
-    mem.observe(_box(0.3, 0.5), np.array([0.0, 0.0]), 0.0, 2)  # commits (0, 0)
+    mem.observe(0.1, 0.5, np.array([0.0, 2.0]), 0.0, 0)
+    mem.observe(0.2, 0.5, np.array([0.0, 2.0]), 0.0, 1)  # commits (0, 2)
+    mem.observe(0.3, 0.5, np.array([0.0, 0.0]), 0.0, 2)  # commits (0, 0)
     assert [e.frame_idx for e in mem.entries] == [1, 2]
     q = mem.fused_query(np.array([1.0, 0.0]))
     assert np.allclose(q, [0.5, 0.5])
@@ -188,7 +183,7 @@ def test_fused_query_fixed_point():
     mem = TrackMemory(cfg, MemoryPolicy.SPARSE)
     e = np.array([0.6, 0.0, 0.8])
     for i in range(6):
-        mem.observe(_box(0.1 * i, 0.5), e.copy(), 0.0, i)
+        mem.observe(0.1 * i, 0.5, e.copy(), 0.0, i)
     assert len(mem.entries) >= 2
     assert np.allclose(mem.fused_query(e), e, atol=1e-12)
 
@@ -204,9 +199,9 @@ def test_fused_query_order_invariance(seed):
     def fuse(order):
         cfg = MemoryConfig(epsilon=0.01, m_max=10)
         mem = TrackMemory(cfg, MemoryPolicy.SPARSE)
-        mem.observe(_box(0.0, 0.5), np.zeros(dim), 0.0, 0)
+        mem.observe(0.0, 0.5, np.zeros(dim), 0.0, 0)
         for i, e in enumerate(order):
-            mem.observe(_box(0.1 * (i + 1), 0.5), e, 0.0, i + 1)
+            mem.observe(0.1 * (i + 1), 0.5, e, 0.0, i + 1)
         assert len(mem.entries) == len(order)
         return mem.fused_query(cur)
 
@@ -226,7 +221,7 @@ def test_fused_query_equals_loop_over_entries_exactly(policy):
     for frame in range(80):
         x += 0.04 * rng.uniform()
         emb = np.array([rng.gauss() for _ in range(6)])
-        mem.observe(_box(x, 0.5), emb, round(rng.uniform(), 2), frame)
+        mem.observe(x, 0.5, emb, round(rng.uniform(), 2), frame)
         cur = np.array([rng.gauss() for _ in range(6)])
         if not mem.entries:
             continue
@@ -262,7 +257,7 @@ def test_memory_term_equals_the_left_fold_of_sum_exactly(dim, m_max):
     cfg = MemoryConfig(m_max=m_max, alpha=0.3)
     mem = TrackMemory(cfg, MemoryPolicy.DENSE)
     for frame, e in enumerate(_ring_rows(rng, dim, 3 * m_max + 40)):
-        assert mem.observe(_box(0.5, 0.5), e, 0.0, frame)
+        assert mem.observe(0.5, 0.5, e, 0.0, frame)
         want = ((1.0 - cfg.alpha) / len(mem.entries)) * sum(
             entry.embedding for entry in mem.entries
         )
@@ -298,7 +293,7 @@ def test_memory_term_is_the_term_of_sum_through_every_commit(policy, m_max, dim,
     x, stored = 0.1, 0
     for frame, ((dx, overlap, direct), e) in enumerate(zip(frames, rows)):
         x += dx
-        committed = mem.observe(_box(x, 0.5), e, overlap, frame)
+        committed = mem.observe(x, 0.5, e, overlap, frame)
         # A candidate is pending after any observation that stored nothing.
         if direct and policy is not MemoryPolicy.NONE and not committed:
             mem.commit_store()
@@ -321,13 +316,13 @@ def test_a_full_dense_memory_commits_without_refolding():
     mem = TrackMemory(MemoryConfig(m_max=m_max), MemoryPolicy.DENSE)
     rows = np.random.default_rng(5).standard_normal((3 * m_max, dim))
     for frame, e in enumerate(rows[:m_max]):
-        mem.observe(_box(0.5, 0.5), e, 0.0, frame)
+        mem.observe(0.5, 0.5, e, 0.0, frame)
     tracemalloc.start()
     try:
         for frame, e in enumerate(rows[m_max:], start=m_max):
             held, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            assert mem.observe(_box(0.5, 0.5), e, 0.0, frame)
+            assert mem.observe(0.5, 0.5, e, 0.0, frame)
             assert tracemalloc.get_traced_memory()[1] - held < m_max * dim * 8
     finally:
         tracemalloc.stop()
@@ -342,7 +337,7 @@ def test_memory_term_holds_while_the_folds_grow(m_max):
     cfg = MemoryConfig(m_max=m_max, alpha=0.3)
     mem = TrackMemory(cfg, MemoryPolicy.DENSE)
     for frame, e in enumerate(_ring_rows(np.random.default_rng(m_max), 3, 2 * m_max + 5)):
-        assert mem.observe(_box(0.5, 0.5), e, 0.0, frame)
+        assert mem.observe(0.5, 0.5, e, 0.0, frame)
         assert mem.memory_term.tobytes() == _memory_term_of_sum(mem, cfg).tobytes()
     assert len(mem.entries) == m_max
 
@@ -353,7 +348,7 @@ def test_a_large_capacity_costs_nothing_until_its_entries_come():
     try:
         mem = TrackMemory(MemoryConfig(m_max=10**6), MemoryPolicy.DENSE)
         for frame in range(3):
-            mem.observe(_box(0.5, 0.5), np.ones(16), 0.0, frame)
+            mem.observe(0.5, 0.5, np.ones(16), 0.0, frame)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -373,7 +368,7 @@ def ofs_oracle_stream(seed, n_frames=60):
         emb = np.array([rng.gauss(), rng.gauss(), rng.gauss()])
         ov = round(rng.uniform(), 2) if rng.uniform() < 0.5 else 0.0
         window.append((ov, frame, emb))
-        if mem.observe(_box(x, 0.5), emb, ov, frame):
+        if mem.observe(x, 0.5, emb, ov, frame):
             best = min(window, key=lambda t: (t[0], t[1]))
             entry = mem.entries[-1]
             assert entry.frame_idx == best[1]

@@ -1,8 +1,10 @@
 """Metric correctness: canonical sequences, thresholds, exhaustive oracles."""
 
 import functools
+import gc
 import itertools
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -69,12 +71,13 @@ def test_one_crowded_frame_widens_only_its_iou_block():
     crowd = [(k, Box2D(0.1 + 0.004 * k, 0.5, 0.01, 0.01)) for k in range(1, 201)]
     pred = [[(1, BOX_A)] for _ in range(320)]
     pred[100] = crowd
-    pair = SequencePair(gt=[[(1, BOX_A)] for _ in range(320)], pred=pred)
+    gt = [[(1, BOX_A)] for _ in range(320)]
+    pair = SequencePair(gt=gt, pred=pred)
     blocks = pair.ious
     assert len(blocks) == math.ceil(320 / _IOU_CHUNK)
     assert sum(b.size for b in blocks) == _IOU_CHUNK * 200 + (320 - _IOU_CHUNK)
     assert blocks[100 // _IOU_CHUNK].shape == (_IOU_CHUNK, 1, 200)
-    assert evaluate(pair) == evaluate_reference(pair)
+    assert evaluate(pair) == evaluate_reference(gt, pred)
 
 
 def test_evaluate_calls_each_metric_by_its_module_name_in_order(monkeypatch):
@@ -108,9 +111,26 @@ def test_midpoint_id_swap_canonical_values():
 def test_pair_reads_its_lists_once_at_construction():
     gt = [[(1, BOX_A), (2, BOX_B)] for _ in range(10)]
     pred = [[(1, BOX_A), (2, BOX_B)] for _ in range(5)] + [[(3, BOX_A)] for _ in range(5)]
-    pair = SequencePair(gt=[list(f) for f in gt], pred=[list(f) for f in pred])
-    pair.gt.clear()
-    pair.pred.clear()
+    gt_lists, pred_lists = [list(f) for f in gt], [list(f) for f in pred]
+    pair = SequencePair(gt=gt_lists, pred=pred_lists)
+    gt_lists.clear()
+    pred_lists.clear()
+    assert evaluate(pair) == evaluate(SequencePair(gt=gt, pred=pred))
+
+
+class _Frames(list):
+    """A list that a weak reference can point to."""
+
+
+def test_pair_holds_no_reference_to_its_lists():
+    gt = [[(1, BOX_A), (2, BOX_B)] for _ in range(10)]
+    pred = [[(1, BOX_A), (2, BOX_B)] for _ in range(5)] + [[(3, BOX_A)] for _ in range(5)]
+    gt_lists, pred_lists = _Frames(gt), _Frames(pred)
+    refs = weakref.ref(gt_lists), weakref.ref(pred_lists)
+    pair = SequencePair(gt=gt_lists, pred=pred_lists)
+    del gt_lists, pred_lists
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
     assert evaluate(pair) == evaluate(SequencePair(gt=gt, pred=pred))
 
 
@@ -321,7 +341,7 @@ def random_small_pair(seed):
                 p_entries.append((pid, _random_box(rng)))
         gt.append(g_entries)
         pred.append(p_entries)
-    return SequencePair(gt=gt, pred=pred)
+    return gt, pred
 
 
 def random_crowded_pair(seed):
@@ -345,14 +365,18 @@ def random_crowded_pair(seed):
         pred.append([
             (p, near(base[rng.next_u64() % 3])) for p in (1, 2, 3) if rng.uniform() < 0.8
         ])
-    return SequencePair(gt=gt, pred=pred)
+    return gt, pred
 
 
-def idf1_oracle(pair):
+def _total(frames):
+    return sum(map(len, frames))
+
+
+def idf1_oracle(gt, pred):
     """Maximum-IDTP bijection found by exhaustive search over co-occurring
     identity pairs."""
     counts = Counter()
-    for gt_entries, pred_entries in zip(pair.gt, pair.pred):
+    for gt_entries, pred_entries in zip(gt, pred):
         for gid, gbox in gt_entries:
             for pid, pbox in pred_entries:
                 if iou(gbox, pbox) >= 0.5:
@@ -369,7 +393,7 @@ def idf1_oracle(pair):
         return value
 
     idtp = best(0, frozenset(), frozenset())
-    total_gt, total_pred = pair.total_gt(), pair.total_pred()
+    total_gt, total_pred = _total(gt), _total(pred)
     if total_gt == 0 and total_pred == 0:
         return 1.0
     return 2.0 * idtp / (2.0 * idtp + (total_pred - idtp) + (total_gt - idtp))
@@ -394,20 +418,20 @@ def _oracle_frame_assignment(gt_entries, pred_entries):
     return best_pairs
 
 
-def hota_oracle(pair):
+def hota_oracle(gt, pred):
     """(hota, deta, assa) recomputed from the definitions with exhaustive
     per-frame matching and direct association counting."""
     gt_app = Counter()
     pred_app = Counter()
-    for entries in pair.gt:
+    for entries in gt:
         for gid, _ in entries:
             gt_app[gid] += 1
-    for entries in pair.pred:
+    for entries in pred:
         for pid, _ in entries:
             pred_app[pid] += 1
 
     frame_matches = []
-    for gt_entries, pred_entries in zip(pair.gt, pair.pred):
+    for gt_entries, pred_entries in zip(gt, pred):
         pairs = _oracle_frame_assignment(gt_entries, pred_entries)
         matches = [
             (gt_entries[g][0], pred_entries[p][0], iou(gt_entries[g][1], pred_entries[p][1]))
@@ -442,13 +466,13 @@ def hota_oracle(pair):
     return hota_sum / n, deta_sum / n, assa_sum / n
 
 
-def clear_oracle(pair):
+def clear_oracle(gt, pred):
     """(mota, idsw, fp, fn) from the CLEAR rules with scalar IoU: carry-over
     first, then the IoU-maximal pairing of the remaining boxes by
     permutation search, keeping pairs at IoU 0.5 or above."""
     last_pred = {}
     idsw = fp = fn = 0
-    for gt_entries, pred_entries in zip(pair.gt, pair.pred):
+    for gt_entries, pred_entries in zip(gt, pred):
         first_index = {}
         for pj, (pid, _) in enumerate(pred_entries):
             first_index.setdefault(pid, pj)
@@ -475,27 +499,28 @@ def clear_oracle(pair):
             last_pred[gid] = pid
         fn += len(gt_entries) - len(bound)
         fp += len(pred_entries) - len(bound)
-    return 1.0 - (fn + fp + idsw) / pair.total_gt(), idsw, fp, fn
+    return 1.0 - (fn + fp + idsw) / _total(gt), idsw, fp, fn
 
 
 def test_clear_mota_matches_exhaustive_oracle():
     for seed in range(120):
         for make in (random_small_pair, random_crowded_pair):
-            pair = make(seed)
-            assert clear_mota(pair) == clear_oracle(pair), (make.__name__, seed)
+            gt, pred = make(seed)
+            assert clear_mota(SequencePair(gt, pred)) == clear_oracle(gt, pred), (
+                make.__name__, seed)
 
 
 def test_idf1_matches_exhaustive_oracle():
     for seed in range(120):
-        pair = random_small_pair(seed)
-        assert idf1(pair) == pytest.approx(idf1_oracle(pair), abs=1e-12), seed
+        gt, pred = random_small_pair(seed)
+        assert idf1(SequencePair(gt, pred)) == pytest.approx(idf1_oracle(gt, pred), abs=1e-12), seed
 
 
 def test_hota_matches_exhaustive_oracle():
     for seed in range(120):
-        pair = random_small_pair(seed)
-        got = hota(pair)
-        want = hota_oracle(pair)
+        gt, pred = random_small_pair(seed)
+        got = hota(SequencePair(gt, pred))
+        want = hota_oracle(gt, pred)
         for g, w in zip(got, want):
             assert g == pytest.approx(w, abs=1e-9), seed
 
@@ -507,7 +532,7 @@ def test_hota_matches_exhaustive_oracle():
 # ``==``, not ``approx``.
 
 
-def reference_frames(pair):
+def reference_frames(gt, pred):
     """Per frame: (gt ids, pred ids, gt × pred IoU matrix), one IoU call per frame."""
     return [
         (
@@ -518,11 +543,11 @@ def reference_frames(pair):
                 boxes_to_corners([box for _, box in pred_entries]),
             ),
         )
-        for gt_entries, pred_entries in zip(pair.gt, pair.pred)
+        for gt_entries, pred_entries in zip(gt, pred)
     ]
 
 
-def _clear_reference(pair, frames):
+def _clear_reference(total_gt, frames):
     last_pred = {}
     idsw = fp = fn = 0
     for gids, pids, ious in frames:
@@ -552,11 +577,10 @@ def _clear_reference(pair, frames):
             last_pred[gid] = pid
         fn += len(gids) - len(bound)
         fp += len(pids) - len(bound)
-    return 1.0 - (fn + fp + idsw) / pair.total_gt(), idsw, fp, fn
+    return 1.0 - (fn + fp + idsw) / total_gt, idsw, fp, fn
 
 
-def _idf1_reference(pair, frames):
-    total_gt, total_pred = pair.total_gt(), pair.total_pred()
+def _idf1_reference(total_gt, total_pred, frames):
     if total_gt == 0 and total_pred == 0:
         return 1.0
     counts = Counter()
@@ -572,10 +596,10 @@ def _idf1_reference(pair, frames):
     return 2.0 * idtp / (2.0 * idtp + (total_pred - idtp) + (total_gt - idtp))
 
 
-def _hota_reference(pair, frames):
-    total_gt, total_pred = pair.total_gt(), pair.total_pred()
-    gt_appearances = Counter(gid for entries in pair.gt for gid, _ in entries)
-    pred_appearances = Counter(pid for entries in pair.pred for pid, _ in entries)
+def _hota_reference(gt, pred, frames):
+    total_gt, total_pred = _total(gt), _total(pred)
+    gt_appearances = Counter(gid for entries in gt for gid, _ in entries)
+    pred_appearances = Counter(pid for entries in pred for pid, _ in entries)
     events = [
         (gids[g], pids[p], ious[g, p]) for gids, pids, ious in frames for g, p in _assign(ious)
     ]
@@ -601,28 +625,30 @@ def _hota_reference(pair, frames):
     return hota_sum / n, deta_sum / n, assa_sum / n
 
 
-def evaluate_reference(pair):
+def evaluate_reference(gt, pred):
     """The per-frame scorer ``evaluate`` replaced: one IoU matrix per frame,
     CLEAR's solver on every frame, IDF1 and HOTA tallied in Counters keyed
     by the ids themselves."""
-    frames = reference_frames(pair)
-    mota, idsw, fp, fn = _clear_reference(pair, frames)
-    hota_v, deta_v, assa_v = _hota_reference(pair, frames)
+    frames = reference_frames(gt, pred)
+    total_gt, total_pred = _total(gt), _total(pred)
+    mota, idsw, fp, fn = _clear_reference(total_gt, frames)
+    hota_v, deta_v, assa_v = _hota_reference(gt, pred, frames)
     return MetricsReport(
-        hota=hota_v, deta=deta_v, assa=assa_v, mota=mota, idf1=_idf1_reference(pair, frames),
-        idsw=idsw, tp=pair.total_gt() - fn, fp=fp, fn=fn,
+        hota=hota_v, deta=deta_v, assa=assa_v, mota=mota,
+        idf1=_idf1_reference(total_gt, total_pred, frames),
+        idsw=idsw, tp=total_gt - fn, fp=fp, fn=fn,
     )
 
 
-def hota_loop_reference(pair):
+def hota_loop_reference(gt, pred):
     """(hota, deta, assa) from the same per-frame matching, with one Counter
     per threshold and AssA summed event by event in Python floats."""
-    total_gt, total_pred = pair.total_gt(), pair.total_pred()
-    gt_appearances = Counter(gid for entries in pair.gt for gid, _ in entries)
-    pred_appearances = Counter(pid for entries in pair.pred for pid, _ in entries)
+    total_gt, total_pred = _total(gt), _total(pred)
+    gt_appearances = Counter(gid for entries in gt for gid, _ in entries)
+    pred_appearances = Counter(pid for entries in pred for pid, _ in entries)
     events = [
         (gids[g], pids[p], ious[g, p])
-        for gids, pids, ious in reference_frames(pair)
+        for gids, pids, ious in reference_frames(gt, pred)
         for g, p in _assign(ious)
     ]
     deta_sum = assa_sum = hota_sum = 0.0
@@ -648,10 +674,10 @@ def hota_loop_reference(pair):
 
 @functools.lru_cache(maxsize=None)
 def tracked_pairs(n_objects):
-    """(policy, pair) for one tracked 120-frame scene, two IoU chunks long."""
+    """(policy, gt, pred) for one tracked 120-frame scene, two IoU chunks long."""
     scenario = generate_scenario(ScenarioConfig(n_objects=n_objects, n_frames=120))
     return [
-        (policy, SequencePair(gt=scenario.gt, pred=[list(r.tracks) for r in results]))
+        (policy, scenario.gt, [list(r.tracks) for r in results])
         for policy in MemoryPolicy
         for results in [track_scenario(scenario, policy=policy)]
     ]
@@ -660,14 +686,15 @@ def tracked_pairs(n_objects):
 def test_evaluate_equals_reference_on_random_pairs():
     for seed in range(300):
         for make in (random_small_pair, random_crowded_pair):
-            pair = make(seed)
-            assert evaluate(pair) == evaluate_reference(pair), (make.__name__, seed)
+            gt, pred = make(seed)
+            assert evaluate(SequencePair(gt, pred)) == evaluate_reference(gt, pred), (
+                make.__name__, seed)
 
 
 @pytest.mark.parametrize("n_objects", [4, 8, 24])
 def test_evaluate_equals_reference_on_tracked_scenes(n_objects):
-    for policy, pair in tracked_pairs(n_objects):
-        assert evaluate(pair) == evaluate_reference(pair), policy
+    for policy, gt, pred in tracked_pairs(n_objects):
+        assert evaluate(SequencePair(gt, pred)) == evaluate_reference(gt, pred), policy
 
 
 def _edge_pairs():
@@ -706,46 +733,44 @@ def _edge_pairs():
 def test_evaluate_equals_reference_on_edge_pairs(name):
     gt, pred = _edge_pairs()[name]
     pair = SequencePair(gt=[list(f) for f in gt], pred=[list(f) for f in pred])
-    assert evaluate(pair) == evaluate_reference(pair)
+    assert evaluate(pair) == evaluate_reference(gt, pred)
 
 
 def test_hota_equals_loop_reference_on_random_pairs():
     for seed in range(300):
         for make in (random_small_pair, random_crowded_pair):
-            pair = make(seed)
-            assert hota(pair) == hota_loop_reference(pair), (make.__name__, seed)
+            gt, pred = make(seed)
+            assert hota(SequencePair(gt, pred)) == hota_loop_reference(gt, pred), (
+                make.__name__, seed)
 
 
 @pytest.mark.parametrize("n_objects", [4, 8, 24])
 def test_hota_equals_loop_reference_on_tracked_scenes(n_objects):
-    for policy, pair in tracked_pairs(n_objects):
-        assert hota(pair) == hota_loop_reference(pair), policy
+    for policy, gt, pred in tracked_pairs(n_objects):
+        assert hota(SequencePair(gt, pred)) == hota_loop_reference(gt, pred), policy
 
 
 def test_hota_with_every_pred_frame_empty_has_no_events():
-    pair = SequencePair(gt=[[(1, BOX_A)], [(1, BOX_A), (2, BOX_B)]], pred=[[], []])
-    assert hota(pair) == hota_loop_reference(pair) == (0.0, 0.0, 0.0)
+    gt, pred = [[(1, BOX_A)], [(1, BOX_A), (2, BOX_B)]], [[], []]
+    assert hota(SequencePair(gt, pred)) == hota_loop_reference(gt, pred) == (0.0, 0.0, 0.0)
 
 
 def test_hota_with_preds_that_never_overlap_scores_zero():
     # The matcher still pairs the boxes, at IoU 0, and every threshold drops them.
-    pair = SequencePair(
-        gt=[[(1, BOX_A), (2, BOX_B)] for _ in range(4)],
-        pred=[[(7, FAR_BOX)] for _ in range(4)],
-    )
+    gt = [[(1, BOX_A), (2, BOX_B)] for _ in range(4)]
+    pred = [[(7, FAR_BOX)] for _ in range(4)]
+    pair = SequencePair(gt=gt, pred=pred)
     ious = pair.ious[0][0, :2, :1]
     assert ious.max() == 0.0 and len(_assign(ious)) == 1
-    assert hota(pair) == hota_loop_reference(pair) == (0.0, 0.0, 0.0)
+    assert hota(pair) == hota_loop_reference(gt, pred) == (0.0, 0.0, 0.0)
 
 
 def test_hota_keeps_a_match_whose_iou_equals_a_grid_threshold():
     gt_box = Box2D(0.375, 0.375, 0.25, 0.25)
     pred_box = Box2D(0.375, 0.3125, 0.25, 0.125)
     assert iou_matrix(boxes_to_corners([gt_box]), boxes_to_corners([pred_box]))[0, 0] == 0.5
-    pair = SequencePair(
-        gt=[[(1, gt_box)] for _ in range(3)], pred=[[(1, pred_box)] for _ in range(3)]
-    )
-    got = hota(pair)
-    assert got == hota_loop_reference(pair)
+    gt, pred = [[(1, gt_box)] for _ in range(3)], [[(1, pred_box)] for _ in range(3)]
+    got = hota(SequencePair(gt=gt, pred=pred))
+    assert got == hota_loop_reference(gt, pred)
     # Thresholds 0.05..0.50 keep the match, 0.55..0.95 drop it.
     assert got[1] == got[2] == sum([1.0] * 10) / len(ALPHA_GRID)

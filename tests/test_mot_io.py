@@ -1040,24 +1040,33 @@ def test_side_errors_keep_their_text_from_columns(tmp_path, pred_rows, message):
 
 
 def test_frame_far_beyond_the_row_count_is_named_before_any_frame_exists(tmp_path, capsys):
-    # Two rows may reach frame 4, twice the row count; frame 5 is refused.
+    # Two rows may reach frame 16384, the floor of the bound; frame 16385 is
+    # refused, and so is frame 10**9.
     rows = "# image_size=100x100\n1,1,0,0,10,10,1,-1,-1,-1\n{},2,0,0,10,10,1,-1,-1,-1\n"
-    frames, _ = parse_mot_text(rows.format(4))
-    assert len(frames) == 4 and frames[3][0][0] == 2
-    message = "line 3: frame 5 is beyond 4, twice the file's row count"
+    frames, _ = parse_mot_text(rows.format(16384))
+    assert len(frames) == 16384 and frames[-1][0][0] == 2
+    rule = "the larger of 16384 and twice the file's row count"
+    message = f"line 3: frame 16385 is beyond 16384, {rule}"
     with pytest.raises(ValueError, match=f"^{message}$"):
-        parse_mot_text(rows.format(5))
+        parse_mot_text(rows.format(16385))
+    with pytest.raises(ValueError, match=f"^line 3: frame 1000000000 is beyond 16384, {rule}$"):
+        parse_mot_text(rows.format(10**9))
+    # Past the floor the bound is twice the row count: 8193 rows reach 16386.
+    crowd = rows + "".join(f"1,{k},0,0,10,10,1,-1,-1,-1\n" for k in range(3, 8194))
+    assert len(parse_mot_text(crowd.format(16386))[0]) == 16386
+    with pytest.raises(ValueError, match=f"^line 3: frame 16387 is beyond 16386, {rule}$"):
+        parse_mot_text(crowd.format(16387))
     # A frame is checked in its row's turn: an earlier bad row is named first.
     with pytest.raises(ValueError, match="^line 2: non-positive width"):
-        parse_mot_text(rows.replace("10,10,1", "0,10,1", 1).format(5))
+        parse_mot_text(rows.replace("10,10,1", "0,10,1", 1).format(16385))
     bad, good = tmp_path / "bad.txt", tmp_path / "good.txt"
-    bad.write_text(rows.format(5))
+    bad.write_text(rows.format(16385))
     good.write_text(rows.format(2))
     for gt, pred in ((bad, good), (good, bad)):
         assert main(["eval", "--gt", str(gt), "--pred", str(pred)]) == 1
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
     emb = tmp_path / "emb.csv"
-    emb.write_text("1,0,0.5,0.5\n5,0,0.5,0.5\n")
+    emb.write_text("1,0,0.5,0.5\n16385,0,0.5,0.5\n")
     with pytest.raises(ValueError) as got:
         detections_from_files(bad, emb)
     assert str(got.value) == f"{bad}: {message}"
@@ -1103,7 +1112,7 @@ def _reads_over_bound(scene, block_rows: int) -> List[Tuple[str, int, int]]:
     assert min(n_rows.values()) >= 8 * block_rows, "the files must span many blocks"
     reads = [
         ("detections_from_files", lambda: detections_from_files(det, emb), (det, emb)),
-        ("det read", lambda: mot_io._read_mot_columns(det), (det,)),
+        ("det read", lambda: mot_io._parse_file(det, mot_io._mot_columns), (det,)),
         ("pair_from_files", lambda: pair_from_files(gt, gt), (gt, gt)),
     ]
     out = []

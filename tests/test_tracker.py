@@ -850,9 +850,9 @@ def test_step_passes_each_detection_its_max_iou_with_the_others(monkeypatch):
     observed = []
     original = TrackMemory.observe
 
-    def recording(self, box, embedding, overlap, frame_idx):
-        observed.append((frame_idx, box, overlap))
-        return original(self, box, embedding, overlap, frame_idx)
+    def recording(self, x, y, embedding, overlap, frame_idx):
+        observed.append((frame_idx, (x, y), overlap))
+        return original(self, x, y, embedding, overlap, frame_idx)
 
     monkeypatch.setattr(TrackMemory, "observe", recording)
     scenario = generate_scenario(ScenarioConfig(n_objects=24, n_frames=60, seed=3))
@@ -869,16 +869,16 @@ def test_step_passes_each_detection_its_max_iou_with_the_others(monkeypatch):
         del observed[:]
         tracker.step(detections, frame_idx)
         # Every kept detection is observed exactly once: matched or born.
-        got = {id(box): overlap for _, box, overlap in observed}
+        got = {centre: overlap for _, centre, overlap in observed}
         assert len(got) == len(observed) == len(dets)
         assert all(f == frame_idx for f, _, _ in observed)
         for d, w in zip(dets, want):
-            assert got[id(d.box)] == w
+            assert got[d.box.cx, d.box.cy] == w
         checked += len(dets)
         if frame_idx == len(frames) - 1:
             assert live > 0 and observed == []
     assert checked > 1000
-    assert got == {id(lone.box): 0.0}
+    assert got == {(lone.box.cx, lone.box.cy): 0.0}
 
 
 STEP_SCENES = [
@@ -941,8 +941,11 @@ def test_step_reaches_its_layers_through_the_tracker_module_names(monkeypatch):
 
     commit_store = TrackMemory.commit_store
 
+    centres = []
+
     def counted(self, *args):
         calls["observe"] += 1
+        centres.append(args[:2])
         stored = observe(self, *args)
         calls["stored"] += stored
         return stored
@@ -962,11 +965,15 @@ def test_step_reaches_its_layers_through_the_tracker_module_names(monkeypatch):
             commits = 0
             for frame_idx, frame in enumerate(frames, start=1):
                 calls.clear()
+                del centres[:]
                 emitted = tracker.step(frame, frame_idx).tracks
-                # Each emitted track was matched or born, and observed once;
-                # each stored feature went through one commit_store.
+                # Each emitted track was matched or born, and observed once,
+                # with its emitted box's centre as floats; each stored
+                # feature went through one commit_store.
                 stored = calls.pop("stored", 0)
                 assert calls == Counter(iou_matrix=1, build_cost_matrix=1, hungarian_assign=1,
                                         observe=len(emitted), commit_store=stored)
+                assert centres == [(box.cx, box.cy) for _, box in emitted]
+                assert all(isinstance(v, float) for centre in centres for v in centre)
                 commits += stored
             assert (commits > 0) == (policy is not MemoryPolicy.NONE)
